@@ -13,7 +13,8 @@ This package runs those multiplies under an explicit memory budget
   for partials evicted from the resident set.
 * :mod:`repro.oocore.executor` — :func:`chunked_multiply`, the driver that
   runs panels through the existing lowering/exec plane and recombines them
-  with a k-way merge tree, bit-identical to the in-memory path.
+  with a k-way merge tree, bit-identical to the in-memory path except for
+  the Block Reorganizer on skewed operands (see that module).
 
 Entry points: :meth:`repro.runtime.Runtime.multiply` routes here whenever
 its config carries a budget, and ``repro run/bench/compare`` expose the

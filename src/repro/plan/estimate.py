@@ -92,15 +92,12 @@ def row_flops(a, b) -> np.ndarray:
     conversion — so the out-of-core panel planner can size row panels of A
     against a memory budget before anything is expanded.
     """
-    n_rows = a.shape[0]
-    out = np.zeros(n_rows, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
-        return out
-    indices = np.asarray(a.indices, dtype=np.int64)
-    if indices.size == 0:
-        return out
+        return np.zeros(a.shape[0], dtype=np.int64)
     b_row_nnz = np.diff(np.asarray(b.indptr, dtype=np.int64))
+    per_entry = b_row_nnz[np.asarray(a.indices, dtype=np.int64)]
+    # Exact int64 prefix sums over A's entries; a row's work is a difference.
+    prefix = np.zeros(len(per_entry) + 1, dtype=np.int64)
+    np.cumsum(per_entry, out=prefix[1:])
     a_indptr = np.asarray(a.indptr, dtype=np.int64)
-    row_of = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
-    np.add.at(out, row_of, b_row_nnz[indices])
-    return out
+    return prefix[a_indptr[1:]] - prefix[a_indptr[:-1]]

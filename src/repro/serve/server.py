@@ -33,7 +33,8 @@ micro-batch picks the request up (:mod:`repro.serve.batching` coalesces
 same-structure requests); ``session``/``numeric`` are recorded inside the
 runtime (pool lookup + lock wait, then the multiply itself — executed
 through the shared :class:`~repro.exec.ExecEngine` when the runtime has
-one); ``serialize`` re-encodes the result.  Responses are bit-identical to
+one); ``serialize`` encodes the JSON response body, once, so the stage
+covers the whole encoding cost.  Responses are bit-identical to
 the batch CLI path because both route through the same
 :class:`~repro.runtime.Runtime`.
 
@@ -250,7 +251,7 @@ class Server:
             self.batcher.admit(cost)
         return await self.batcher.submit(key, work, cost)
 
-    async def _multiply(self, body: dict, tenant: str, trace) -> dict:
+    async def _multiply(self, body: dict, tenant: str, trace) -> bytes:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
             a = csr_from_wire(require(body, "a"), "a")
@@ -265,13 +266,15 @@ class Server:
             trace,
         )
         with trace.stage("serialize"):
-            return {
-                "result": csr_to_wire(outcome.result),
-                "fingerprint": outcome.fingerprint,
-                "replayed": outcome.replayed,
-            }
+            return _encode_json(
+                {
+                    "result": csr_to_wire(outcome.result),
+                    "fingerprint": outcome.fingerprint,
+                    "replayed": outcome.replayed,
+                }
+            )
 
-    async def _pagerank(self, body: dict, tenant: str, trace) -> dict:
+    async def _pagerank(self, body: dict, tenant: str, trace) -> bytes:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
@@ -296,14 +299,16 @@ class Server:
             trace,
         )
         with trace.stage("serialize"):
-            return {
-                "scores": result.scores.tolist(),
-                "iterations": result.iterations,
-                "residual": result.residual,
-                "converged": result.converged,
-            }
+            return _encode_json(
+                {
+                    "scores": result.scores.tolist(),
+                    "iterations": result.iterations,
+                    "residual": result.residual,
+                    "converged": result.converged,
+                }
+            )
 
-    async def _reachability(self, body: dict, tenant: str, trace) -> dict:
+    async def _reachability(self, body: dict, tenant: str, trace) -> bytes:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
@@ -320,9 +325,9 @@ class Server:
             trace,
         )
         with trace.stage("serialize"):
-            return {"result": csr_to_wire(result), "k": k}
+            return _encode_json({"result": csr_to_wire(result), "k": k})
 
-    async def _similarity(self, body: dict, tenant: str, trace) -> dict:
+    async def _similarity(self, body: dict, tenant: str, trace) -> bytes:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
@@ -339,7 +344,7 @@ class Server:
             trace,
         )
         with trace.stage("serialize"):
-            return {"result": csr_to_wire(result), "metric": metric}
+            return _encode_json({"result": csr_to_wire(result), "metric": metric})
 
     # -- trace export ----------------------------------------------------
     def _maybe_export_trace(self, trace: RequestTrace, status: int) -> None:
@@ -464,6 +469,11 @@ def _parse_head(head: bytes) -> tuple[str, str, dict]:
     return method.upper(), path, headers
 
 
+def _encode_json(payload) -> bytes:
+    """The wire encoding of every JSON response body."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
 async def _respond(
     writer,
     status: int,
@@ -481,11 +491,14 @@ async def _respond(
         503: "Service Unavailable",
         504: "Gateway Timeout",
     }
-    if isinstance(payload, str):  # /metrics exposition
+    if isinstance(payload, bytes):  # a handler's body, encoded in its serialize stage
+        body = payload
+        content_type = "application/json"
+    elif isinstance(payload, str):  # /metrics exposition
         body = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = _encode_json(payload)
         content_type = "application/json"
     extra = "".join(
         f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()

@@ -2,7 +2,7 @@
 
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.expansion import expand_outer, expand_row
-from repro.spgemm.merge import MergeRecipe, merge_triplets, plan_merge, row_nnz_of_triplets
+from repro.spgemm.merge import MergeRecipe, merge_triplets, plan_merge, symbolic_row_nnz
 from repro.spgemm.session import IterativeSession
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.reference import reference_spgemm
@@ -25,7 +25,7 @@ __all__ = [
     "MergeRecipe",
     "plan_merge",
     "merge_triplets",
-    "row_nnz_of_triplets",
+    "symbolic_row_nnz",
     "OuterProductSpGEMM",
     "RowProductSpGEMM",
     "reference_spgemm",

@@ -38,7 +38,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import check_multipliable
 from repro.spgemm.expansion import expand_outer
-from repro.spgemm.merge import merge_triplets
+from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; plan imports stay lazy here
     from repro.plan.cache import PlanCache
@@ -114,16 +114,17 @@ class MultiplyContext:
     @cached_property
     def row_work(self) -> np.ndarray:
         """Intermediate products landing in each output row — row-wise nnz."""
-        b_row_nnz = self.b_csr.row_nnz()
-        per_entry = b_row_nnz[self.a_csr.indices]
-        out = np.zeros(self.a_csr.n_rows, dtype=np.int64)
-        row_of = np.repeat(np.arange(self.a_csr.n_rows, dtype=np.int64), self.a_csr.row_nnz())
-        np.add.at(out, row_of, per_entry)
-        return out
+        from repro.plan.estimate import row_flops
+
+        return row_flops(self.a_csr, self.b_csr)
 
     @cached_property
     def reference_c(self) -> CSRMatrix:
-        """The exact product, computed once via outer expansion + merge."""
+        """The exact product via outer expansion + merge, computed lazily.
+
+        Only value consumers (tests, benchmark oracles) read it; the symbolic
+        pass (:attr:`c_row_nnz`) and lowering never do.
+        """
         rows, cols, vals = expand_outer(self.a_csc, self.b_csr)
         return merge_triplets(rows, cols, vals, self.out_shape)
 
@@ -131,12 +132,12 @@ class MultiplyContext:
     def c_row_nnz(self) -> np.ndarray:
         """Unique output coordinates per row (the symbolic multiply).
 
-        Derived from :attr:`reference_c`, so the context performs exactly one
-        outer expansion no matter which of the two is requested first (the
-        merge keeps explicit zeros, so stored-entry counts equal unique
-        coordinate counts).
+        Counted from the operands' index structure alone by
+        :func:`~repro.spgemm.merge.symbolic_row_nnz` — no values, no
+        expansion, no merge.  It equals ``reference_c.row_nnz()``: the merge
+        keeps explicit zeros, so stored entries are unique coordinates.
         """
-        return self.reference_c.row_nnz()
+        return symbolic_row_nnz(self.a_csr, self.b_csr, self.row_work)
 
     @property
     def out_shape(self) -> tuple[int, int]:

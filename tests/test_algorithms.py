@@ -57,8 +57,8 @@ class TestContext:
             MultiplyContext.build(square_csr, small_csr)
 
     def test_single_expansion_for_symbolic_and_numeric(self, square_csr, monkeypatch):
-        """``c_row_nnz`` before ``reference_c`` must not expand twice: the
-        symbolic counts derive from the cached reference product."""
+        """The symbolic pass reads structure only: ``c_row_nnz`` expands
+        nothing, and the lazy ``reference_c`` expands exactly once after it."""
         import repro.spgemm.base as base
 
         calls = []
@@ -71,8 +71,10 @@ class TestContext:
         monkeypatch.setattr(base, "expand_outer", counting)
         ctx = MultiplyContext.build(square_csr)
         ctx.c_row_nnz
-        ctx.reference_c
         ctx.nnz_c
+        assert calls == []
+        ctx.reference_c
+        ctx.reference_c
         assert len(calls) == 1
 
 

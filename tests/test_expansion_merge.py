@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.expansion import expand_outer, expand_row
-from repro.spgemm.merge import merge_triplets, row_nnz_of_triplets
+from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 
 
 class TestExpandOuter:
@@ -101,15 +101,14 @@ class TestMerge:
         c.validate()
         assert c.has_sorted_indices()
 
-    def test_row_nnz_of_triplets(self, square_csr):
+    def test_symbolic_row_nnz(self, square_csr):
         rows, cols, vals = expand_outer(square_csr.to_csc(), square_csr)
-        u = row_nnz_of_triplets(rows, cols, square_csr.shape)
         c = merge_triplets(rows, cols, vals, square_csr.shape)
-        assert np.array_equal(u, c.row_nnz())
+        assert np.array_equal(symbolic_row_nnz(square_csr, square_csr), c.row_nnz())
 
     def test_row_nnz_empty(self):
-        z = np.zeros(0, dtype=np.int64)
-        assert np.array_equal(row_nnz_of_triplets(z, z, (3, 3)), np.zeros(3, np.int64))
+        a = CSRMatrix.empty((3, 3))
+        assert np.array_equal(symbolic_row_nnz(a, a), np.zeros(3, np.int64))
 
     def test_large_dimension_no_overflow(self):
         """Keys use int64: coordinates near 250k x 250k must not collide."""

@@ -1,12 +1,14 @@
 """Out-of-core chunked executor: budgets, panels, spills, bit-identity.
 
 The load-bearing guarantee is that :func:`repro.oocore.chunked_multiply`
-is *bit-identical* to the in-memory path on every scheme — row panels of A
-produce disjoint row slices of C, each panel's product stream is the full
-stream's restriction in the same relative order, and the merge tree only
+is *bit-identical* to the in-memory path — row panels of A produce disjoint
+row slices of C, each panel's product stream is the full stream's
+restriction in the same relative order, and the merge tree only
 concatenates coalesced groups with globally disjoint keys.  These tests
 assert that end to end (tiny budgets forcing real panel splits and real
-disk spills), plus the supporting pieces: budget parsing, the greedy panel
+disk spills), pin the one exception (the Block Reorganizer on power-law
+operands, identical structure but last-bit value differences) with a strict
+xfail, plus the supporting pieces: budget parsing, the greedy panel
 planner, the crash-safe spill store (including the SIGTERM-mid-spill leak
 check mirroring the exec plane's /dev/shm test), the ``kway_merge`` kernel
 primitive, the ``@full`` catalog derivation and the runtime/CLI wiring.
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import paper_algorithms
+from repro.core.reorganizer import BlockReorganizer
 from repro.datasets.catalog import (
     FULL_SCALE_SUFFIX,
     full_scale_spec,
@@ -46,6 +49,7 @@ from repro.oocore.spill import SPILL_PREFIX
 from repro.plan.estimate import row_flops
 from repro.runtime import Runtime, RuntimeConfig
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.random import power_law
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 from repro.spgemm.session import IterativeSession
@@ -62,6 +66,17 @@ def _assert_identical(chunked: CSRMatrix, reference: CSRMatrix) -> None:
     assert np.array_equal(chunked.indptr, reference.indptr)
     assert np.array_equal(chunked.indices, reference.indices)
     assert np.array_equal(chunked.data, reference.data)
+
+
+def _reorganizer_chunked_and_in_memory(tmp_path) -> tuple[CSRMatrix, CSRMatrix]:
+    """Block Reorganizer on a power-law A·A: 9 panels at ⅛ of the expansion."""
+    a = power_law(n=1000, nnz=6000, seed=1).to_csr()
+    algo = BlockReorganizer()
+    reference = algo.multiply(MultiplyContext.build(a, a))
+    budget = int(row_flops(a, a).sum()) * BYTES_PER_PRODUCT // 8
+    chunked, stats = chunked_multiply(algo, a, mem_budget=budget, spill_dir=str(tmp_path))
+    assert stats.n_panels > 1
+    return chunked, reference
 
 
 class TestParseMemBudget:
@@ -282,6 +297,21 @@ class TestChunkedMultiply:
             assert stats.merge_rounds >= 1, algo.name
         # Every store closed behind itself: base dir left empty.
         assert list(tmp_path.iterdir()) == []
+
+    def test_block_reorganizer_power_law_keeps_structure(self, tmp_path):
+        chunked, reference = _reorganizer_chunked_and_in_memory(tmp_path)
+        assert np.array_equal(chunked.indptr, reference.indptr)
+        assert np.array_equal(chunked.indices, reference.indices)
+        assert np.allclose(chunked.data, reference.data, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="classification and B-Splitting run per panel, which re-associates "
+        "the float64 sums of some entries on skewed operands",
+    )
+    def test_block_reorganizer_power_law_bit_identical(self, tmp_path):
+        chunked, reference = _reorganizer_chunked_and_in_memory(tmp_path)
+        _assert_identical(chunked, reference)
 
     def test_large_budget_single_panel_no_spill(self, rng, tmp_path):
         a = _random_csr(rng)

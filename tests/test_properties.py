@@ -2,9 +2,12 @@
 
 Strategies generate small random sparse matrices; the invariants cover the
 format layer (round-trips), the numeric engine (all schemes agree with a
-dense reference), the Block Reorganizer's transformations (splitting and
+dense reference), the structure-only symbolic pass (exact row counts on
+adversarial operands), the Block Reorganizer's transformations (splitting and
 gathering are result-preserving / work-conserving) and the scheduler.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from repro.core.splitting import plan_splitting
 from repro.gpusim.scheduler import list_schedule
 from repro.metrics.lbi import load_balancing_index
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csr import CSRMatrix
+from repro.spgemm import merge
 from repro.spgemm.base import MultiplyContext
+from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -47,6 +53,41 @@ def sparse_matrices(draw, max_dim=24, square=True):
         np.array(cols, dtype=np.int64),
         np.array(vals, dtype=np.float64),
     )
+
+
+@st.composite
+def csr_structures(draw, n_rows, n_cols):
+    """Canonical CSR (sorted, duplicate-free columns) with adversarial content.
+
+    Each cell is absent, an explicitly stored zero or a value; an optional
+    hub row stores every column.  All-absent draws give zero-nnz matrices.
+    """
+    cells = draw(
+        st.lists(
+            st.sampled_from([0, 0, 1, 2]), min_size=n_rows * n_cols, max_size=n_rows * n_cols
+        )
+    )
+    grid = np.array(cells, dtype=np.int64).reshape(n_rows, n_cols)
+    hub = draw(st.none() | st.integers(0, n_rows - 1))
+    if hub is not None:
+        grid[hub] = np.maximum(grid[hub], 2)
+    rows, cols = np.nonzero(grid)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    data = np.where(grid[rows, cols] == 1, 0.0, 1.5)
+    return CSRMatrix((n_rows, n_cols), indptr, cols, data)
+
+
+@st.composite
+def multiply_operands(draw, max_dim=16):
+    """``(A, B)`` pairs: general non-square, 1×N·N×1 and N×1·1×N shapes."""
+    form = draw(st.sampled_from(["general", "inner", "outer"]))
+    m, k, n = (draw(st.integers(1, max_dim)) for _ in range(3))
+    if form == "inner":
+        m = n = 1
+    elif form == "outer":
+        k = 1
+    return draw(csr_structures(m, k)), draw(csr_structures(k, n))
 
 
 class TestFormatProperties:
@@ -108,6 +149,37 @@ class TestSpGEMMProperties:
         trace = BlockReorganizer().build_trace(ctx, TITAN_XP)
         exp_ops = sum(p.blocks.total_ops for p in trace.phases if p.stage == "expansion")
         assert exp_ops == ctx.total_work
+
+
+class TestSymbolicPassProperties:
+    @given(multiply_operands(), st.integers(1, 40), st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_reference_and_scipy(self, operands, block_products, mask_bytes):
+        """Default, all-dense and all-sorted counting, over many small
+        blocks and on int32 index arrays, equals the merged product's
+        stored entries and scipy's."""
+        sp = pytest.importorskip("scipy.sparse")
+        a, b = operands
+        expected = MultiplyContext.build(a, b).reference_c.row_nnz()
+        # Unit values never cancel, so scipy's stored entries are the structure.
+        a32, b32 = (
+            sp.csr_matrix(
+                (np.ones(m.nnz), m.indices.astype(np.int32), m.indptr.astype(np.int32)),
+                shape=m.shape,
+            )
+            for m in (a, b)
+        )
+        assert np.array_equal(np.diff((a32 @ b32).tocsr().indptr), expected)
+        assert np.array_equal(symbolic_row_nnz(a, b), expected)
+        for fill in (0.0, float("inf")):
+            with mock.patch.multiple(
+                merge,
+                SYMBOLIC_DENSE_MIN_FILL=fill,
+                SYMBOLIC_BLOCK_PRODUCTS=block_products,
+                SYMBOLIC_MASK_BYTES=mask_bytes,
+            ):
+                assert np.array_equal(symbolic_row_nnz(a, b), expected)
+                assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
 
 
 class TestReorganizerPlanProperties:

@@ -620,6 +620,40 @@ class TestServingObservability:
             assert stage in names, f"missing stage {stage}"
         assert payload["otherData"]["status"] == 200
 
+    def test_response_encoded_once_inside_serialize_stage(self, rng, tmp_path, monkeypatch):
+        import repro.serve.server as server_mod
+
+        real = server_mod._encode_json
+        calls = []
+
+        def slow_encode(payload):
+            calls.append(1)
+            time.sleep(0.05)
+            return real(payload)
+
+        monkeypatch.setattr(server_mod, "_encode_json", slow_encode)
+        trace_dir = tmp_path / "traces"
+        thread = ServerThread(
+            Runtime(RuntimeConfig()),
+            ServeConfig(port=0, trace_dir=str(trace_dir), trace_slow_ms=0.0),
+        )
+        host, port = thread.start()
+        try:
+            a = random_csr(rng, 15, 15, 0.2)
+            calls.clear()
+            status, reply = _post(
+                f"http://{host}:{port}", "/v1/multiply",
+                {"algorithm": "row-product", "a": csr_to_wire(a)},
+            )
+            assert status == 200 and "result" in reply
+            assert len(calls) == 1
+        finally:
+            thread.stop()
+        (trace_file,) = trace_dir.glob("*.trace.json")
+        events = json.loads(trace_file.read_text())["traceEvents"]
+        serialize = next(e for e in events if e["name"] == "request.serialize")
+        assert serialize["dur"] >= 50_000  # microseconds: the encode ran in the stage
+
     def test_histograms_deterministic_across_dispatch_modes(self, rng):
         """Serial vs exec-pool dispatch: same requests, same counts, and the
         served results stay bit-identical to the serial batch path."""
