@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro import exec as rexec
 from repro import obs
 from repro.bench.cache import ResultCache
 from repro.bench.fingerprint import cell_key, context_key
 from repro.core.reorganizer import BlockReorganizer, ReorganizerOptions
 from repro.datasets.catalog import get_spec
 from repro.datasets.loader import load
-from repro.errors import ConfigurationError, FingerprintError
+from repro.errors import FingerprintError
 from repro.gpusim.config import GPUConfig, TITAN_XP
 from repro.gpusim.costs import CostModel, DEFAULT_COSTS
 from repro.gpusim.simulator import GPUSimulator
@@ -134,8 +133,6 @@ class _RunnerDefaults:
     workers: int = 1
     cache: ResultCache | None = None
     shard_timeout: float | None = 300.0
-    exec_workers: int = 1
-    exec_partitioner: str = rexec.DEFAULT_PARTITIONER
 
 
 _DEFAULTS = _RunnerDefaults()
@@ -143,20 +140,15 @@ _UNSET = object()
 
 
 def configure(
-    *, workers: int | None = None, cache=_UNSET, shard_timeout=_UNSET,
-    exec_workers: int | None = None, exec_partitioner: str | None = None,
+    *, workers: int | None = None, cache=_UNSET, shard_timeout=_UNSET
 ) -> None:
     """Set defaults used when :func:`run_matrix` arguments are omitted.
 
     ``workers`` is clamped to at least 1; ``cache`` is a
     :class:`ResultCache` or None (caching off); ``shard_timeout`` is the
-    parallel engine's no-progress window in seconds (None disables it);
-    ``exec_workers`` is the :mod:`repro.exec` pool width used for in-process
-    numeric kernels (1 = serial, bit-identical either way) and
-    ``exec_partitioner`` its cut discipline
-    (:data:`repro.exec.PARTITIONER_NAMES`; results are identical, only
-    balance differs).  Entry points call this once (e.g. from CLI flags) so
-    every experiment module inherits the behaviour.
+    parallel engine's no-progress window in seconds (None disables it).
+    Entry points call this once (e.g. from CLI flags) so every experiment
+    module inherits the behaviour.
     """
     if workers is not None:
         _DEFAULTS.workers = max(1, int(workers))
@@ -164,15 +156,6 @@ def configure(
         _DEFAULTS.cache = cache
     if shard_timeout is not _UNSET:
         _DEFAULTS.shard_timeout = None if shard_timeout is None else float(shard_timeout)
-    if exec_workers is not None:
-        _DEFAULTS.exec_workers = max(1, int(exec_workers))
-    if exec_partitioner is not None:
-        if exec_partitioner not in rexec.PARTITIONER_NAMES:
-            raise ConfigurationError(
-                f"unknown partitioner {exec_partitioner!r}; "
-                f"known: {list(rexec.PARTITIONER_NAMES)}"
-            )
-        _DEFAULTS.exec_partitioner = exec_partitioner
 
 
 @dataclass
@@ -252,7 +235,6 @@ def run_matrix(
     workers: int | None = None,
     cache: ResultCache | None = _UNSET,  # type: ignore[assignment]
     shard_timeout: float | None = _UNSET,  # type: ignore[assignment]
-    exec_workers: int | None = None,
 ) -> dict[tuple[str, str], BenchResult]:
     """Simulate every algorithm on every dataset.
 
@@ -269,11 +251,6 @@ def run_matrix(
         shard_timeout: parallel no-progress window in seconds before
             outstanding shards are declared hung and re-run serially;
             omitted uses the :func:`configure` default, None disables.
-        exec_workers: :mod:`repro.exec` pool width for the in-process
-            numeric kernels (context symbolic passes); results are
-            bit-identical at any width.  Omitted uses the :func:`configure`
-            default.  Only the serial evaluation path uses it — shard
-            workers are already one-per-core and never nest exec pools.
 
     Returns a dict keyed by ``(dataset, label)`` in deterministic grid order
     (datasets outer, algorithms inner) regardless of execution order, with
@@ -322,10 +299,6 @@ def run_matrix(
             if todo:
                 pending[name] = todo
         if pending:
-            eff_exec = (
-                _DEFAULTS.exec_workers if exec_workers is None
-                else max(1, int(exec_workers))
-            )
             if eff_workers > 1 and len(pending) > 1:
                 from repro.bench.parallel import run_sharded
 
@@ -334,11 +307,7 @@ def run_matrix(
                     timeout=eff_timeout, summary=summary,
                 )
             else:
-                with rexec.engine_scope(
-                    eff_exec if eff_exec > 1 else None,
-                    partitioner=_DEFAULTS.exec_partitioner,
-                ):
-                    computed = _run_serial(pending, gpu, costs)
+                computed = _run_serial(pending, gpu, costs)
             summary.computed = len(computed)
             for cell, res in computed.items():
                 results[cell] = res

@@ -27,18 +27,13 @@ Commands:
                           sessions, micro-batching, admission control.
 
 Every command is a thin adapter over one :class:`repro.runtime.Runtime`,
-which owns engines, sessions, caches and backend scopes; the CLI itself
-constructs none of them.  ``compare``, ``bench`` and ``experiment`` accept
-the execution flags ``--workers N`` (0 = all cores), ``--cache-dir PATH``,
-``--no-cache``, ``--shard-timeout SECONDS`` (parallel no-progress window
-before hung shards re-run serially), ``--exec-workers N`` (process-pool
-width for the numeric kernels via :mod:`repro.exec`; bit-identical to
-serial), ``--exec-partitioner {merge-path,lpt}`` (the exec plane's cut
-discipline), ``--kernel-backend {numpy,numba}`` (numeric-primitive backend,
-verified bit-identical at selection) and ``--trace FILE`` (record the whole
-invocation and write a Chrome trace); ``run`` accepts ``--exec-workers``,
-``--exec-partitioner``, ``--kernel-backend`` and ``--trace`` too.  Caching
-defaults to on, under ``~/.cache/repro``.
+which owns sessions and caches; the CLI itself constructs neither.
+``compare``, ``bench`` and ``experiment`` accept the execution flags
+``--workers N`` (0 = all cores), ``--cache-dir PATH``, ``--no-cache``,
+``--shard-timeout SECONDS`` (parallel no-progress window before hung shards
+re-run serially) and ``--trace FILE`` (record the whole invocation and
+write a Chrome trace); ``run`` accepts ``--trace`` too.  Caching defaults
+to on, under ``~/.cache/repro``.
 
 ``run``, ``compare`` and ``bench`` additionally accept the out-of-core
 flags (:mod:`repro.oocore`): ``--mem-budget BYTES`` runs the numeric plane
@@ -55,8 +50,6 @@ import importlib
 import json
 import sys
 
-from repro import exec as rexec
-from repro import kernels
 from repro.bench import runner
 from repro.bench.cache import result_to_dict
 from repro.bench.tables import format_table
@@ -98,29 +91,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
         help="parallel no-progress window before hung shards are re-run "
              "serially (default 300)",
     )
-    _add_exec_workers_flag(parser)
     _add_trace_flag(parser)
-
-
-def _add_exec_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--exec-workers", type=int, default=1, metavar="N",
-        help="process-pool width for the numeric kernels (repro.exec); "
-             "results are bit-identical to serial (0 = all cores; default 1)",
-    )
-    parser.add_argument(
-        "--exec-partitioner", choices=list(rexec.PARTITIONER_NAMES),
-        default=rexec.DEFAULT_PARTITIONER,
-        help="work-partitioning discipline for the exec plane: merge-path "
-             "bounds items+work per block, lpt cuts on weight only "
-             "(results identical; default merge-path)",
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=list(kernels.BACKEND_NAMES), default=None,
-        help="kernel backend for the numeric primitives (default: "
-             "$REPRO_KERNEL_BACKEND or numpy); non-numpy backends are "
-             "verified bit-identical at selection time",
-    )
 
 
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -184,11 +155,6 @@ def _cmd_run(args: argparse.Namespace, runtime: Runtime) -> int:
         )
     if args.iterations > 1:
         _print_iterative(runtime.iterate(args.dataset, args.algorithm, args.iterations))
-    engine_stats = runtime.exec_stats()
-    if engine_stats is not None:
-        from repro.metrics.execprof import format_exec_stats
-
-        print(f"  {format_exec_stats(engine_stats)}")
     return 0
 
 
@@ -220,11 +186,6 @@ def _run_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
     print(f"  total {seconds * 1e3:.1f} ms, nnz(C) = {result.nnz}")
     for line in format_ooc_stats(ooc).splitlines():
         print(f"  {line}")
-    engine_stats = runtime.exec_stats()
-    if engine_stats is not None:
-        from repro.metrics.execprof import format_exec_stats
-
-        print(f"  {format_exec_stats(engine_stats)}")
     return 0
 
 
@@ -280,8 +241,7 @@ def _compare_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
     rows = []
     mismatches = 0
     for algo in runtime.algorithms().values():
-        with runtime.exec_scope():
-            reference = algo.multiply(ctx)
+        reference = algo.multiply(ctx)
         chunked, ooc = runtime.multiply_chunked_operands(algo, ctx.a_csr, ctx.b_csr)
         identical = (
             np.array_equal(reference.indptr, chunked.indptr)
@@ -495,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the numeric plane N times through a warm session "
              "and print plan-cache amortisation counters",
     )
-    _add_exec_workers_flag(p)
     _add_trace_flag(p)
     _add_oocore_flags(p)
     p.set_defaults(func=_cmd_run)
@@ -599,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm sessions pooled per tenant before LRU eviction (default 32)",
     )
     p.add_argument("--gpu", default=TITAN_XP.name)
-    _add_exec_workers_flag(p)
     p.set_defaults(func=_cmd_serve)
     return parser
 
@@ -608,10 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Builds one :class:`~repro.runtime.Runtime` from the parsed flags,
-    registers it with the shutdown hooks (so SIGINT/SIGTERM cannot leak
-    warm pools), runs the command as a thin adapter over it, and tears it
-    down — every engine, session, backend scope and trace recorder lives
-    inside the runtime, not here.
+    registers it with the shutdown hooks (SIGINT/SIGTERM close it before
+    the process exits), runs the command as a thin adapter over it, and
+    tears it down — every session, cache and trace recorder lives inside
+    the runtime, not here.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -46,12 +46,6 @@ class CacheError(ReproError):
     """The persistent bench result cache hit an unrecoverable condition."""
 
 
-class KernelBackendError(ReproError):
-    """A kernel backend is unknown, unavailable (missing optional dependency),
-    or failed its selection-time bit-identity verification against the NumPy
-    reference implementation."""
-
-
 class OutOfCoreError(ReproError):
     """The out-of-core executor cannot honour its configuration: an
     unparseable memory budget, an unusable spill directory, or a spilled

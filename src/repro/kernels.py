@@ -1,23 +1,24 @@
-"""The NumPy reference implementations of the four numeric primitives.
+"""repro.kernels — the numeric primitives, one NumPy function each.
 
-These are the always-available ground truth every other backend is verified
-against at selection time (:func:`repro.kernels.verify_backend`).  The bodies
-are the vectorised kernels the numeric plane has always run — extracted here
-behind array-level signatures so that :mod:`repro.spgemm.expansion`,
-:mod:`repro.spgemm.merge` and :mod:`repro.plan.cache` dispatch through the
-active backend instead of hard-coding one implementation.
+Every numeric path in the library reduces to six primitives: the two
+symbolic expansions (outer-product and Gustavson row-product), the
+coalescing merge's symbolic half, the two segmented reductions (the merge's
+segmented sum and recipe replay's gather-multiply-sum), and the k-way merge
+of sorted partial-product streams the out-of-core combiner
+(:mod:`repro.oocore`) runs its merge tree on.  :mod:`repro.spgemm.expansion`,
+:mod:`repro.spgemm.merge`, :mod:`repro.plan.cache` and
+:mod:`repro.oocore.executor` call these functions directly.
 
-Contract shared by every backend (the bit-identity invariant):
+The bit-identity invariant every caller relies on:
 
 * expansions emit triplets in the canonical orders (pair order for the outer
   product, row order for Gustavson) with provenance indices that are plain
   integer arithmetic over the operands' index structure;
 * the symbolic merge derives the *stable* sort permutation of the flat
-  coordinate keys — stable sorts have a unique permutation, so any stable
-  algorithm produces identical arrays;
-* the two reductions accumulate float64 values in ascending stream order
-  (the order :func:`numpy.ufunc.at` applies repeated indices), so the sums
-  are bit-for-bit reproducible across backends.
+  coordinate keys — stable sorts have a unique permutation;
+* the reductions accumulate float64 values in ascending stream order (the
+  order :func:`numpy.ufunc.at` applies repeated indices), so a recipe replay
+  sums exactly as the cold merge did.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "active_name",
     "expand_outer_indices",
     "expand_row_indices",
     "merge_symbolic",
@@ -32,6 +34,11 @@ __all__ = [
     "gather_multiply_sum",
     "kway_merge",
 ]
+
+
+def active_name() -> str:
+    """Name of the kernel implementation (recorded by ``perfbench/run.py``)."""
+    return "numpy"
 
 
 def _segment_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +160,7 @@ def kway_merge(
     must be ascending within itself.  Returns ``(unique_keys, summed_vals)``
     with duplicates accumulated in (key, stream index, position-in-stream)
     order — the order a pointer-walking k-way merge consumes them, and the
-    order a stable sort of the concatenation produces, so every backend's
-    float64 sums are bit-for-bit identical.
+    order a stable sort of the concatenation produces.
     """
     if len(keys) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)

@@ -5,8 +5,7 @@ actually ran — panel count and any oversized single-row panels, spill count
 and bytes, merge-tree rounds, the resident-set peak its accounting tracked
 and the process's lifetime peak RSS.  :func:`format_ooc_stats` renders an
 :class:`~repro.oocore.OocStats` for ``repro run --mem-budget`` and the
-out-of-core bench (``tools/bench_oocore.py``), mirroring
-:func:`~repro.metrics.execprof.format_exec_stats` for the exec plane.
+out-of-core bench (``tools/bench_oocore.py``).
 """
 
 from __future__ import annotations

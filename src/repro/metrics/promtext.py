@@ -215,22 +215,6 @@ def render_metrics(stats: dict) -> str:
         "repro_requests_per_lowering", None, stats.get("requests_per_lowering") or 0.0
     )
 
-    exec_stats = runtime.get("exec") or {}
-    w.header(
-        "repro_exec_calls_total",
-        "counter",
-        "Numeric primitive calls through the shared exec plane, by dispatch.",
-    )
-    for key, label in (
-        ("parallel_calls", "parallel"),
-        ("serial_calls", "serial"),
-        ("fallbacks", "fallback"),
-    ):
-        w.sample("repro_exec_calls_total", {"dispatch": label}, exec_stats.get(key, 0))
-    w.header(
-        "repro_exec_partitions_total", "counter", "Partitions run by the exec plane."
-    )
-    w.sample("repro_exec_partitions_total", None, exec_stats.get("partitions", 0))
     return w.text()
 
 

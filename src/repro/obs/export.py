@@ -50,14 +50,8 @@ def trace_events(spans: Sequence[Span]) -> list[dict]:
     for span in spans:
         emit(span)
     for pid in sorted(lanes):
-        # Lane naming: 0 is this process, small lanes are bench shard
-        # workers, lanes from 1000 up are repro.exec partition workers.
-        if pid == 0:
-            lane_name = "repro"
-        elif pid >= 1000:
-            lane_name = f"repro exec worker {pid - 1000}"
-        else:
-            lane_name = f"repro worker {pid}"
+        # Lane naming: 0 is this process, other lanes are bench shard workers.
+        lane_name = "repro" if pid == 0 else f"repro worker {pid}"
         events.append(
             {
                 "name": "process_name",

@@ -3,9 +3,9 @@
 :func:`chunked_multiply` computes ``C = A·B`` under a memory budget that the
 full intermediate expansion would blow through.  It cuts A into row panels
 sized by the paper's precalculated workload sums (:mod:`repro.oocore.panels`),
-runs each panel through the *existing* lowering/exec plane (the scheme's own
-``multiply``), and combines the per-panel partial products with a k-way merge
-tree over the :func:`~repro.kernels.numpy_backend.kway_merge` primitive.
+runs each panel through the *existing* lowering and numeric plane (the
+scheme's own ``multiply``), and combines the per-panel partial products with
+a k-way merge tree over the :func:`~repro.kernels.kway_merge` primitive.
 Partials that would push the resident set over budget are spilled to disk
 through a crash-safe :class:`~repro.oocore.spill.SpillStore`.
 
@@ -206,7 +206,7 @@ def chunked_multiply(
                         streams = [p.load(store) for p in group]
                         starts = np.zeros(len(streams) + 1, dtype=np.int64)
                         np.cumsum([len(k) for k, _ in streams], out=starts[1:])
-                        keys, vals = kernels.active().kway_merge(
+                        keys, vals = kernels.kway_merge(
                             np.concatenate([k for k, _ in streams]),
                             np.concatenate([v for _, v in streams]),
                             starts,

@@ -8,10 +8,9 @@ concurrent runs sharing a ``--spill-dir`` never collide, and files are
 content-addressed by the SHA-256 of their payload so a re-spill of identical
 data is a no-op and read-back can verify integrity.
 
-Crash safety mirrors the exec plane's shared-memory pools: the store
-registers with :mod:`repro.runtime.lifecycle`, whose SIGINT/SIGTERM/atexit
-sweep calls :meth:`SpillStore.close` and removes the directory before the
-process dies.  Directories orphaned by an unsweepable death (SIGKILL) are
+Crash safety: the store registers with :mod:`repro.runtime.lifecycle`,
+whose SIGINT/SIGTERM/atexit sweep calls :meth:`SpillStore.close` and
+removes the directory before the process dies.  Directories orphaned by an unsweepable death (SIGKILL) are
 reclaimed by :func:`sweep_stale`, which every new store runs against its
 base directory: a leftover ``repro-oocore-<pid>-*`` directory whose pid is
 no longer alive is deleted.

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import exec as rexec
 from repro import kernels, obs
 from repro.sparse.csr import CSRMatrix
 
@@ -131,16 +130,7 @@ class NumericRecipe:
 
     def replay(self, a_data: np.ndarray, b_data: np.ndarray) -> CSRMatrix:
         """Re-run the numeric phase against fresh operand values."""
-        engine = rexec.active()
-        if engine is not None:
-            summed = engine.gather_multiply_sum(
-                a_data, b_data, self.a_gather, self.b_gather, self.group, self.n_groups
-            )
-            if summed is not None:  # else: below threshold / pool broke -> serial
-                return CSRMatrix(
-                    self.shape, self.indptr.copy(), self.indices.copy(), summed
-                )
-        summed = kernels.active().gather_multiply_sum(
+        summed = kernels.gather_multiply_sum(
             a_data, b_data, self.a_gather, self.b_gather, self.group, self.n_groups
         )
         return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), summed)

@@ -1,21 +1,11 @@
-"""Estimation-based output sizing for the merge fast path.
+"""Workload estimates from the operands' index structure alone.
 
-Ocean ("Fast Estimation-Based SpGEMM on GPU", PAPERS.md) replaces the exact
-symbolic pass of two-phase SpGEMM with an *estimated* output allocation,
-falling back to the exact pass only when the estimate undershoots.  The
-vectorised plane keeps the exact symbolic merge as its reference, but the
-partitioned engine can allocate its unique-column scratch from a per-row
-upper bound instead of the full product-stream length — the difference
-between sizing by ``flops(C)`` and sizing by (roughly) ``nnz(C)``, which for
-the paper's web/social matrices is the compression factor of the multiply.
-
-The bound used here is *hard*: row ``i`` of ``C = A·B`` cannot have more
-stored entries than either the products that land in it (``row_work[i]``) or
-the number of columns of ``C``.  A hard bound means the overflow fallback in
-:meth:`repro.exec.engine.ExecEngine.merge` is a safety net for callers
-passing their own (possibly sampled, possibly wrong) estimates — with
-:func:`row_nnz_upper_bound` it never fires, and results are bit-identical
-either way.
+The paper's precalculation step sums, for every stored entry ``A[i, j]``,
+the stored entries of row ``j`` of ``B``: the multiply's scalar-product
+count.  :func:`multiply_flops` is that total (the quantity cost-aware
+serving admission budgets against) and :func:`row_flops` its per-output-row
+resolution (what the out-of-core panel planner sizes row panels from).
+Neither needs a :class:`~repro.spgemm.base.MultiplyContext` or a CSC copy.
 """
 
 from __future__ import annotations
@@ -23,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "row_nnz_upper_bound",
-    "estimate_output_nnz",
     "multiply_flops",
     "row_flops",
 ]
@@ -34,23 +22,6 @@ __all__ = [
 #: serving admission ledger) must handle the fallback explicitly rather than
 #: silently wrapping.
 FLOPS_OVERFLOW_LIMIT = 1 << 62
-
-
-def row_nnz_upper_bound(row_work: np.ndarray, n_cols: int) -> np.ndarray:
-    """Hard per-row bound on output nnz: ``min(row_work, n_cols)``.
-
-    ``row_work`` is the per-output-row product count (the paper's
-    precalculated workload vector, :attr:`MultiplyContext.row_work`); a row
-    can't have more unique columns than products landing in it, nor more
-    than the output width.
-    """
-    work = np.asarray(row_work, dtype=np.int64)
-    return np.minimum(work, np.int64(n_cols))
-
-
-def estimate_output_nnz(row_work: np.ndarray, n_cols: int) -> int:
-    """Total output-nnz upper bound: the sum of :func:`row_nnz_upper_bound`."""
-    return int(row_nnz_upper_bound(row_work, n_cols).sum())
 
 
 def multiply_flops(a, b) -> int:

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro import exec as rexec
 from repro import obs
 from repro.errors import PlanError
 from repro.gpusim.block import BlockArray
@@ -227,17 +226,8 @@ class NumericState:
         return len(rows)
 
     def coalesce(self) -> CSRMatrix:
-        """Merge the emitted stream into canonical CSR (idempotent).
-
-        Passes the context's output-nnz upper bound
-        (:func:`repro.plan.estimate.row_nnz_upper_bound` over the
-        precalculated workload vector) to the merge so the partitioned
-        engine can size its scratch from the estimate — Ocean's
-        estimation-based allocation, with the exact pass as the overflow
-        fallback.
-        """
+        """Merge the emitted stream into canonical CSR (idempotent)."""
         if self.result is None:
-            from repro.plan.estimate import row_nnz_upper_bound
             from repro.sparse.csr import CSRMatrix
             from repro.spgemm.merge import plan_merge
 
@@ -245,8 +235,7 @@ class NumericState:
             if len(rows) == 0:
                 self.result = CSRMatrix.empty(self.ctx.out_shape)
             else:
-                est = row_nnz_upper_bound(self.ctx.row_work, self.ctx.out_shape[1])
-                recipe = plan_merge(rows, cols, self.ctx.out_shape, est_row_nnz=est)
+                recipe = plan_merge(rows, cols, self.ctx.out_shape)
                 self.result = recipe.apply(vals)
                 if self.track_provenance:
                     self.merge_recipe = recipe
@@ -399,35 +388,20 @@ class ExecutionPlan:
         )
 
     # -- numeric plane ---------------------------------------------------
-    def execute(
-        self, ctx: MultiplyContext, *, exec_workers: int | None = None
-    ) -> CSRMatrix:
+    def execute(self, ctx: MultiplyContext) -> CSRMatrix:
         """Run the numeric kernels in phase order and coalesce the result."""
-        return self.execute_instrumented(ctx, exec_workers=exec_workers)[0]
+        return self.execute_instrumented(ctx)[0]
 
     def execute_instrumented(
-        self,
-        ctx: MultiplyContext,
-        state: NumericState | None = None,
-        *,
-        exec_workers: int | None = None,
+        self, ctx: MultiplyContext, state: NumericState | None = None
     ) -> tuple[CSRMatrix, list[PhaseExecution]]:
         """Numeric execution with per-phase instrumentation records.
 
         Enforces the IR's core invariant: a device expansion phase's kernel
         must emit exactly ``blocks.total_ops`` products.  An externally built
         ``state`` (e.g. one tracking provenance for the plan cache) may be
-        supplied; it must wrap the same ``ctx``.  ``exec_workers`` installs a
-        scoped :mod:`repro.exec` engine so the expansion/merge primitives run
-        partitioned across a process pool (bit-identical to serial); when
-        ``None``, any ambient engine installed by the caller still applies.
+        supplied; it must wrap the same ``ctx``.
         """
-        with rexec.engine_scope(exec_workers):
-            return self._execute_instrumented(ctx, state)
-
-    def _execute_instrumented(
-        self, ctx: MultiplyContext, state: NumericState | None
-    ) -> tuple[CSRMatrix, list[PhaseExecution]]:
         if state is None:
             state = NumericState(ctx)
         records: list[PhaseExecution] = []

@@ -3,9 +3,8 @@
 The CLI subcommands and the :mod:`repro.serve` server are both thin
 adapters over one :class:`Runtime`: a facade owning dataset contexts,
 fingerprint-keyed :class:`~repro.spgemm.session.IterativeSession` pools,
-the shared exec-plane process pool, kernel-backend selection and trace
-wiring, with deterministic startup/shutdown (see
-:mod:`repro.runtime.lifecycle` for the signal-safe teardown path).
+bench-runner defaults and trace wiring, with deterministic startup/shutdown
+(see :mod:`repro.runtime.lifecycle` for the signal-safe teardown path).
 """
 
 from repro.runtime.config import (

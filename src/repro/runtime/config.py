@@ -1,10 +1,9 @@
 """Configuration for a :class:`~repro.runtime.Runtime`.
 
 Before this layer existed, execution configuration was scattered: the CLI
-mutated process-wide bench-runner defaults, installed ambient exec engines
-with ``engine_scope``, scoped kernel backends with ``kernels.use`` and wired
-trace recorders by hand — each subcommand slightly differently.
-:class:`RuntimeConfig` is the one place all of those knobs now live; a
+mutated process-wide bench-runner defaults and wired trace recorders by
+hand — each subcommand slightly differently.  :class:`RuntimeConfig` is
+the one place all of those knobs now live; a
 :class:`~repro.runtime.core.Runtime` built from it owns their lifetimes.
 
 :func:`RuntimeConfig.from_args` maps an argparse namespace (any ``repro``
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field, replace
 
-from repro import exec as rexec
 from repro.errors import ConfigurationError, ReproError
 from repro.gpusim.config import ALL_GPUS, TITAN_XP, GPUConfig
 
@@ -52,11 +50,6 @@ class RuntimeConfig:
         use_result_cache: consult/populate the persistent bench result cache.
         shard_timeout: bench-shard no-progress window in seconds (``None``
             keeps the runner's default).
-        exec_workers: :mod:`repro.exec` pool width for the numeric kernels
-            (0 = all cores, <=1 = serial; bit-identical either way).
-        exec_partitioner: the exec plane's cut discipline.
-        kernel_backend: numeric-primitive backend name, or ``None`` for the
-            ambient default (``$REPRO_KERNEL_BACKEND`` or numpy).
         plan_cache_entries: LRU ``max_entries`` for each pooled session's
             :class:`~repro.plan.cache.PlanCache` (``None`` = unbounded).
         sessions_per_tenant: LRU cap on warm sessions pooled per tenant.
@@ -74,9 +67,6 @@ class RuntimeConfig:
     cache_dir: str | None = None
     use_result_cache: bool = True
     shard_timeout: float | None = None
-    exec_workers: int = 1
-    exec_partitioner: str = rexec.DEFAULT_PARTITIONER
-    kernel_backend: str | None = None
     plan_cache_entries: int | None = DEFAULT_PLAN_CACHE_ENTRIES
     sessions_per_tenant: int = DEFAULT_SESSIONS_PER_TENANT
     mem_budget: int | None = None
@@ -84,11 +74,6 @@ class RuntimeConfig:
     full_scale: bool = False
 
     def __post_init__(self) -> None:
-        if self.exec_partitioner not in rexec.PARTITIONER_NAMES:
-            raise ConfigurationError(
-                f"unknown partitioner {self.exec_partitioner!r}; "
-                f"known: {list(rexec.PARTITIONER_NAMES)}"
-            )
         if self.sessions_per_tenant < 1:
             raise ConfigurationError(
                 f"sessions_per_tenant must be >= 1, got {self.sessions_per_tenant}"
@@ -107,37 +92,32 @@ class RuntimeConfig:
 
     @property
     def resolved_exec_workers(self) -> int:
-        """Exec-plane pool width with 0 resolved to the core count."""
-        if self.exec_workers == 0:
-            return rexec.default_exec_workers()
-        return max(1, self.exec_workers)
+        """Numeric-kernel width: always 1 (recorded by ``perfbench/run.py``)."""
+        return 1
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RuntimeConfig":
         """Build a config from any ``repro`` subcommand's parsed flags.
 
         Flags a subcommand does not define fall back to the dataclass
-        defaults, so one mapping serves ``run`` (exec flags only), the
-        grid commands (full execution flags) and ``serve``.
+        defaults, so one mapping serves ``run``, the grid commands (full
+        execution flags) and ``serve``.
         """
         base = cls()
         fields: dict = {}
         if getattr(args, "gpu", None) is not None:
             fields["gpu"] = gpu_by_name(args.gpu)
-        for attr, flag in [
-            ("workers", "workers"),
-            ("cache_dir", "cache_dir"),
-            ("shard_timeout", "shard_timeout"),
-            ("exec_workers", "exec_workers"),
-            ("exec_partitioner", "exec_partitioner"),
-            ("kernel_backend", "kernel_backend"),
-            ("plan_cache_entries", "plan_cache_entries"),
-            ("sessions_per_tenant", "sessions_per_tenant"),
-            ("spill_dir", "spill_dir"),
-        ]:
-            value = getattr(args, flag, None)
+        for name in (
+            "workers",
+            "cache_dir",
+            "shard_timeout",
+            "plan_cache_entries",
+            "sessions_per_tenant",
+            "spill_dir",
+        ):
+            value = getattr(args, name, None)
             if value is not None:
-                fields[attr] = value
+                fields[name] = value
         budget = getattr(args, "mem_budget", None)
         if budget is not None:
             # Lazy import: repro.oocore pulls in the runtime package, so a

@@ -1,19 +1,18 @@
-"""The :class:`Runtime` facade: one object that owns engine/session lifecycle.
+"""The :class:`Runtime` facade: one object that owns session lifecycle.
 
 Everything a front-end needs to execute work — dataset contexts, algorithm
 instances, warm :class:`~repro.spgemm.session.IterativeSession` pools keyed
-by sparsity-structure fingerprint, the shared :class:`~repro.exec.ExecEngine`
-process pool, kernel-backend selection, bench-runner defaults and trace
-recording — is constructed, cached and (crucially) *shut down* here.  The
-CLI subcommands and the :mod:`repro.serve` front-end are thin adapters over
-this one class; neither constructs an engine, session or pool directly.
+by sparsity-structure fingerprint, bench-runner defaults and trace
+recording — is constructed, cached and *shut down* here.  The CLI
+subcommands and the :mod:`repro.serve` front-end are thin adapters over
+this one class; neither constructs a session or cache directly.
 
 Lifecycle::
 
-    with Runtime(RuntimeConfig(exec_workers=4)) as rt:
+    with Runtime(RuntimeConfig()) as rt:
         stats = rt.simulate("poisson3da", "block-reorganizer")
         c, meta = rt.multiply("row-product", a, b, tenant="alice")
-    # pools closed, shared-memory segments unlinked, backend scope exited
+    # sessions dropped, their counters folded into the retired totals
 
 Sessions are pooled per ``(tenant, algorithm, structure fingerprint)`` with
 a per-tenant LRU bound (:attr:`RuntimeConfig.sessions_per_tenant`): one
@@ -29,11 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro import exec as rexec
-from repro import kernels, obs
+from repro import obs
 from repro.bench import runner
 from repro.bench.cache import ResultCache
 from repro.errors import ReproError
@@ -77,18 +75,13 @@ class MultiplyOutcome:
 
 @dataclass
 class RuntimeStats:
-    """A point-in-time snapshot of one runtime's serving state.
-
-    ``exec`` is the shared exec pool's :meth:`~repro.exec.ExecStats.as_dict`
-    snapshot, or ``None`` while the runtime is serial (no pool built).
-    """
+    """A point-in-time snapshot of one runtime's serving state."""
 
     sessions: int
     sessions_evicted: int
     tenants: dict[str, int]
     plan_cache: PlanCacheStats
     requests: int
-    exec: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -97,7 +90,6 @@ class RuntimeStats:
             "tenants": dict(self.tenants),
             "plan_cache": self.plan_cache.as_dict(),
             "requests": self.requests,
-            "exec": dict(self.exec) if self.exec is not None else None,
         }
 
 
@@ -134,15 +126,9 @@ class Runtime:
         self._retired_stats = PlanCacheStats()
         self._sessions_evicted = 0
         self._requests = 0
-        self._engine: rexec.ExecEngine | None = None
         self._algos: dict[str, SpGEMMAlgorithm] | None = None
         self._last_ooc_stats = None
         self._closed = False
-        self._scopes = ExitStack()
-        # Backend selection verifies bit-identity up front: an unavailable
-        # or diverging backend fails at runtime construction, before any
-        # request or subcommand runs.
-        self._scopes.enter_context(kernels.use(self.config.kernel_backend))
         self._result_cache: ResultCache | None = (
             ResultCache(self.config.cache_dir) if self.config.use_result_cache else None
         )
@@ -159,55 +145,25 @@ class Runtime:
         return self._closed
 
     def close(self) -> None:
-        """Release every owned resource: sessions, pools, shared memory.
+        """Drop every warm session, folding its counters into the totals.
 
         Idempotent; also invoked by the shutdown hooks
-        (:mod:`repro.runtime.lifecycle`) on SIGINT/SIGTERM/exit so an
-        interrupted process cannot leak ``multiprocessing.shared_memory``
-        segments from a warm exec pool.
+        (:mod:`repro.runtime.lifecycle`) on SIGINT/SIGTERM/exit.  Later
+        work raises :class:`~repro.errors.ReproError`.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            sessions, self._sessions = self._sessions, OrderedDict()
-        for pooled in sessions.values():
-            pooled.session.close()
-            with self._lock:
+            for pooled in self._sessions.values():
                 self._retired_stats.merge(pooled.session.stats)
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-        self._scopes.close()
+            self._sessions.clear()
 
     def _require_open(self) -> None:
         if self._closed:
             raise ReproError("runtime is closed")
 
-    # -- execution resources -------------------------------------------
-    def exec_engine(self) -> rexec.ExecEngine | None:
-        """The shared exec-plane pool (lazily created), or ``None`` (serial)."""
-        self._require_open()
-        width = self.config.resolved_exec_workers
-        if width <= 1:
-            return None
-        with self._lock:
-            if self._engine is None:
-                self._engine = rexec.ExecEngine(
-                    width, partitioner=self.config.exec_partitioner
-                )
-            return self._engine
-
-    @contextmanager
-    def exec_scope(self):
-        """Install the runtime's exec engine as ambient for a block."""
-        with rexec.engine_scope(self.exec_engine()) as engine:
-            yield engine
-
-    def exec_stats(self) -> rexec.ExecStats | None:
-        """Counters of the shared exec pool, or ``None`` when serial."""
-        return self._engine.stats if self._engine is not None else None
-
+    # -- bench-runner defaults -----------------------------------------
     @contextmanager
     def runner_scope(self):
         """Apply this runtime's bench-runner defaults, restoring on exit.
@@ -219,23 +175,15 @@ class Runtime:
         """
         self._require_open()
         d = runner._DEFAULTS
-        saved = (d.workers, d.cache, d.shard_timeout, d.exec_workers, d.exec_partitioner)
-        kwargs = dict(
-            workers=self.config.resolved_workers,
-            cache=self._result_cache,
-            exec_workers=self.config.resolved_exec_workers,
-            exec_partitioner=self.config.exec_partitioner,
-        )
+        saved = (d.workers, d.cache, d.shard_timeout)
+        kwargs = dict(workers=self.config.resolved_workers, cache=self._result_cache)
         if self.config.shard_timeout is not None:
             kwargs["shard_timeout"] = self.config.shard_timeout
         runner.configure(**kwargs)
         try:
             yield self
         finally:
-            runner.configure(
-                workers=saved[0], cache=saved[1], shard_timeout=saved[2],
-                exec_workers=saved[3], exec_partitioner=saved[4],
-            )
+            runner.configure(workers=saved[0], cache=saved[1], shard_timeout=saved[2])
 
     @property
     def result_cache(self) -> ResultCache | None:
@@ -288,9 +236,8 @@ class Runtime:
         """Simulate one (dataset, algorithm) cell on the configured GPU."""
         self._require_open()
         algo = self.algorithm(algorithm)
-        with self.exec_scope():
-            ctx = self.context(dataset)
-            return algo.simulate(ctx, GPUSimulator(gpu or self.config.gpu))
+        ctx = self.context(dataset)
+        return algo.simulate(ctx, GPUSimulator(gpu or self.config.gpu))
 
     # -- numeric plane: warm sessions ----------------------------------
     def session(
@@ -307,7 +254,7 @@ class Runtime:
         :class:`PlanCache` is bounded by
         :attr:`RuntimeConfig.plan_cache_entries`; and when the owning
         tenant exceeds :attr:`RuntimeConfig.sessions_per_tenant`, that
-        tenant's least-recently-used session is closed and its counters
+        tenant's least-recently-used session is dropped and its counters
         folded into the retired totals.  Callers must hold the returned
         :attr:`PooledSession.lock` while multiplying on it.
         """
@@ -332,9 +279,9 @@ class Runtime:
             evicted = self._evict_tenant_overflow(tenant)
         for old in evicted:
             with old.lock:  # let an in-flight multiply finish first
-                old.session.close()
+                retired = old.session.stats
             with self._lock:
-                self._retired_stats.merge(old.session.stats)
+                self._retired_stats.merge(retired)
         return pooled
 
     def _evict_tenant_overflow(self, tenant: str) -> list[PooledSession]:
@@ -362,7 +309,7 @@ class Runtime:
         work) — the amortisation signal ``repro.serve`` reports per batch.
         ``trace`` (a :class:`~repro.obs.serving.RequestTrace`) receives the
         ``session`` (pool lookup + lock wait) and ``numeric`` (multiply on
-        the warm session, exec scope installed) stages.
+        the warm session) stages.
         """
         fp = structure_fingerprint(a, a if b is None else b)
         if self.config.mem_budget is not None:
@@ -379,7 +326,7 @@ class Runtime:
             pooled.lock.acquire()
         try:
             hits_before = pooled.session.stats.hits
-            with trace.stage("numeric"), self.exec_scope():
+            with trace.stage("numeric"):
                 result = pooled.session.multiply(a, b)
             pooled.requests += 1
         finally:
@@ -417,14 +364,13 @@ class Runtime:
         algo = (
             self.algorithm(algorithm) if isinstance(algorithm, str) else algorithm
         )
-        with self.exec_scope():
-            result, stats = chunked_multiply(
-                algo,
-                a,
-                b,
-                mem_budget=self.config.mem_budget,
-                spill_dir=self.config.spill_dir,
-            )
+        result, stats = chunked_multiply(
+            algo,
+            a,
+            b,
+            mem_budget=self.config.mem_budget,
+            spill_dir=self.config.spill_dir,
+        )
         with self._lock:
             self._last_ooc_stats = stats
         return result, stats
@@ -472,7 +418,7 @@ class Runtime:
         fp = "pagerank:" + structure_fingerprint(adjacency, adjacency)
         with trace.stage("session"):
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"), self.exec_scope():
+        with pooled.lock, trace.stage("numeric"):
             result = pagerank_spgemm(
                 adjacency,
                 pooled.session,
@@ -500,7 +446,7 @@ class Runtime:
         fp = f"reach:{k}:" + structure_fingerprint(adjacency, adjacency)
         with trace.stage("session"):
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"), self.exec_scope():
+        with pooled.lock, trace.stage("numeric"):
             result = k_hop_reachability(adjacency, k, pooled.session)
             pooled.requests += 1
         with self._lock:
@@ -531,7 +477,7 @@ class Runtime:
         fp = f"sim:{metric}:" + structure_fingerprint(adjacency, adjacency)
         with trace.stage("session"):
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"), self.exec_scope():
+        with pooled.lock, trace.stage("numeric"):
             result = metrics[metric](adjacency, pooled.session)
             pooled.requests += 1
         with self._lock:
@@ -546,7 +492,7 @@ class Runtime:
         fp = structure_fingerprint(a, b)
         pooled = self.session(algorithm, structure=fp, tenant="default")
         seconds = []
-        with pooled.lock, self.exec_scope():
+        with pooled.lock:
             for _ in range(iterations):
                 start = time.perf_counter()
                 pooled.session.multiply(a, b)
@@ -590,16 +536,14 @@ class Runtime:
             for (tenant, _, _), pooled in self._sessions.items():
                 merged.merge(pooled.session.stats)
                 tenants[tenant] = tenants.get(tenant, 0) + 1
-            exec_stats = self._engine.stats.as_dict() if self._engine else None
             return RuntimeStats(
                 sessions=len(self._sessions),
                 sessions_evicted=self._sessions_evicted,
                 tenants=tenants,
                 plan_cache=merged,
                 requests=self._requests,
-                exec=exec_stats,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else f"{len(self._sessions)} sessions"
-        return f"<Runtime {state} exec_workers={self.config.resolved_exec_workers}>"
+        return f"<Runtime {state}>"

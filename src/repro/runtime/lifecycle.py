@@ -1,13 +1,12 @@
-"""Shutdown hooks: close runtimes on SIGINT/SIGTERM/interpreter exit.
+"""Shutdown hooks: close runtimes and spill stores on SIGINT/SIGTERM/exit.
 
-A warm :class:`~repro.exec.ExecEngine` pool owns ``multiprocessing.shared_memory``
-segments (named ``repro-exec-*``).  ``weakref.finalize`` covers orderly
-interpreter exit, but a SIGTERM delivered mid-request used to kill the
-process before finalizers ran, leaking segments in ``/dev/shm``.
-:func:`install` registers a signal-chaining handler plus an ``atexit`` hook
-that close every registered :class:`~repro.runtime.core.Runtime` — draining
-pools and unlinking segments — before the process dies with the original
-signal's conventional exit status.
+An out-of-core :class:`~repro.oocore.spill.SpillStore` owns a private spill
+directory that can hold gigabytes of partial products.  A SIGTERM delivered
+mid-multiply would kill the process before any ``finally`` block ran,
+leaving that directory behind.  :func:`install` registers a signal-chaining
+handler plus an ``atexit`` hook that close every registered object — spill
+stores remove their directories, runtimes drop their warm sessions — before
+the process dies with the original signal's conventional exit status.
 
 Usage (the CLI and ``repro serve`` both do this)::
 

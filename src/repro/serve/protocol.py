@@ -11,7 +11,11 @@ serve bench asserts against the batch CLI path.
 
 All validation failures raise :class:`BadRequest`, which the server maps to
 HTTP 400 with the message in the body; nothing in this module touches the
-network.
+network.  ``json.loads`` accepts the non-standard ``NaN`` and ``Infinity``
+tokens, so every number that reaches a multiply is checked for finiteness
+here: a non-finite input would otherwise flow into a warm-structure replay
+(which skips operand validation) and come back as a ``NaN`` token — not
+valid JSON — in a 200 body.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ def csr_from_wire(obj: Any, field: str = "matrix") -> CSRMatrix:
         raise BadRequest(f"{field!r} arrays are not numeric: {exc}") from None
     if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
         raise BadRequest(f"{field!r} arrays must be one-dimensional")
+    if not np.all(np.isfinite(data)):
+        raise BadRequest(f"{field}.data must be finite (no NaN or Infinity)")
     rows, cols = int(shape[0]), int(shape[1])
     # The CSRMatrix constructor trusts its inputs (internal fast path), so
     # the trust boundary is here: reject inconsistent structure with a 400
@@ -113,13 +119,15 @@ def require(body: dict, key: str) -> Any:
 
 
 def scalar(body: dict, key: str, kind: type, default: Any) -> Any:
-    """Fetch an optional numeric field, type-checked (bool is not a number)."""
+    """Fetch an optional finite numeric field (bool is not a number)."""
     if key not in body or body[key] is None:
         return default
     value = body[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequest(f"{key!r} must be a number")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise BadRequest(f"{key!r} must be finite")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:  # pragma: no cover - defensive
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadRequest(f"{key!r}: {exc}") from None

@@ -31,9 +31,8 @@ cost (:func:`repro.plan.estimate.multiply_flops`) and checks it against the
 ``--max-inflight-flops`` budget; ``batch_wait`` is the queue time until a
 micro-batch picks the request up (:mod:`repro.serve.batching` coalesces
 same-structure requests); ``session``/``numeric`` are recorded inside the
-runtime (pool lookup + lock wait, then the multiply itself — executed
-through the shared :class:`~repro.exec.ExecEngine` when the runtime has
-one); ``serialize`` encodes the JSON response body, once, so the stage
+runtime (pool lookup + lock wait, then the multiply itself);
+``serialize`` encodes the JSON response body, once, so the stage
 covers the whole encoding cost.  Responses are bit-identical to
 the batch CLI path because both route through the same
 :class:`~repro.runtime.Runtime`.
@@ -76,10 +75,23 @@ from repro.serve.protocol import (
     scalar,
 )
 
-__all__ = ["ServeConfig", "Server", "ServerThread", "run", "stats_field_names"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "ServeConfig",
+    "Server",
+    "ServerThread",
+    "run",
+    "stats_field_names",
+]
 
 #: readuntil() bound for the header block; bodies are read by length.
 _MAX_HEADER_BYTES = 1 << 20
+
+#: Largest ``Content-Length`` the server reads (413 above it), so a client
+#: cannot make it buffer unbounded input.  The value sits far above what
+#: any repo tool sends (perfbench serve bodies are well under 1 MB) and
+#: still admits about two million stored entries (~30 bytes each as JSON).
+MAX_BODY_BYTES = 64 << 20
 
 #: Most trace files one server writes into ``--trace-dir`` (slow requests
 #: under sustained overload must not fill the disk).
@@ -150,8 +162,22 @@ class Server:
                 try:
                     method, path, headers = _parse_head(head)
                     length = int(headers.get("content-length", "0") or "0")
-                    body = await reader.readexactly(length) if length > 0 else b""
-                except (ValueError, asyncio.IncompleteReadError):
+                except ValueError:
+                    await _respond(writer, 400, {"error": "malformed HTTP request"})
+                    break
+                # Refuse bad lengths before reading a byte of the body, then
+                # close: the unread body must not be parsed as the next head.
+                if length < 0:
+                    await _respond(writer, 400, {"error": "negative Content-Length"})
+                    break
+                if length > MAX_BODY_BYTES:
+                    await _respond(
+                        writer, 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+                    )
+                    break
+                try:
+                    body = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
                     await _respond(writer, 400, {"error": "malformed HTTP request"})
                     break
                 status, payload, extra = await self._route(method, path, headers, body)
@@ -393,23 +419,22 @@ class Server:
         }
 
 
-#: ``/stats`` sections whose dict keys are data (route/tenant/op names),
+#: ``/stats`` sections whose dict keys are data (route/tenant names),
 #: not schema — their *children* are walked, the names themselves are not
 #: part of the documented field set.
-_DYNAMIC_KEY_SECTIONS = {"routes", "tenants", "per_op"}
+_DYNAMIC_KEY_SECTIONS = {"routes", "tenants"}
 
 
 def stats_field_names() -> set[str]:
     """Every field name the ``/stats`` payload can contain.
 
     Built by walking a fully-populated sample payload (all optional
-    sections present: one observed route/tenant, exec stats attached), so
-    ``tools/check_docs.py`` can require each name in the OPERATIONS.md
-    glossary and a test can assert the sample stays a superset of a live
-    server's payload.  Keys under route/tenant/per-op maps are data, not
-    schema, and are excluded (their value dicts are still walked).
+    sections present: one observed route/tenant), so ``tools/check_docs.py``
+    can require each name in the OPERATIONS.md glossary and a test can
+    assert the sample stays a superset of a live server's payload.  Keys
+    under route/tenant maps are data, not schema, and are excluded (their
+    value dicts are still walked).
     """
-    from repro.exec.engine import ExecStats
     from repro.plan.cache import PlanCacheStats
     from repro.runtime.core import RuntimeStats
 
@@ -421,7 +446,6 @@ def stats_field_names() -> set[str]:
         tenants={},
         plan_cache=PlanCacheStats(),
         requests=0,
-        exec=ExecStats().as_dict(),
     )
     serving = metrics.snapshot()
     serving.update(queue_depth=0, inflight_flops=0, coalescence_factor=None)
@@ -487,6 +511,7 @@ async def _respond(
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        413: "Payload Too Large",
         500: "Internal Server Error",
         503: "Service Unavailable",
         504: "Gateway Timeout",
@@ -537,8 +562,7 @@ def run(runtime: Runtime, config: ServeConfig | None = None) -> None:
     """Blocking server loop with graceful SIGINT/SIGTERM shutdown.
 
     The runtime is registered with :mod:`repro.runtime.lifecycle` (for
-    atexit coverage) and closed — pools drained, shared memory unlinked —
-    before this returns.
+    atexit coverage) and closed before this returns.
     """
     lifecycle.install(runtime)
     asyncio.run(_serve_until_signalled(runtime, config or ServeConfig()))

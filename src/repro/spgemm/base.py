@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import exec as rexec
 from repro import obs
 from repro.errors import FingerprintError, SparseFormatError
 from repro.gpusim.config import TITAN_XP, GPUConfig
@@ -220,7 +219,6 @@ class SpGEMMAlgorithm(abc.ABC):
         ctx: MultiplyContext,
         *,
         plan_cache: "PlanCache | None" = None,
-        exec_workers: int | None = None,
     ) -> CSRMatrix:
         """Compute ``A @ B`` exactly, by executing the plan's kernels.
 
@@ -229,15 +227,11 @@ class SpGEMMAlgorithm(abc.ABC):
         all symbolic work, replaying only the numeric phase (bit-identical).
         Operands are structurally validated at this boundary (the plan
         cache's replay fast path skips re-validation of known structures).
-        ``exec_workers`` runs the numeric kernels partitioned across a
-        :mod:`repro.exec` process pool — bit-identical to serial; ``None``
-        defers to any ambient engine the caller installed.
         """
-        with rexec.engine_scope(exec_workers):
-            if plan_cache is not None:
-                return plan_cache.multiply(self, ctx.a_csr, ctx.b_csr, ctx=ctx)
-            validate_operands(ctx.a_csr, ctx.b_csr)
-            return self.lower_traced(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
+        if plan_cache is not None:
+            return plan_cache.multiply(self, ctx.a_csr, ctx.b_csr, ctx=ctx)
+        validate_operands(ctx.a_csr, ctx.b_csr)
+        return self.lower_traced(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
 
     def build_trace(self, ctx: MultiplyContext, config: GPUConfig) -> KernelTrace:
         """Describe the thread blocks this scheme launches on ``config``."""

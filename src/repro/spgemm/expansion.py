@@ -9,16 +9,12 @@ shape, which the trace builders capture):
 * :func:`expand_row` — grouped by output row ``i``: Gustavson's formulation
   (one thread group per row).
 
-The serial bodies dispatch through the ambient kernel backend
-(:func:`repro.kernels.active` — the vectorised NumPy reference, or the
-optional compiled backend, verified bit-identical at selection time); the
-returned arrays are the numeric ground truth that the merge stage coalesces
-into C.
+Both wrap the vectorised primitives in :mod:`repro.kernels`; the returned
+arrays are the numeric ground truth that the merge stage coalesces into C.
 """
 
 from __future__ import annotations
 
-from repro import exec as rexec
 from repro import kernels
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
@@ -44,12 +40,7 @@ def expand_outer_indices(
     values reuse the expansion structure without recomputing it.
     """
     check_multipliable(a_csc.shape, b_csr.shape)
-    engine = rexec.active()
-    if engine is not None:
-        out = engine.expand_outer_indices(a_csc, b_csr)
-        if out is not None:  # else: below threshold / pool broke -> serial
-            return out
-    return kernels.active().expand_outer_indices(
+    return kernels.expand_outer_indices(
         a_csc.indptr, a_csc.indices, b_csr.indptr, b_csr.indices
     )
 
@@ -76,12 +67,7 @@ def expand_row_indices(
     :func:`expand_outer_indices` for the Gustavson formulation.
     """
     check_multipliable(a_csr.shape, b_csr.shape)
-    engine = rexec.active()
-    if engine is not None:
-        out = engine.expand_row_indices(a_csr, b_csr)
-        if out is not None:  # else: below threshold / pool broke -> serial
-            return out
-    return kernels.active().expand_row_indices(
+    return kernels.expand_row_indices(
         a_csr.indptr, a_csr.indices, b_csr.indptr, b_csr.indices
     )
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import exec as rexec
 from repro import kernels
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
@@ -65,49 +64,23 @@ class MergeRecipe:
         in-order accumulation), so the result is bit-identical to a cold
         merge of the same stream.
         """
-        engine = rexec.active()
-        if engine is not None:
-            summed = engine.segmented_sum(vals, self.order, self.group, self.n_groups)
-            if summed is not None:  # else: below threshold / pool broke -> serial
-                return CSRMatrix(
-                    self.shape, self.indptr.copy(), self.indices.copy(), summed
-                )
-        summed = kernels.active().segmented_sum(
-            vals, self.order, self.group, self.n_groups
-        )
+        summed = kernels.segmented_sum(vals, self.order, self.group, self.n_groups)
         return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), summed)
 
 
 def plan_merge(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    shape: tuple[int, int],
-    *,
-    est_row_nnz: np.ndarray | None = None,
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
 ) -> MergeRecipe:
-    """Capture the symbolic half of merging the given triplet coordinates.
-
-    ``est_row_nnz`` (optional, see :mod:`repro.plan.estimate`) is a per-row
-    output-nnz upper bound forwarded to the partitioned engine, which then
-    allocates its unique-column scratch from the estimate instead of the
-    stream length; an undershooting estimate makes the engine decline the
-    call and this function run the exact serial pass, so the recipe is the
-    same either way.
-    """
+    """Capture the symbolic half of merging the given triplet coordinates."""
     n_rows, n_cols = shape
     if len(rows) == 0:
         zi = np.zeros(0, dtype=np.int64)
         return MergeRecipe(
             shape, zi, zi.copy(), 0, np.zeros(n_rows + 1, dtype=np.int64), zi.copy()
         )
-    engine = rexec.active()
-    if engine is not None:
-        recipe = engine.merge(rows, cols, shape, est_row_nnz=est_row_nnz)
-        if recipe is not None:  # else: below threshold / pool broke -> serial
-            return recipe
-    if len(rows) and (rows.max() >= n_rows or cols.max() >= n_cols):
+    if rows.max() >= n_rows or cols.max() >= n_cols:
         raise ShapeMismatchError("triplet coordinate out of range")
-    order, group, n_groups, indptr, indices = kernels.active().merge_symbolic(
+    order, group, n_groups, indptr, indices = kernels.merge_symbolic(
         rows, cols, n_rows, n_cols
     )
     return MergeRecipe(shape, order, group, n_groups, indptr, indices)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro import exec as rexec
 from repro.plan.cache import PlanCache, PlanCacheStats
 from repro.sparse.csr import CSRMatrix
 
@@ -42,10 +41,6 @@ class IterativeSession:
             used for plan-path multiplies.
         cache: the session's :class:`~repro.plan.cache.PlanCache`; shareable
             between sessions to pool recipes across workloads.
-        exec_engine: the session's persistent :class:`~repro.exec.ExecEngine`
-            (``None`` when ``exec_workers`` <= 1).  One pool and one set of
-            published shared-memory operands serve every iteration — replay
-            across a loop pays worker spin-up and operand copy-in once.
     """
 
     def __init__(
@@ -54,22 +49,10 @@ class IterativeSession:
         *,
         cache: PlanCache | None = None,
         config: GPUConfig | None = None,
-        exec_workers: int | None = None,
-        exec_partitioner: str = rexec.DEFAULT_PARTITIONER,
     ) -> None:
         self.algorithm = algorithm
         self.cache = cache if cache is not None else PlanCache()
         self.config = config
-        self.exec_engine = (
-            rexec.ExecEngine(int(exec_workers), partitioner=exec_partitioner)
-            if exec_workers is not None and int(exec_workers) > 1
-            else None
-        )
-
-    def close(self) -> None:
-        """Release the session's execution engine (pool + shared memory)."""
-        if self.exec_engine is not None:
-            self.exec_engine.close()
 
     @classmethod
     def wrap(cls, engine: "SpGEMMAlgorithm | IterativeSession") -> "IterativeSession":
@@ -88,8 +71,7 @@ class IterativeSession:
 
     def multiply(self, a: CSRMatrix, b: CSRMatrix | None = None) -> CSRMatrix:
         """``a @ b`` (``b`` defaults to ``a``), replaying on structure hits."""
-        with rexec.engine_scope(self.exec_engine):
-            return self.cache.multiply(self.algorithm, a, b, config=self.config)
+        return self.cache.multiply(self.algorithm, a, b, config=self.config)
 
     def semiring_multiply(
         self,
@@ -98,8 +80,7 @@ class IterativeSession:
         semiring: "Semiring | None" = None,
     ) -> CSRMatrix:
         """Semiring product with the same structure-reuse discipline."""
-        with rexec.engine_scope(self.exec_engine):
-            return self.cache.semiring_multiply(a, b, semiring)
+        return self.cache.semiring_multiply(a, b, semiring)
 
     def multiply_chunked(
         self,
@@ -111,15 +92,13 @@ class IterativeSession:
     ):
         """``a @ b`` under a memory budget via :mod:`repro.oocore`.
 
-        Runs the out-of-core chunked executor with this session's exec
-        engine ambient; returns ``(result, OocStats)``.  The plan cache is
-        deliberately bypassed — per-panel recipes would pin budget-sized
-        gather arrays in the LRU — but the result is bit-identical to
-        :meth:`multiply` on the same operands.
+        Runs the out-of-core chunked executor; returns ``(result,
+        OocStats)``.  The plan cache is deliberately bypassed — per-panel
+        recipes would pin budget-sized gather arrays in the LRU — but the
+        result is bit-identical to :meth:`multiply` on the same operands.
         """
         from repro.oocore import chunked_multiply
 
-        with rexec.engine_scope(self.exec_engine):
-            return chunked_multiply(
-                self.algorithm, a, b, mem_budget=mem_budget, spill_dir=spill_dir
-            )
+        return chunked_multiply(
+            self.algorithm, a, b, mem_budget=mem_budget, spill_dir=spill_dir
+        )

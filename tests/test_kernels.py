@@ -1,10 +1,8 @@
-"""The kernel-backend layer: registry semantics and bit-identity.
+"""The numeric primitives in :mod:`repro.kernels`.
 
-Covers the always-available NumPy reference (parity with the serial spgemm
-bodies it was extracted from), the selection-time verification harness (a
-corrupted backend must be refused), environment/flag resolution, and — when
-numba wheels are installed (CI's dedicated leg) — the full bit-identity
-suite for the compiled backend, primitive by primitive and end to end.
+Checks that the spgemm wrappers return exactly what the kernels compute,
+that the merge's segmented sum and replay's gather-multiply-sum agree bit
+for bit, and the merge's edge cases.
 """
 
 from __future__ import annotations
@@ -13,27 +11,11 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.bench.runner import paper_algorithms
-from repro.errors import KernelBackendError
-from repro.kernels import numpy_backend
 from repro.sparse.convert import csr_to_csc
-from repro.sparse.random import power_law
-from repro.spgemm.base import MultiplyContext
 from repro.spgemm.expansion import expand_outer_indices, expand_row_indices
 from repro.spgemm.merge import plan_merge
 
 from .conftest import random_csr
-
-NUMBA_MISSING = not kernels.available("numba")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry(monkeypatch):
-    """Each test resolves backends from a clean slate (no env leakage)."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels._reset()
-    yield
-    kernels._reset()
 
 
 @pytest.fixture()
@@ -41,124 +23,36 @@ def matrices():
     rng = np.random.default_rng(321)
     a = random_csr(rng, 50, 40, 0.12)
     b = random_csr(rng, 40, 35, 0.15)
-    skew = power_law(150, 1800, seed=13).to_csr()
-    return a, b, skew
+    return a, b
 
 
 class TestRegistry:
     def test_default_is_numpy(self):
         assert kernels.active_name() == "numpy"
-        assert kernels.active().verified
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        kernels._reset()
-        assert kernels.active_name() == "numpy"
-
-    def test_env_unknown_backend_raises_lazily(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cuda")
-        kernels._reset()
-        with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-            kernels.active()
-
-    def test_unknown_name(self):
-        with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-            kernels.get_backend("bogus")
-
-    def test_available(self):
-        assert kernels.available("numpy")
-        assert not kernels.available("bogus")
-
-    def test_select_installs_process_wide(self):
-        backend = kernels.select("numpy")
-        assert kernels.active() is backend
-
-    def test_use_scopes_and_restores(self):
-        before = kernels.active()
-        with kernels.use("numpy") as backend:
-            assert kernels.active() is backend
-        assert kernels.active() is before
-
-    def test_use_none_is_noop(self):
-        with kernels.use(None) as backend:
-            assert backend is kernels.active()
-
-    @pytest.mark.skipif(not NUMBA_MISSING, reason="numba installed on this host")
-    def test_numba_unavailable_message(self):
-        with pytest.raises(KernelBackendError, match="numba is not installed"):
-            kernels.get_backend("numba")
-
-
-class TestVerification:
-    def test_reference_verifies_against_itself(self):
-        kernels.verify_backend(kernels.NUMPY_BACKEND)
-
-    @pytest.mark.parametrize(
-        "primitive",
-        [
-            "expand_outer_indices",
-            "expand_row_indices",
-            "merge_symbolic",
-            "segmented_sum",
-            "gather_multiply_sum",
-            "kway_merge",
-        ],
-    )
-    def test_corrupted_backend_is_refused(self, primitive):
-        """A backend whose output differs in any primitive must not install."""
-
-        def corrupt(*args, **kwargs):
-            good = getattr(numpy_backend, primitive)(*args, **kwargs)
-            if isinstance(good, tuple):
-                bad = list(good)
-                bad[0] = np.asarray(bad[0]).copy()
-                bad[0][0] += 1
-                return tuple(bad)
-            bad = good.copy()
-            bad[0] += 1.0
-            return bad
-
-        table = {
-            name: getattr(numpy_backend, name)
-            for name in (
-                "expand_outer_indices",
-                "expand_row_indices",
-                "merge_symbolic",
-                "segmented_sum",
-                "gather_multiply_sum",
-                "kway_merge",
-            )
-        }
-        table[primitive] = corrupt
-        backend = kernels.KernelBackend(name="corrupt", **table)
-        with pytest.raises(KernelBackendError, match=primitive):
-            kernels.verify_backend(backend)
 
 
 class TestNumpyBackendParity:
-    """The extracted reference equals the serial spgemm bodies, bit for bit."""
+    """The kernels equal what the spgemm wrappers return, bit for bit."""
 
     def test_expansions_match_spgemm(self, matrices):
-        a, b, _ = matrices
+        a, b = matrices
         a_csc = csr_to_csc(a)
         ref = expand_outer_indices(a_csc, b)
-        got = numpy_backend.expand_outer_indices(
+        got = kernels.expand_outer_indices(
             a_csc.indptr, a_csc.indices, b.indptr, b.indices
         )
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(np.asarray(r), np.asarray(g))
         ref = expand_row_indices(a, b)
-        got = numpy_backend.expand_row_indices(
-            a.indptr, a.indices, b.indptr, b.indices
-        )
+        got = kernels.expand_row_indices(a.indptr, a.indices, b.indptr, b.indices)
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(np.asarray(r), np.asarray(g))
 
     def test_merge_and_sums_match_spgemm(self, matrices):
-        a, b, _ = matrices
+        a, b = matrices
         rows, cols, a_idx, b_idx = expand_row_indices(a, b)
         recipe = plan_merge(rows, cols, (a.n_rows, b.n_cols))
-        order, group, n_groups, indptr, indices = numpy_backend.merge_symbolic(
+        order, group, n_groups, indptr, indices = kernels.merge_symbolic(
             rows, cols, a.n_rows, b.n_cols
         )
         np.testing.assert_array_equal(recipe.order, order)
@@ -169,85 +63,19 @@ class TestNumpyBackendParity:
 
         vals = a.data[a_idx] * b.data[b_idx]
         np.testing.assert_array_equal(
-            numpy_backend.segmented_sum(vals, order, group, n_groups),
+            kernels.segmented_sum(vals, order, group, n_groups),
             recipe.apply(vals).data,
         )
         np.testing.assert_array_equal(
-            numpy_backend.gather_multiply_sum(
+            kernels.gather_multiply_sum(
                 a.data, b.data, a_idx[order], b_idx[order], group, n_groups
             ),
             recipe.apply(vals).data,
         )
 
     def test_empty_stream_merge(self):
-        order, group, n_groups, indptr, indices = numpy_backend.merge_symbolic(
+        order, group, n_groups, indptr, indices = kernels.merge_symbolic(
             np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 3, 3
         )
         assert n_groups == 1
         np.testing.assert_array_equal(indptr, [0, 1, 1, 1])
-
-
-@pytest.mark.skipif(NUMBA_MISSING, reason="numba wheels not installed")
-class TestNumbaBackend:
-    """The compiled backend's bit-identity suite (CI's dedicated leg)."""
-
-    def test_selection_verifies(self):
-        backend = kernels.select("numba")
-        assert backend.name == "numba"
-        assert backend.verified
-
-    def test_primitive_parity(self, matrices):
-        a, b, skew = matrices
-        ref = kernels.NUMPY_BACKEND
-        cand = kernels.get_backend("numba")
-        for left, right in ((a, b), (skew, skew)):
-            left_csc = csr_to_csc(left)
-            got = cand.expand_outer_indices(
-                left_csc.indptr, left_csc.indices, right.indptr, right.indices
-            )
-            want = ref.expand_outer_indices(
-                left_csc.indptr, left_csc.indices, right.indptr, right.indices
-            )
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-            got = cand.expand_row_indices(
-                left.indptr, left.indices, right.indptr, right.indices
-            )
-            want = ref.expand_row_indices(
-                left.indptr, left.indices, right.indptr, right.indices
-            )
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-            rows, cols, a_idx, b_idx = want
-            gm = cand.merge_symbolic(rows, cols, left.n_rows, right.n_cols)
-            wm = ref.merge_symbolic(rows, cols, left.n_rows, right.n_cols)
-            for g, w in zip(gm, wm):
-                np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
-            order, group, n_groups = wm[0], wm[1], wm[2]
-            vals = left.data[a_idx] * right.data[b_idx]
-            np.testing.assert_array_equal(
-                cand.segmented_sum(vals, order, group, n_groups),
-                ref.segmented_sum(vals, order, group, n_groups),
-            )
-            np.testing.assert_array_equal(
-                cand.gather_multiply_sum(
-                    left.data, right.data, a_idx[order], b_idx[order], group, n_groups
-                ),
-                ref.gather_multiply_sum(
-                    left.data, right.data, a_idx[order], b_idx[order], group, n_groups
-                ),
-            )
-
-    @pytest.mark.parametrize("algo_index", range(7))
-    def test_all_schemes_bit_identical(self, matrices, algo_index):
-        """Every paper scheme produces byte-identical CSR under numba."""
-        _, _, skew = matrices
-        ctx = MultiplyContext.build(skew)
-        algo = paper_algorithms()[algo_index]
-        serial = algo.multiply(ctx)
-        with kernels.use("numba"):
-            compiled = algo.multiply(MultiplyContext.build(skew))
-        assert serial.shape == compiled.shape
-        np.testing.assert_array_equal(serial.indptr, compiled.indptr)
-        np.testing.assert_array_equal(serial.indices, compiled.indices)
-        np.testing.assert_array_equal(serial.data, compiled.data)

@@ -192,8 +192,6 @@ def _sample_stats() -> dict:
             "tenants": {"alice": 1, "bob": 1},
             "plan_cache": {"lookups": 3, "hits": 1, "lowers": 2},
             "requests": 3,
-            "exec": {"parallel_calls": 1, "serial_calls": 2, "fallbacks": 0,
-                     "partitions": 4},
         },
         "batching": {
             "admitted": 3, "rejected": 1, "shed_queue": 0, "shed_cost": 1,

@@ -10,7 +10,7 @@ disk spills), pin the one exception (the Block Reorganizer on power-law
 operands, identical structure but last-bit value differences) with a strict
 xfail, plus the supporting pieces: budget parsing, the greedy panel
 planner, the crash-safe spill store (including the SIGTERM-mid-spill leak
-check mirroring the exec plane's /dev/shm test), the ``kway_merge`` kernel
+check), the ``kway_merge`` kernel
 primitive, the ``@full`` catalog derivation and the runtime/CLI wiring.
 """
 
@@ -33,7 +33,7 @@ from repro.datasets.catalog import (
     list_names,
 )
 from repro.errors import ConfigurationError, DatasetError, OutOfCoreError
-from repro.kernels import active as active_kernels
+from repro import kernels
 from repro.oocore import (
     BYTES_PER_PRODUCT,
     OocStats,
@@ -253,7 +253,6 @@ class TestSpillStore:
 
 class TestKwayMerge:
     def test_merges_and_sums_duplicates(self):
-        kernels = active_kernels()
         # Two ascending streams with overlapping keys.
         keys = np.array([1, 4, 9, 2, 4, 9], dtype=np.int64)
         vals = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
@@ -263,7 +262,6 @@ class TestKwayMerge:
         assert np.array_equal(out_vals, [1.0, 10.0, 22.0, 33.0])
 
     def test_empty_input(self):
-        kernels = active_kernels()
         out_keys, out_vals = kernels.kway_merge(
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.float64),
@@ -274,7 +272,6 @@ class TestKwayMerge:
     def test_sums_in_stream_order(self):
         # Float addition is order-sensitive; the contract is (key, stream,
         # position) order — the same left fold a stable argsort produces.
-        kernels = active_kernels()
         vals = np.array([1e16, 1.0, 1.0])
         keys = np.array([5, 5, 5], dtype=np.int64)
         starts = np.array([0, 1, 2, 3], dtype=np.int64)

@@ -3,8 +3,10 @@
 Strategies generate small random sparse matrices; the invariants cover the
 format layer (round-trips), the numeric engine (all schemes agree with a
 dense reference), the structure-only symbolic pass (exact row counts on
-adversarial operands), the Block Reorganizer's transformations (splitting and
-gathering are result-preserving / work-conserving) and the scheduler.
+adversarial operands), the paths that reuse or split a cold multiply
+(plan-cache replay, semiring replay and chunked execution are bit-identical
+to it), the Block Reorganizer's transformations (splitting and gathering
+are result-preserving / work-conserving) and the scheduler.
 """
 
 from unittest import mock
@@ -13,12 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.runner import paper_algorithms
 from repro.core.classify import classify_pairs
 from repro.core.gathering import plan_gathering
 from repro.core.reorganizer import BlockReorganizer, ReorganizerOptions
 from repro.core.splitting import plan_splitting
 from repro.gpusim.scheduler import list_schedule
 from repro.metrics.lbi import load_balancing_index
+from repro.oocore import BYTES_PER_PRODUCT, chunked_multiply
+from repro.plan.estimate import row_flops
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm import merge
@@ -26,6 +31,8 @@ from repro.spgemm.base import MultiplyContext
 from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
+from repro.spgemm.semiring import MIN_PLUS, semiring_spgemm
+from repro.spgemm.session import IterativeSession
 
 
 @st.composite
@@ -180,6 +187,60 @@ class TestSymbolicPassProperties:
             ):
                 assert np.array_equal(symbolic_row_nnz(a, b), expected)
                 assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
+
+
+def _with_values(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
+    """Same structure, fresh values: positive, explicit zeros and -0.0."""
+    data = rng.uniform(0.5, 2.0, m.nnz)
+    data[rng.random(m.nnz) < 0.15] = 0.0
+    data[rng.random(m.nnz) < 0.1] = -0.0
+    return CSRMatrix(m.shape, m.indptr, m.indices, data)
+
+
+def _assert_identical(got: CSRMatrix, want: CSRMatrix) -> None:
+    assert got.shape == want.shape
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestReplayProperties:
+    @given(multiply_operands(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_replay_semiring_and_chunked_match_cold(self, operands, seed):
+        """For every scheme: a plan-cache replay with fresh values equals a
+        cold multiply on them, a MIN_PLUS replay equals the cold semiring
+        product, and all of it equals scipy.  Row-product split into row
+        panels (with spills) equals the in-memory product."""
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        a, b = operands
+        a2, b2 = _with_values(a, rng), _with_values(b, rng)
+        expected = (
+            sp.csr_matrix((a2.data, a2.indices, a2.indptr), shape=a2.shape)
+            @ sp.csr_matrix((b2.data, b2.indices, b2.indptr), shape=b2.shape)
+        ).toarray()
+        semiring_cold = semiring_spgemm(a2, b2, MIN_PLUS)
+        for algo in paper_algorithms():
+            session = IterativeSession(algo)
+            session.multiply(a, b)
+            replayed = session.multiply(a2, b2)
+            assert session.stats.numeric_replays == 1, algo.name
+            cold = algo.multiply(MultiplyContext.build(a2, b2))
+            _assert_identical(replayed, cold)
+            assert np.allclose(cold.to_dense(), expected, rtol=1e-12, atol=0.0), algo.name
+
+            session.semiring_multiply(a, b, MIN_PLUS)
+            _assert_identical(session.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
+
+        in_memory = RowProductSpGEMM().multiply(MultiplyContext.build(a2, b2))
+        # A one-product budget gives every row with work a panel of its own.
+        chunked, stats = chunked_multiply(
+            RowProductSpGEMM(), a2, b2, mem_budget=BYTES_PER_PRODUCT
+        )
+        if np.count_nonzero(row_flops(a2, b2)) >= 2:
+            assert stats.n_panels >= 2
+        _assert_identical(chunked, in_memory)
 
 
 class TestReorganizerPlanProperties:

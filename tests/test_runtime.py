@@ -4,18 +4,12 @@ Covers the concurrency contract the serve front-end depends on — two
 interleaved request streams against one :class:`Runtime` (same and
 different structure fingerprints, same and different tenants) must stay
 bit-identical to serial execution with no PlanCache cross-contamination —
-and the graceful-shutdown path: a SIGTERM against a process with a warm
-exec pool must not leak ``multiprocessing.shared_memory`` segments.
+and the shutdown hooks that close registered runtimes.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import os
-import signal
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -47,26 +41,19 @@ class TestRuntimeConfig:
 
     def test_from_args_maps_flags(self):
         args = argparse.Namespace(
-            gpu="TeslaV100", workers=3, no_cache=True, exec_workers=2,
-            exec_partitioner="lpt", kernel_backend=None,
+            gpu="TeslaV100", workers=3, no_cache=True,
             plan_cache_entries=5, sessions_per_tenant=2,
         )
         config = RuntimeConfig.from_args(args)
         assert config.gpu.name == "Tesla V100"
         assert config.workers == 3
         assert config.use_result_cache is False
-        assert config.exec_workers == 2
-        assert config.exec_partitioner == "lpt"
         assert config.plan_cache_entries == 5
         assert config.sessions_per_tenant == 2
 
     def test_from_args_ignores_missing_flags(self):
         config = RuntimeConfig.from_args(argparse.Namespace())
         assert config == RuntimeConfig()
-
-    def test_invalid_partitioner_rejected(self):
-        with pytest.raises(ConfigurationError, match="partitioner"):
-            RuntimeConfig(exec_partitioner="nope")
 
     def test_invalid_session_quota_rejected(self):
         with pytest.raises(ConfigurationError, match="sessions_per_tenant"):
@@ -270,24 +257,6 @@ class TestConcurrentSessions:
         assert stats.plan_cache.lowers == 2
 
 
-_SHUTDOWN_SCRIPT = """
-import sys
-import numpy as np
-from repro.runtime import Runtime, RuntimeConfig, lifecycle
-from repro.sparse.csr import CSRMatrix
-
-rng = np.random.default_rng(0)
-dense = (rng.random((200, 200)) < 0.1) * rng.random((200, 200))
-a = CSRMatrix.from_dense(dense)
-rt = Runtime(RuntimeConfig(exec_workers=2))
-lifecycle.install(rt)
-rt.multiply("row-product", a, a)   # spin up the pool + shm segments
-print("ready", flush=True)
-import time
-time.sleep(60)
-"""
-
-
 class TestLifecycle:
     def test_install_uninstall_tracking(self):
         rt = Runtime(RuntimeConfig())
@@ -309,30 +278,3 @@ class TestLifecycle:
             assert rt.closed
         finally:
             lifecycle.uninstall(rt)
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
-    )
-    def test_sigterm_does_not_leak_shared_memory(self, tmp_path):
-        """Satellite: SIGTERM with a warm exec pool leaves no shm segments."""
-        before = set(glob.glob("/dev/shm/repro-exec-*"))
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _SHUTDOWN_SCRIPT],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "ready", proc.stderr.read()
-            live = set(glob.glob("/dev/shm/repro-exec-*")) - before
-            assert live, "exec pool should have published shm segments"
-            proc.send_signal(signal.SIGTERM)
-            code = proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on failure
-                proc.kill()
-                proc.wait(timeout=10)
-        assert code == -signal.SIGTERM  # conventional signal death, post-sweep
-        leaked = set(glob.glob("/dev/shm/repro-exec-*")) - before
-        assert not leaked, f"leaked segments: {sorted(leaked)}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -30,6 +31,7 @@ from repro.serve import (
     csr_from_wire,
     csr_to_wire,
 )
+from repro.serve.server import MAX_BODY_BYTES
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -78,6 +80,15 @@ class TestProtocol:
             csr_from_wire(
                 {"shape": [1, 1], "indptr": [0, 1], "indices": ["x"], "data": [1.0]}
             )
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_data_rejected(self, bad):
+        wire = json.loads(
+            '{"shape": [1, 2], "indptr": [0, 2], "indices": [0, 1], '
+            f'"data": [1.0, {bad}]}}'
+        )
+        with pytest.raises(BadRequest, match="finite"):
+            csr_from_wire(wire)
 
 
 class TestMicroBatcher:
@@ -369,6 +380,53 @@ class TestServer:
         )
         assert status == 400 and "error" in body
 
+    def test_non_finite_values_on_warm_structure_are_400(self, serve_url, rng):
+        """A plan-cache hit skips operand validation, so the boundary must
+        reject NaN/Infinity itself (else a 200 body carries a NaN token)."""
+        a = random_csr(rng, 12, 12, 0.3)
+        wire = csr_to_wire(a)
+        body = {"algorithm": "row-product", "a": wire}
+        status, _ = _post(serve_url, "/v1/multiply", body)
+        assert status == 200  # the structure is now warm
+        wire["data"][:3] = [float("nan"), float("inf"), 1.0]
+        status, reply = _post(serve_url, "/v1/multiply", body)
+        assert status == 400 and "finite" in reply["error"]
+
+    def test_non_finite_scalars_are_400(self, serve_url, rng):
+        a = random_csr(rng, 10, 10, 0.3)
+        for field, value in (("max_iter", float("inf")), ("tol", float("nan"))):
+            status, reply = _post(
+                serve_url,
+                "/v1/pagerank",
+                {"algorithm": "row-product", "adjacency": csr_to_wire(a), field: value},
+            )
+            assert status == 400 and field in reply["error"], (field, reply)
+
+    @pytest.mark.parametrize(
+        "length, status", [(-1, b"400"), (MAX_BODY_BYTES + 1, b"413")]
+    )
+    def test_bad_content_length_refused_and_closed(self, serve_url, length, status):
+        """Refused before any body byte is read, then the connection closes
+        (the test's socket timeout fails it if the server waits instead)."""
+        response = _raw_exchange(
+            serve_url,
+            b"POST /v1/multiply HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode(),
+        )
+        assert response.startswith(b"HTTP/1.1 " + status), response[:80]
+        assert b"Connection: close" in response
+
+
+def _raw_exchange(base, request: bytes) -> bytes:
+    """Send raw bytes; read until the server closes the connection."""
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    chunks = []
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
 
 def _get_text(base, path):
     with urllib.request.urlopen(base + path, timeout=30) as resp:
@@ -653,37 +711,6 @@ class TestServingObservability:
         events = json.loads(trace_file.read_text())["traceEvents"]
         serialize = next(e for e in events if e["name"] == "request.serialize")
         assert serialize["dur"] >= 50_000  # microseconds: the encode ran in the stage
-
-    def test_histograms_deterministic_across_dispatch_modes(self, rng):
-        """Serial vs exec-pool dispatch: same requests, same counts, and the
-        served results stay bit-identical to the serial batch path."""
-        a = random_csr(rng, 30, 30, 0.15)
-        b = random_csr(rng, 30, 30, 0.15)
-        expected = RowProductSpGEMM().multiply(MultiplyContext.build(a, b))
-        body = {"algorithm": "row-product", "a": csr_to_wire(a), "b": csr_to_wire(b)}
-        counts = {}
-        for label, workers in (("serial", 1), ("pooled", 2)):
-            runtime = Runtime(RuntimeConfig(exec_workers=workers))
-            thread = ServerThread(runtime, ServeConfig(port=0))
-            host, port = thread.start()
-            try:
-                base = f"http://{host}:{port}"
-                for _ in range(4):
-                    status, reply = _post(base, "/v1/multiply", body)
-                    assert status == 200
-                    assert identical(csr_from_wire(reply["result"]), expected)
-                _, stats = _get(base, "/stats")
-                route = stats["serving"]["routes"]["multiply"]
-                counts[label] = (
-                    route["requests"], route["errors"], route["sheds"],
-                    route["latency_ms"]["count"],
-                )
-                if workers > 1:
-                    # The shared exec engine's counters surface in /stats.
-                    assert stats["runtime"]["exec"] is not None
-            finally:
-                thread.stop()
-        assert counts["serial"] == counts["pooled"] == (4, 0, 0, 4)
 
 
 class TestServeShutdown:

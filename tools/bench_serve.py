@@ -17,14 +17,13 @@ histogram, and the two views must agree within histogram-bucket tolerance
 (the server buckets are sqrt(2)-spaced, so quantiles round up by at most
 ~41%; clients additionally see connection overhead).  Every multiply
 response is asserted *bit-identical* to the same product computed locally
-through :class:`repro.runtime.Runtime` (the batch-CLI path) — the server
-runs with the multicore exec pool enabled, so this also pins exec-pool
-dispatch to the serial reference.  Mixed multiply/pagerank traffic is
+through :class:`repro.runtime.Runtime` (the batch-CLI path).  Mixed
+multiply/pagerank traffic is
 checked the same way.  A final ``/metrics`` scrape is validated against
 the Prometheus exposition schema (``--metrics-out`` saves it), and
 ``--trace-dir`` makes the server export every request as a Chrome trace.
-On shutdown (SIGTERM) the bench asserts a zero exit code, no leaked
-``/dev/shm/repro-exec-*`` segments and no surviving worker processes.
+On shutdown (SIGTERM) the bench asserts a zero exit code, no new
+``/dev/shm/repro-*`` segments and no surviving child processes.
 
 Writes the measurements as JSON — ``BENCH_pr8.json`` at the repo root
 records the PR's numbers.
@@ -106,7 +105,6 @@ def start_server(args) -> tuple[subprocess.Popen, str]:
         "--port", "0",
         "--max-inflight", str(args.max_inflight),
         "--batch-window", str(args.batch_window),
-        "--exec-workers", str(args.exec_workers),
     ]
     if args.trace_dir:
         cmd += ["--trace-dir", args.trace_dir, "--trace-slow-ms", "0"]
@@ -123,7 +121,7 @@ def start_server(args) -> tuple[subprocess.Popen, str]:
 
 
 def worker_pids(server_pid: int) -> set[int]:
-    """Direct children of the server (exec-pool workers), via /proc."""
+    """Direct children of the server, via /proc."""
     pids = set()
     for stat in glob.glob("/proc/[0-9]*/stat"):
         try:
@@ -271,8 +269,6 @@ def main() -> int:
                         help="save the final /metrics scrape (Prometheus text)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="server exports per-request Chrome traces here")
-    parser.add_argument("--exec-workers", type=int, default=2,
-                        help="server exec-pool width (local reference stays serial)")
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--requests-per-client", type=int, default=6)
     parser.add_argument("--size", type=int, default=300, metavar="N",
@@ -302,6 +298,7 @@ def main() -> int:
             local.multiply(args.algorithm, a, b).result for a, b in distinct_pairs
         ]
 
+    shm_before = set(glob.glob("/dev/shm/repro-*"))
     proc, base = start_server(args)
     client = ServeClient(base)
     try:
@@ -345,7 +342,7 @@ def main() -> int:
     finally:
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=30)
-    leaked_shm = glob.glob("/dev/shm/repro-exec-*")
+    leaked_shm = sorted(set(glob.glob("/dev/shm/repro-*")) - shm_before)
     stray = {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
     shutdown = {
         "exit_code": exit_code,
@@ -374,9 +371,9 @@ def main() -> int:
         "description": (
             "repro serve under concurrent load: shared vs distinct operand "
             "structures, responses asserted bit-identical to the batch "
-            "Runtime path (exec pool enabled server-side), amortisation "
-            "factor = requests per symbolic lowering, server-histogram "
-            "latency asserted against client wall clocks, /metrics scrape "
+            "Runtime path, amortisation factor = requests per symbolic "
+            "lowering, server-histogram latency asserted against client "
+            "wall clocks, /metrics scrape "
             "schema-validated"
         ),
         "engine": args.algorithm,
@@ -387,7 +384,6 @@ def main() -> int:
         "server": {
             "max_inflight": args.max_inflight,
             "batch_window": args.batch_window,
-            "exec_workers": args.exec_workers,
         },
         "shared_structure": shared_phase,
         "distinct_structures": distinct_phase,
@@ -400,7 +396,6 @@ def main() -> int:
             for key in ("queue_depth", "inflight_flops", "coalescence_factor",
                         "estimate_fallbacks", "traces_written")
         },
-        "exec": final_stats["runtime"]["exec"],
         "metrics_families": metrics_families,
         "traces_exported": traces_exported,
         "amortisation_factor": amortised,

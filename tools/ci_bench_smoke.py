@@ -11,26 +11,13 @@ asserts every path yields **byte-identical** serialised ``BenchResult``s and
 that the warm pass is answered entirely from cache, then writes the results
 plus a comparison record as a JSON artifact for the CI run.
 
-Independently of the bench grid, every dataset x scheme numeric product is
-also computed twice — serially and through the ``repro.exec`` partitioned
-execution plane (``--exec-workers``, default 2, with the size threshold
-forced to zero so every kernel actually goes through the pool) — and the
-resulting CSR matrices must match **bit for bit** (indptr, indices, data).
-
 The serial results are additionally diffed against a committed golden grid
 (``--golden``, default ``tools/golden/bench_smoke_golden.json``): every field
 must be exactly equal, except ``gflops`` which may drift by at most 1e-9.
 Any intended change to simulation semantics must regenerate the golden with
 ``--update-golden`` and commit it alongside the change.
 
-``--kernel-backend`` runs the entire smoke under a non-default kernel
-backend (e.g. ``numba``).  Because backends are bit-identical by contract,
-the *same* committed golden grid must still match — CI's numba leg runs
-``--kernel-backend numba --exec-workers 2`` against the golden written by
-the numpy leg.  An unavailable backend exits 2 (the CI leg guards on
-importability first, so wheel gaps skip rather than fail).
-
-Exit code 0 on success, 1 on any mismatch, 2 on an unavailable backend.
+Exit code 0 on success, 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -41,14 +28,9 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from repro import exec as rexec
-from repro import kernels
 from repro.bench.cache import ResultCache, result_to_dict
-from repro.bench.runner import clear_context_cache, get_context, paper_algorithms, run_matrix
+from repro.bench.runner import clear_context_cache, paper_algorithms, run_matrix
 from repro.datasets.loader import clear_cache
-from repro.errors import KernelBackendError
 
 DATASETS = ["poisson3da", "as_caida"]
 DEFAULT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "bench_smoke_golden.json")
@@ -111,38 +93,9 @@ def _check_golden(path: str, serial: dict[str, str], failures: list[str]) -> Non
             _diff_cell(cell, golden[cell], current[cell], failures)
 
 
-def _check_exec_plane(datasets, exec_workers: int, failures: list[str]) -> int:
-    """Serial vs ``repro.exec`` numeric products, bit for bit; returns cells."""
-    checked = 0
-    for name in datasets:
-        ctx = get_context(name)
-        for algo in paper_algorithms():
-            serial = algo.multiply(ctx)
-            # min_items=0 forces every kernel through the pool so this
-            # actually exercises the partitioned path on smoke-size inputs.
-            with rexec.engine_scope(exec_workers, min_items=0):
-                par = algo.multiply(ctx)
-            if not (
-                serial.shape == par.shape
-                and np.array_equal(serial.indptr, par.indptr)
-                and np.array_equal(serial.indices, par.indices)
-                and np.array_equal(serial.data, par.data)
-            ):
-                failures.append(
-                    f"exec-plane mismatch in {name}/{algo.name} "
-                    f"(exec-workers={exec_workers})"
-                )
-            checked += 1
-    return checked
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--exec-workers", type=int, default=2, metavar="N",
-        help="pool width for the exec-plane bit-exactness check (0 skips it)",
-    )
     parser.add_argument("--out", default="bench-smoke.json", metavar="FILE")
     parser.add_argument("--datasets", nargs="*", default=DATASETS)
     parser.add_argument(
@@ -153,23 +106,8 @@ def main() -> int:
         "--update-golden", action="store_true",
         help="rewrite the golden grid from this run instead of diffing",
     )
-    parser.add_argument(
-        "--kernel-backend", choices=list(kernels.BACKEND_NAMES), default=None,
-        help="run the whole smoke under this kernel backend; the committed "
-             "golden must still match bit for bit",
-    )
     args = parser.parse_args()
 
-    try:
-        with kernels.use(args.kernel_backend):
-            return _run(args)
-    except KernelBackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args) -> int:
-    """The smoke proper, under an already-selected kernel backend."""
     failures: list[str] = []
     grid = (args.datasets, paper_algorithms())
 
@@ -204,10 +142,6 @@ def _run(args) -> int:
             if warm.get(cell) != blob:
                 failures.append(f"serial vs warm-cache mismatch in {cell}")
 
-    exec_cells = 0
-    if args.exec_workers > 1:
-        exec_cells = _check_exec_plane(args.datasets, args.exec_workers, failures)
-
     if args.update_golden:
         os.makedirs(os.path.dirname(args.golden) or ".", exist_ok=True)
         with open(args.golden, "w", encoding="utf-8") as fh:
@@ -223,10 +157,7 @@ def _run(args) -> int:
     artifact = {
         "datasets": args.datasets,
         "workers": args.workers,
-        "exec_workers": args.exec_workers,
-        "kernel_backend": kernels.active_name(),
         "host_available_cpus": _available_cpus(),
-        "exec_plane_cells": exec_cells,
         "cells": len(serial),
         "cold_cache_misses": cold_misses,
         "failures": failures,
@@ -241,10 +172,7 @@ def _run(args) -> int:
         return 1
     print(
         f"OK: {len(serial)} cells identical across serial, "
-        f"parallel(workers={args.workers}) and cached paths; "
-        f"{exec_cells} numeric products bit-identical under "
-        f"exec-workers={args.exec_workers} "
-        f"[backend={kernels.active_name()}] -> {args.out}"
+        f"parallel(workers={args.workers}) and cached paths -> {args.out}"
     )
     return 0
 
