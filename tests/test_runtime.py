@@ -4,12 +4,17 @@ Covers the concurrency contract the serve front-end depends on — two
 interleaved request streams against one :class:`Runtime` (same and
 different structure fingerprints, same and different tenants) must stay
 bit-identical to serial execution with no PlanCache cross-contamination —
-and the shutdown hooks that close registered runtimes.
+and the shutdown hooks that close registered runtimes: a SIGTERM against a
+process with a warm runtime must close it and leak no shared memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -257,6 +262,29 @@ class TestConcurrentSessions:
         assert stats.plan_cache.lowers == 2
 
 
+_SHUTDOWN_SCRIPT = """
+import numpy as np
+from repro.runtime import Runtime, RuntimeConfig, lifecycle
+from repro.sparse.csr import CSRMatrix
+
+class ReportingRuntime(Runtime):
+    def close(self):
+        if not self.closed:
+            print("closed", flush=True)
+        super().close()
+
+rng = np.random.default_rng(0)
+dense = (rng.random((200, 200)) < 0.1) * rng.random((200, 200))
+a = CSRMatrix.from_dense(dense)
+rt = ReportingRuntime(RuntimeConfig())
+lifecycle.install(rt)
+rt.multiply("row-product", a, a)   # a warm session and plan cache
+print("ready", flush=True)
+import time
+time.sleep(60)
+"""
+
+
 class TestLifecycle:
     def test_install_uninstall_tracking(self):
         rt = Runtime(RuntimeConfig())
@@ -278,3 +306,30 @@ class TestLifecycle:
             assert rt.closed
         finally:
             lifecycle.uninstall(rt)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_sigterm_does_not_leak_shared_memory(self):
+        """SIGTERM with a warm runtime: the sweep closes it, then the
+        process dies by the signal, leaving no shared-memory segments."""
+        before = set(os.listdir("/dev/shm"))
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SHUTDOWN_SCRIPT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            assert proc.stdout.readline().strip() == "ready", proc.stderr.read()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == -signal.SIGTERM  # conventional death, post-sweep
+        assert out.split() == ["closed"]
+        leaked = set(os.listdir("/dev/shm")) - before
+        assert not leaked, f"leaked segments: {sorted(leaked)}"

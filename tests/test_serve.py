@@ -712,6 +712,39 @@ class TestServingObservability:
         serialize = next(e for e in events if e["name"] == "request.serialize")
         assert serialize["dur"] >= 50_000  # microseconds: the encode ran in the stage
 
+    def test_histograms_deterministic_across_dispatch_modes(self, rng):
+        """Immediate vs windowed micro-batch dispatch: same requests, same
+        counts, and the served results stay bit-identical to the batch path."""
+        a = random_csr(rng, 30, 30, 0.15)
+        b = random_csr(rng, 30, 30, 0.15)
+        expected = RowProductSpGEMM().multiply(MultiplyContext.build(a, b))
+        body = {"algorithm": "row-product", "a": csr_to_wire(a), "b": csr_to_wire(b)}
+        counts = {}
+        for label, max_batch in (("immediate", 1), ("windowed", 16)):
+            admission = AdmissionConfig(batch_window=0.002, max_batch=max_batch)
+            thread = ServerThread(
+                Runtime(RuntimeConfig()), ServeConfig(port=0, admission=admission)
+            )
+            host, port = thread.start()
+            try:
+                base = f"http://{host}:{port}"
+                for _ in range(4):
+                    status, reply = _post(base, "/v1/multiply", body)
+                    assert status == 200
+                    assert identical(csr_from_wire(reply["result"]), expected)
+                _, stats = _get(base, "/stats")
+                route = stats["serving"]["routes"]["multiply"]
+                counts[label] = (
+                    route["requests"], route["errors"], route["sheds"],
+                    route["latency_ms"]["count"],
+                )
+                if max_batch == 1:
+                    # Every request was dispatched on arrival, alone.
+                    assert stats["batching"]["largest_batch"] == 1
+            finally:
+                thread.stop()
+        assert counts["immediate"] == counts["windowed"] == (4, 0, 0, 4)
+
 
 class TestServeShutdown:
     def test_thread_stop_closes_runtime_and_frees_port(self, rng):
