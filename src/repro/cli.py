@@ -254,10 +254,9 @@ def _compare_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
             "yes" if identical else "NO",
             ooc.n_panels,
             ooc.spill_count,
-            ooc.merge_rounds,
         ])
     print(format_table(
-        ["algorithm", "bit-identical", "panels", "spills", "merge rounds"], rows,
+        ["algorithm", "bit-identical", "panels", "spills"], rows,
         title=f"{args.dataset}: out-of-core ({args.mem_budget}) vs in-memory",
     ))
     if mismatches:

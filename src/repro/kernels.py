@@ -1,13 +1,11 @@
 """repro.kernels — the numeric primitives, one NumPy function each.
 
-Every numeric path in the library reduces to six primitives: the two
+Every numeric path in the library reduces to five primitives: the two
 symbolic expansions (outer-product and Gustavson row-product), the
-coalescing merge's symbolic half, the two segmented reductions (the merge's
-segmented sum and recipe replay's gather-multiply-sum), and the k-way merge
-of sorted partial-product streams the out-of-core combiner
-(:mod:`repro.oocore`) runs its merge tree on.  :mod:`repro.spgemm.expansion`,
-:mod:`repro.spgemm.merge`, :mod:`repro.plan.cache` and
-:mod:`repro.oocore.executor` call these functions directly.
+coalescing merge's symbolic half, and the two segmented reductions (the
+merge's segmented sum and recipe replay's gather-multiply-sum).
+:mod:`repro.spgemm.expansion`, :mod:`repro.spgemm.merge` and
+:mod:`repro.plan.cache` call these functions directly.
 
 The bit-identity invariant every caller relies on:
 
@@ -32,7 +30,6 @@ __all__ = [
     "merge_symbolic",
     "segmented_sum",
     "gather_multiply_sum",
-    "kway_merge",
 ]
 
 
@@ -148,28 +145,3 @@ def gather_multiply_sum(
     out = np.zeros(n_groups, dtype=np.float64)
     np.add.at(out, group, a_data[a_gather] * b_data[b_gather])
     return out
-
-
-def kway_merge(
-    keys: np.ndarray, vals: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge k ascending key streams, summing duplicates in stream order.
-
-    The streams are concatenated: stream ``s`` occupies
-    ``keys[starts[s]:starts[s + 1]]`` (and the matching ``vals`` slice) and
-    must be ascending within itself.  Returns ``(unique_keys, summed_vals)``
-    with duplicates accumulated in (key, stream index, position-in-stream)
-    order — the order a pointer-walking k-way merge consumes them, and the
-    order a stable sort of the concatenation produces.
-    """
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.empty(len(sorted_keys), dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group = np.cumsum(boundaries) - 1
-    out = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-    np.add.at(out, group, vals[order])
-    return sorted_keys[boundaries], out

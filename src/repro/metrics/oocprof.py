@@ -2,8 +2,8 @@
 
 The chunked executor (:mod:`repro.oocore`) records how a budgeted multiply
 actually ran — panel count and any oversized single-row panels, spill count
-and bytes, merge-tree rounds, the resident-set peak its accounting tracked
-and the process's lifetime peak RSS.  :func:`format_ooc_stats` renders an
+and bytes, the resident-set peak its accounting tracked and the process's
+lifetime peak RSS.  :func:`format_ooc_stats` renders an
 :class:`~repro.oocore.OocStats` for ``repro run --mem-budget`` and the
 out-of-core bench (``tools/bench_oocore.py``).
 """
@@ -30,7 +30,7 @@ def format_bytes(n: int) -> str:
 def format_ooc_stats(stats: OocStats) -> str:
     """Human-readable rendering of one chunked multiply's counters.
 
-    One summary line for the panel decomposition, one for the spill/merge
+    One summary line for the panel decomposition, one for the spill
     activity, one for the memory envelope — the numbers the oocore CI leg
     and BENCH artifacts assert against.
     """
@@ -42,8 +42,7 @@ def format_ooc_stats(stats: OocStats) -> str:
         f"{stats.total_products} products under a "
         f"{format_bytes(stats.budget_bytes)} budget "
         f"({stats.max_products} products resident)",
-        f"  spills: {stats.spill_count} ({format_bytes(stats.bytes_spilled)} "
-        f"written), merge rounds: {stats.merge_rounds}",
+        f"  spills: {stats.spill_count} ({format_bytes(stats.bytes_spilled)} written)",
         f"  memory: resident peak {format_bytes(stats.resident_peak_bytes)}, "
         f"process peak RSS {format_bytes(stats.peak_rss_bytes)}",
     ]

@@ -12,9 +12,9 @@ This package runs those multiplies under an explicit memory budget
 * :mod:`repro.oocore.spill` — the crash-safe, content-addressed disk store
   for partials evicted from the resident set.
 * :mod:`repro.oocore.executor` — :func:`chunked_multiply`, the driver that
-  runs panels through the existing lowering and numeric plane and recombines
-  them with a k-way merge tree, bit-identical to the in-memory path except
-  for the Block Reorganizer on skewed operands (see that module).
+  runs panels through the existing lowering and numeric plane and places
+  each panel's CSR row slice into C, bit-identical to the in-memory path
+  except for the Block Reorganizer on skewed operands (see that module).
 
 Entry points: :meth:`repro.runtime.Runtime.multiply` routes here whenever
 its config carries a budget, and ``repro run/bench/compare`` expose the
@@ -22,13 +22,12 @@ flags.
 """
 
 from repro.oocore.budget import BYTES_PER_PRODUCT, parse_mem_budget, products_for_budget
-from repro.oocore.executor import DEFAULT_FAN_IN, OocStats, chunked_multiply
+from repro.oocore.executor import OocStats, chunked_multiply
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore, sweep_stale
 
 __all__ = [
     "BYTES_PER_PRODUCT",
-    "DEFAULT_FAN_IN",
     "OocStats",
     "Panel",
     "SpillStore",

@@ -1,20 +1,21 @@
-"""The chunked out-of-core executor: panel multiplies + spilling merge tree.
+"""The chunked out-of-core executor: panel multiplies + in-place assembly.
 
 :func:`chunked_multiply` computes ``C = A·B`` under a memory budget that the
 full intermediate expansion would blow through.  It cuts A into row panels
 sized by the paper's precalculated workload sums (:mod:`repro.oocore.panels`),
 runs each panel through the *existing* lowering and numeric plane (the
-scheme's own ``multiply``), and combines the per-panel partial products with
-a k-way merge tree over the :func:`~repro.kernels.kway_merge` primitive.
-Partials that would push the resident set over budget are spilled to disk
-through a crash-safe :class:`~repro.oocore.spill.SpillStore`.
+scheme's own ``multiply``), and keeps each panel's result as its CSR row
+slice of C: the row counts in memory, the column indices and values
+resident or spilled to disk through a crash-safe
+:class:`~repro.oocore.spill.SpillStore` while the resident partials exceed
+the budget.  After the last panel it builds C's ``indptr`` from the row
+counts and copies every partial into place at its offset.
 
-Bit-identity: row panels of A produce disjoint row slices of C, and within a
-panel the product stream is the full stream's restriction to those rows in
-the same relative order — so every output entry is the same sequence of
-float64 additions as the in-memory path, and the merge tree (whose streams
-carry globally disjoint, panel-ordered keys) only concatenates coalesced
-groups, never re-associates them.  ``chunked_multiply`` is therefore
+Bit-identity: row panels of A produce disjoint, ascending row slices of C,
+and within a panel the product stream is the full stream's restriction to
+those rows in the same relative order — so every output entry is the same
+sequence of float64 additions as the in-memory path, and assembly only
+places entries, never adds them.  ``chunked_multiply`` is therefore
 bit-identical to ``algo.multiply`` for every scheme whose emission order
 depends on the rows alone; the oocore CI leg and ``repro compare
 --mem-budget`` assert exactly that.
@@ -27,8 +28,9 @@ the entries they feed: the structure is identical, the values differ in the
 last bits (max |Δ| 5.7e-14 to 2.3e-13 at 9 panels, ⅛ of the expansion).
 ``tests/test_oocore.py`` pins this with a strict xfail.
 
-Per-panel work records ``oocore.panel[i]`` observability spans and the
-returned :class:`OocStats` carries the spill and peak-RSS counters that
+Per-panel work records ``oocore.panel[i]`` observability spans, assembly an
+``oocore.assemble`` span, and the returned :class:`OocStats` carries the
+spill and peak-RSS counters that
 :func:`repro.metrics.oocprof.format_ooc_stats` renders.
 """
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.oocore.budget import parse_mem_budget, products_for_budget
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore
@@ -47,10 +49,7 @@ from repro.runtime import lifecycle
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm, validate_operands
 
-__all__ = ["DEFAULT_FAN_IN", "OocStats", "chunked_multiply"]
-
-#: Merge-tree fan-in: how many partial streams one k-way merge consumes.
-DEFAULT_FAN_IN = 8
+__all__ = ["OocStats", "chunked_multiply"]
 
 
 def _peak_rss_bytes() -> int:
@@ -69,7 +68,7 @@ class OocStats:
     total_products: int = 0
     spill_count: int = 0
     bytes_spilled: int = 0
-    merge_rounds: int = 0
+    merge_rounds: int = 0  # always 0; read only by perfbench/worker.py
     resident_peak_bytes: int = 0
     peak_rss_bytes: int = 0
     panels: list[Panel] = field(default_factory=list)
@@ -84,7 +83,6 @@ class OocStats:
             "total_products": self.total_products,
             "spill_count": self.spill_count,
             "bytes_spilled": self.bytes_spilled,
-            "merge_rounds": self.merge_rounds,
             "resident_peak_bytes": self.resident_peak_bytes,
             "peak_rss_bytes": self.peak_rss_bytes,
             "panel_rows": [[p.row_start, p.row_stop] for p in self.panels],
@@ -92,30 +90,35 @@ class OocStats:
 
 
 class _Partial:
-    """One coalesced (keys, vals) stream, resident or spilled."""
+    """One panel's column indices and values, resident or spilled."""
 
-    __slots__ = ("keys", "vals", "ticket", "nbytes")
+    __slots__ = ("indices", "data", "ticket", "nbytes")
 
-    def __init__(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        self.keys = keys
-        self.vals = vals
+    def __init__(self, indices: np.ndarray, data: np.ndarray) -> None:
+        self.indices = indices
+        self.data = data
         self.ticket: str | None = None
-        self.nbytes = keys.nbytes + vals.nbytes
+        self.nbytes = indices.nbytes + data.nbytes
 
     @property
     def resident(self) -> bool:
-        return self.keys is not None
+        return self.indices is not None
 
     def spill_to(self, store: SpillStore) -> None:
-        self.ticket = store.spill(self.keys, self.vals)
-        self.keys = None
-        self.vals = None
+        self.ticket = store.spill(self.indices, self.data)
+        self.indices = None
+        self.data = None
 
-    def load(self, store: SpillStore | None) -> tuple[np.ndarray, np.ndarray]:
-        if self.keys is not None:
-            return self.keys, self.vals
-        assert store is not None and self.ticket is not None
-        return store.read(self.ticket)
+    def take(self, store: SpillStore | None) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays, read back (digest-checked) if spilled; drops this
+        partial's own references so each is freed once placed."""
+        if self.ticket is not None:
+            assert store is not None
+            return store.read(self.ticket)
+        arrays = self.indices, self.data
+        self.indices = None
+        self.data = None
+        return arrays
 
 
 def chunked_multiply(
@@ -125,24 +128,21 @@ def chunked_multiply(
     *,
     mem_budget: int | str,
     spill_dir: str | None = None,
-    fan_in: int = DEFAULT_FAN_IN,
 ) -> tuple[CSRMatrix, OocStats]:
     """Compute ``A·B`` with ``algo`` under ``mem_budget`` bytes; see module doc.
 
     Returns the product (bit-identical to ``algo.multiply`` on the same
     operands, except ``block-reorganizer`` on skewed operands, whose values
     may differ in the last bits) and the run's :class:`OocStats`.
-    ``spill_dir`` hosts the crash-safe spill store (``$TMPDIR`` by default); ``fan_in`` is the merge
-    tree's arity.  Deliberately does *not* take a plan cache: caching one
-    recipe per panel would retain budget-sized gather arrays per LRU entry,
-    defeating the budget.
+    ``spill_dir`` hosts the crash-safe spill store (``$TMPDIR`` by default).
+    Deliberately does *not* take a plan cache: caching one recipe per panel
+    would retain budget-sized gather arrays per LRU entry, defeating the
+    budget.
     """
     b = a if b is None else b
     validate_operands(a, b)
     budget_bytes = parse_mem_budget(mem_budget)
     max_products = products_for_budget(budget_bytes)
-    if fan_in < 2:
-        raise ValueError(f"fan_in must be >= 2, got {fan_in}")
     n_rows, n_cols = a.n_rows, b.n_cols
     stats = OocStats(budget_bytes=budget_bytes, max_products=max_products)
 
@@ -161,6 +161,7 @@ def chunked_multiply(
                     products=stats.total_products,
                 )
 
+            row_nnz = np.zeros(n_rows, dtype=np.int64)
             partials: list[_Partial] = []
             resident_bytes = 0
             for panel in panels:
@@ -168,14 +169,8 @@ def chunked_multiply(
                     a_panel = slice_rows(a, panel.row_start, panel.row_stop)
                     ctx = MultiplyContext.build(a_panel, b)
                     c_panel = algo.multiply(ctx)
-                    # Global flat (row, col) keys: the panel's rows shifted to
-                    # their position in C.  Rows are disjoint across panels.
-                    local_rows = np.repeat(
-                        np.arange(panel.n_rows, dtype=np.int64), c_panel.row_nnz()
-                    )
-                    global_rows = local_rows + np.int64(panel.row_start)
-                    keys = global_rows * np.int64(n_cols) + c_panel.indices
-                    part = _Partial(keys, c_panel.data.copy())
+                    row_nnz[panel.row_start : panel.row_stop] = c_panel.row_nnz()
+                    part = _Partial(c_panel.indices, c_panel.data)
                     partials.append(part)
                     resident_bytes += part.nbytes
                     stats.resident_peak_bytes = max(stats.resident_peak_bytes, resident_bytes)
@@ -197,51 +192,25 @@ def chunked_multiply(
                         resident_bytes -= victim.nbytes
                         sp.add(spilled=1)
 
-            with obs.span("oocore.merge_tree", "oocore") as sp:
-                while len(partials) > 1:
-                    stats.merge_rounds += 1
-                    merged: list[_Partial] = []
-                    for lo in range(0, len(partials), fan_in):
-                        group = partials[lo : lo + fan_in]
-                        streams = [p.load(store) for p in group]
-                        starts = np.zeros(len(streams) + 1, dtype=np.int64)
-                        np.cumsum([len(k) for k, _ in streams], out=starts[1:])
-                        keys, vals = kernels.kway_merge(
-                            np.concatenate([k for k, _ in streams]),
-                            np.concatenate([v for _, v in streams]),
-                            starts,
-                        )
-                        part = _Partial(keys, vals)
-                        # Intermediate rounds stay budgeted; the last merge's
-                        # output is the final result and stays resident.
-                        if len(partials) > fan_in and part.nbytes > budget_bytes:
-                            if store is None:
-                                store = SpillStore(spill_dir)
-                            part.spill_to(store)
-                        merged.append(part)
-                    partials = merged
-                sp.add(rounds=stats.merge_rounds)
+            with obs.span("oocore.assemble", "oocore") as sp:
+                # Panels are contiguous, ascending row ranges, so each
+                # partial's entries land in one slice of C's arrays.
+                indptr = np.zeros(n_rows + 1, dtype=np.int64)
+                np.cumsum(row_nnz, out=indptr[1:])
+                indices = np.empty(indptr[-1], dtype=np.int64)
+                data = np.empty(indptr[-1], dtype=np.float64)
+                for panel, part in zip(panels, partials):
+                    lo, hi = indptr[panel.row_start], indptr[panel.row_stop]
+                    indices[lo:hi], data[lo:hi] = part.take(store)
+                sp.add(nnz=int(indptr[-1]))
 
-            keys, vals = partials[0].load(store)
             if store is not None:
                 stats.spill_count = store.spill_count
                 stats.bytes_spilled = store.bytes_spilled
             stats.peak_rss_bytes = _peak_rss_bytes()
-            root.add(
-                panels=stats.n_panels,
-                spills=stats.spill_count,
-                merge_rounds=stats.merge_rounds,
-            )
+            root.add(panels=stats.n_panels, spills=stats.spill_count)
     finally:
         if store is not None:
             lifecycle.uninstall(store)
 
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    if len(keys):
-        rows = keys // np.int64(n_cols)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        indices = keys % np.int64(n_cols)
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
-    return CSRMatrix((n_rows, n_cols), indptr, indices, vals), stats
+    return CSRMatrix((n_rows, n_cols), indptr, indices, data), stats

@@ -33,7 +33,7 @@ class Panel:
     """One contiguous row range of A, sized to fit the product budget.
 
     Attributes:
-        index: position in panel order (also the combine order).
+        index: position in panel order (also the order partials are placed in C).
         row_start: first A row in the panel (inclusive).
         row_stop: one past the last A row.
         products: intermediate products this panel expands to.
@@ -55,8 +55,8 @@ def plan_panels(a: CSRMatrix, b: CSRMatrix, max_products: int) -> list[Panel]:
     """Greedily cut A's rows into contiguous panels of ≤ ``max_products``.
 
     Every row lands in exactly one panel and panels are returned in row
-    order (the combine order).  An empty A yields a single empty panel so
-    the executor's pipeline needs no special case.
+    order (the order the executor places them in C).  An empty A yields a
+    single empty panel so the executor's pipeline needs no special case.
     """
     if max_products < 1:
         raise ValueError(f"max_products must be >= 1, got {max_products}")

@@ -1,12 +1,13 @@
 """Disk spill store for out-of-core partial products.
 
 When the chunked executor's resident partials exceed the memory budget, the
-oldest partial (a coalesced ``(keys, vals)`` pair for one row panel) is
-written to disk and its arrays dropped.  The store owns one private
-directory per process — ``<base>/repro-oocore-<pid>-<token>/`` — so
-concurrent runs sharing a ``--spill-dir`` never collide, and files are
-content-addressed by the SHA-256 of their payload so a re-spill of identical
-data is a no-op and read-back can verify integrity.
+oldest partial (one row panel's column indices and values, its CSR row
+slice of C) is written to disk and its arrays dropped until assembly reads
+it back.  The store owns one private directory per process —
+``<base>/repro-oocore-<pid>-<token>/`` — so concurrent runs sharing a
+``--spill-dir`` never collide, and files are content-addressed by the
+SHA-256 of their payload so a re-spill of identical data is a no-op and
+read-back can verify integrity.
 
 Crash safety: the store registers with :mod:`repro.runtime.lifecycle`,
 whose SIGINT/SIGTERM/atexit sweep calls :meth:`SpillStore.close` and
@@ -72,7 +73,7 @@ def sweep_stale(base: Path) -> list[str]:
 
 
 class SpillStore:
-    """Content-addressed on-disk store for spilled ``(keys, vals)`` partials.
+    """Content-addressed on-disk store for spilled ``(indices, data)`` partials.
 
     ``spill`` returns an opaque ticket (the content digest); ``read`` loads
     the arrays back and re-verifies the digest.  ``close`` removes the whole
@@ -101,13 +102,17 @@ class SpillStore:
         """The per-process spill directory (exists until :meth:`close`)."""
         return self._dir
 
-    def spill(self, keys: np.ndarray, vals: np.ndarray) -> str:
-        """Write one partial to disk; return its content-digest ticket."""
+    def spill(self, indices: np.ndarray, data: np.ndarray) -> str:
+        """Write one partial to disk; return its content-digest ticket.
+
+        A failed write (a full disk, say) raises :class:`OutOfCoreError`
+        and leaves no temporary file behind.
+        """
         if self._closed:
             raise OutOfCoreError("spill store is closed")
         buf = io.BytesIO()
-        np.savez(buf, keys=np.asarray(keys, dtype=np.int64),
-                 vals=np.asarray(vals, dtype=np.float64))
+        np.savez(buf, indices=np.asarray(indices, dtype=np.int64),
+                 data=np.asarray(data, dtype=np.float64))
         payload = buf.getvalue()
         digest = hashlib.sha256(payload).hexdigest()
         target = self._dir / f"{digest}.npz"
@@ -115,8 +120,14 @@ class SpillStore:
             # Write-then-rename so a partial write from a crash mid-spill
             # never masquerades as a complete, content-verified file.
             tmp = target.with_suffix(".tmp")
-            tmp.write_bytes(payload)
-            os.replace(tmp, target)
+            try:
+                tmp.write_bytes(payload)
+                os.replace(tmp, target)
+            except OSError as exc:
+                tmp.unlink(missing_ok=True)
+                raise OutOfCoreError(
+                    f"cannot write a spilled partial to {self._dir}: {exc}"
+                ) from exc
             self.bytes_spilled += len(payload)
         self.spill_count += 1
         return digest
@@ -131,7 +142,7 @@ class SpillStore:
         if hashlib.sha256(payload).hexdigest() != ticket:
             raise OutOfCoreError(f"spilled partial {ticket} failed its content check")
         with np.load(io.BytesIO(payload)) as archive:
-            return archive["keys"], archive["vals"]
+            return archive["indices"], archive["data"]
 
     def close(self) -> None:
         """Remove the spill directory (idempotent)."""

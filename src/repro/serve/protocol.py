@@ -15,7 +15,9 @@ network.  ``json.loads`` accepts the non-standard ``NaN`` and ``Infinity``
 tokens, so every number that reaches a multiply is checked for finiteness
 here: a non-finite input would otherwise flow into a warm-structure replay
 (which skips operand validation) and come back as a ``NaN`` token — not
-valid JSON — in a 200 body.
+valid JSON — in a 200 body.  Finite inputs can still overflow to a
+non-finite *result*; the server's serialize stage refuses those with HTTP
+422, so a 200 body is always strict JSON.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ histograms (:class:`~repro.obs.serving.ServingMetrics`) surfaced by
 ``/stats`` and ``/metrics``; with ``--trace-dir`` set, requests slower than
 ``--trace-slow-ms`` export their span tree as a Chrome trace file.
 
-Errors: 400 malformed/unknown inputs, 404/405 bad route, 503 shed by
+Errors: 400 malformed/unknown inputs, 404/405 bad route, 413 oversized
+body, 422 a result that overflowed to a non-finite number, 503 shed by
 admission (with a ``Retry-After`` header derived from the observed drain
 rate), 504 per-request timeout, 500 anything else — always
 ``{"error": "..."}``.  Shed requests count in the ``sheds`` column only;
@@ -96,6 +97,10 @@ MAX_BODY_BYTES = 64 << 20
 #: Most trace files one server writes into ``--trace-dir`` (slow requests
 #: under sustained overload must not fill the disk).
 TRACE_FILE_CAP = 128
+
+
+class Unprocessable(Exception):
+    """A valid request whose result JSON cannot carry (HTTP 422)."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,8 @@ class Server:
             status, payload = 200, await handler(parsed, tenant, trace)
         except (BadRequest, ReproError) as exc:
             status, payload = 400, {"error": str(exc)}
+        except Unprocessable as exc:
+            status, payload = 422, {"error": str(exc)}
         except Overloaded as exc:
             shed = True
             status = 503
@@ -494,8 +501,18 @@ def _parse_head(head: bytes) -> tuple[str, str, dict]:
 
 
 def _encode_json(payload) -> bytes:
-    """The wire encoding of every JSON response body."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """The wire encoding of a compute route's response body: strict JSON.
+
+    Raises :class:`Unprocessable` when the result holds a non-finite number,
+    which JSON has no token for.
+    """
+    try:
+        return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError:
+        raise Unprocessable(
+            "the result is not finite (a value overflowed to Infinity or NaN), "
+            "which JSON cannot carry"
+        ) from None
 
 
 async def _respond(
@@ -512,6 +529,7 @@ async def _respond(
         404: "Not Found",
         405: "Method Not Allowed",
         413: "Payload Too Large",
+        422: "Unprocessable Entity",
         500: "Internal Server Error",
         503: "Service Unavailable",
         504: "Gateway Timeout",
@@ -523,7 +541,7 @@ async def _respond(
         body = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
-        body = _encode_json(payload)
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         content_type = "application/json"
     extra = "".join(
         f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()

@@ -3,23 +3,25 @@
 The load-bearing guarantee is that :func:`repro.oocore.chunked_multiply`
 is *bit-identical* to the in-memory path — row panels of A produce disjoint
 row slices of C, each panel's product stream is the full stream's
-restriction in the same relative order, and the merge tree only
-concatenates coalesced groups with globally disjoint keys.  These tests
-assert that end to end (tiny budgets forcing real panel splits and real
-disk spills), pin the one exception (the Block Reorganizer on power-law
-operands, identical structure but last-bit value differences) with a strict
-xfail, plus the supporting pieces: budget parsing, the greedy panel
-planner, the crash-safe spill store (including the SIGTERM-mid-spill leak
-check), the ``kway_merge`` kernel
-primitive, the ``@full`` catalog derivation and the runtime/CLI wiring.
+restriction in the same relative order, and assembly only places each
+panel's entries at its rows' offsets.  These tests assert that end to end
+(tiny budgets forcing real panel splits and real disk spills), pin the one
+exception (the Block Reorganizer on power-law operands, identical structure
+but last-bit value differences) with a strict xfail, plus the supporting
+pieces: budget parsing, the greedy panel planner, the crash-safe spill
+store (including the SIGTERM-mid-spill leak check and the full-disk and
+corrupt-file faults), the ``@full`` catalog derivation and the runtime/CLI
+wiring.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from repro.datasets.catalog import (
     list_names,
 )
 from repro.errors import ConfigurationError, DatasetError, OutOfCoreError
-from repro import kernels
 from repro.oocore import (
     BYTES_PER_PRODUCT,
     OocStats,
@@ -59,6 +60,18 @@ def _random_csr(rng, n_rows=80, n_cols=80, density=0.08) -> CSRMatrix:
     dense = (rng.random((n_rows, n_cols)) < density) * rng.random((n_rows, n_cols))
     dense[n_rows // 3, :] = 0.0  # an empty row exercises zero-product panels
     return CSRMatrix.from_dense(dense)
+
+
+def _fail_writes_with_enospc(monkeypatch) -> None:
+    """Make every ``Path.write_bytes`` write half its payload, then fail as a
+    full disk does."""
+    real_write = Path.write_bytes
+
+    def write_half_then_fail(path, payload):
+        real_write(path, payload[: len(payload) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
 
 
 def _assert_identical(chunked: CSRMatrix, reference: CSRMatrix) -> None:
@@ -250,33 +263,14 @@ class TestSpillStore:
         with pytest.raises(OutOfCoreError, match="not writable"):
             SpillStore(locked)
 
-
-class TestKwayMerge:
-    def test_merges_and_sums_duplicates(self):
-        # Two ascending streams with overlapping keys.
-        keys = np.array([1, 4, 9, 2, 4, 9], dtype=np.int64)
-        vals = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
-        starts = np.array([0, 3, 6], dtype=np.int64)
-        out_keys, out_vals = kernels.kway_merge(keys, vals, starts)
-        assert np.array_equal(out_keys, [1, 2, 4, 9])
-        assert np.array_equal(out_vals, [1.0, 10.0, 22.0, 33.0])
-
-    def test_empty_input(self):
-        out_keys, out_vals = kernels.kway_merge(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-            np.zeros(1, dtype=np.int64),
-        )
-        assert out_keys.size == 0 and out_vals.size == 0
-
-    def test_sums_in_stream_order(self):
-        # Float addition is order-sensitive; the contract is (key, stream,
-        # position) order — the same left fold a stable argsort produces.
-        vals = np.array([1e16, 1.0, 1.0])
-        keys = np.array([5, 5, 5], dtype=np.int64)
-        starts = np.array([0, 1, 2, 3], dtype=np.int64)
-        _, out_vals = kernels.kway_merge(keys, vals, starts)
-        assert out_vals[0] == ((1e16 + 1.0) + 1.0)  # not 1e16 + (1+1)
+    def test_full_disk_raises_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        with SpillStore(tmp_path) as store:
+            _fail_writes_with_enospc(monkeypatch)
+            with pytest.raises(OutOfCoreError, match=str(store.path)):
+                store.spill(np.array([1], dtype=np.int64), np.array([1.0]))
+            assert list(store.path.iterdir()) == []
+            assert store.bytes_spilled == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChunkedMultiply:
@@ -291,7 +285,8 @@ class TestChunkedMultiply:
             _assert_identical(chunked, reference)
             assert stats.n_panels > 1, algo.name
             assert stats.spill_count >= 1, algo.name
-            assert stats.merge_rounds >= 1, algo.name
+            # Each partial spills at most once: assembly never re-spills.
+            assert stats.spill_count <= stats.n_panels, algo.name
         # Every store closed behind itself: base dir left empty.
         assert list(tmp_path.iterdir()) == []
 
@@ -368,8 +363,40 @@ class TestChunkedMultiply:
         a = _random_csr(rng, n_rows=10, n_cols=10)
         with pytest.raises(OutOfCoreError):
             chunked_multiply(RowProductSpGEMM(), a, mem_budget="nonsense")
-        with pytest.raises(ValueError, match="fan_in"):
-            chunked_multiply(RowProductSpGEMM(), a, mem_budget="1M", fan_in=1)
+
+    def test_spill_write_failure_raises_out_of_core_error(self, rng, tmp_path, monkeypatch):
+        """A full disk mid-run takes the ``ReproError`` path, not a raw
+        ``OSError``, and the run's spill directory is still removed."""
+        _fail_writes_with_enospc(monkeypatch)
+        with pytest.raises(OutOfCoreError, match="No space left"):
+            chunked_multiply(
+                RowProductSpGEMM(), _random_csr(rng), mem_budget="4K", spill_dir=str(tmp_path)
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corrupt_spill_file_raises_instead_of_returning(self, rng, tmp_path, monkeypatch):
+        """A spilled partial corrupted on disk before assembly reads it back
+        fails its digest check; no result is returned."""
+        real_spill = SpillStore.spill
+        corrupted: set[str] = set()
+
+        def spill_then_flip_a_byte(store, indices, data):
+            ticket = real_spill(store, indices, data)
+            if ticket not in corrupted:  # content-addressed: flip each file once
+                target = store.path / f"{ticket}.npz"
+                raw = bytearray(target.read_bytes())
+                raw[len(raw) // 2] ^= 0xFF
+                target.write_bytes(bytes(raw))
+                corrupted.add(ticket)
+            return ticket
+
+        monkeypatch.setattr(SpillStore, "spill", spill_then_flip_a_byte)
+        with pytest.raises(OutOfCoreError, match="content check"):
+            chunked_multiply(
+                RowProductSpGEMM(), _random_csr(rng), mem_budget="4K", spill_dir=str(tmp_path)
+            )
+        assert corrupted
+        assert list(tmp_path.iterdir()) == []
 
     def test_oocstats_is_jsonable(self):
         import json

@@ -9,6 +9,8 @@ to it), the Block Reorganizer's transformations (splitting and gathering
 are result-preserving / work-conserving) and the scheduler.
 """
 
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -210,8 +212,8 @@ class TestReplayProperties:
     def test_replay_semiring_and_chunked_match_cold(self, operands, seed):
         """For every scheme: a plan-cache replay with fresh values equals a
         cold multiply on them, a MIN_PLUS replay equals the cold semiring
-        product, and all of it equals scipy.  Row-product split into row
-        panels (with spills) equals the in-memory product."""
+        product, and all of it equals scipy.  Split into row panels (with
+        spills) the product equals the in-memory one."""
         sp = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(seed)
         a, b = operands
@@ -221,26 +223,39 @@ class TestReplayProperties:
             @ sp.csr_matrix((b2.data, b2.indices, b2.indptr), shape=b2.shape)
         ).toarray()
         semiring_cold = semiring_spgemm(a2, b2, MIN_PLUS)
-        for algo in paper_algorithms():
-            session = IterativeSession(algo)
-            session.multiply(a, b)
-            replayed = session.multiply(a2, b2)
-            assert session.stats.numeric_replays == 1, algo.name
-            cold = algo.multiply(MultiplyContext.build(a2, b2))
-            _assert_identical(replayed, cold)
-            assert np.allclose(cold.to_dense(), expected, rtol=1e-12, atol=0.0), algo.name
+        panelled = np.count_nonzero(row_flops(a2, b2)) >= 2
+        # hypothesis runs examples inside one test call, so a function-scoped
+        # tmp_path would be shared; each example gets its own spill base.
+        with tempfile.TemporaryDirectory() as spill_dir:
+            for algo in paper_algorithms():
+                session = IterativeSession(algo)
+                session.multiply(a, b)
+                replayed = session.multiply(a2, b2)
+                assert session.stats.numeric_replays == 1, algo.name
+                cold = algo.multiply(MultiplyContext.build(a2, b2))
+                _assert_identical(replayed, cold)
+                assert np.allclose(cold.to_dense(), expected, rtol=1e-12, atol=0.0), algo.name
 
-            session.semiring_multiply(a, b, MIN_PLUS)
-            _assert_identical(session.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
+                session.semiring_multiply(a, b, MIN_PLUS)
+                _assert_identical(session.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
 
-        in_memory = RowProductSpGEMM().multiply(MultiplyContext.build(a2, b2))
-        # A one-product budget gives every row with work a panel of its own.
-        chunked, stats = chunked_multiply(
-            RowProductSpGEMM(), a2, b2, mem_budget=BYTES_PER_PRODUCT
-        )
-        if np.count_nonzero(row_flops(a2, b2)) >= 2:
-            assert stats.n_panels >= 2
-        _assert_identical(chunked, in_memory)
+                # A one-product budget gives every row with work a panel of
+                # its own and forces spills.
+                chunked, stats = chunked_multiply(
+                    algo, a2, b2, mem_budget=BYTES_PER_PRODUCT, spill_dir=spill_dir
+                )
+                if panelled:
+                    assert stats.n_panels >= 2, algo.name
+                assert stats.spill_count <= stats.n_panels, algo.name
+                if algo.name == "block-reorganizer":
+                    # Classifies per panel, so sums may re-associate (the
+                    # strict xfail in test_oocore.py pins this).
+                    assert chunked.indptr.tobytes() == cold.indptr.tobytes()
+                    assert chunked.indices.tobytes() == cold.indices.tobytes()
+                    assert np.allclose(chunked.data, cold.data, rtol=1e-12, atol=0.0)
+                else:
+                    _assert_identical(chunked, cold)
+            assert os.listdir(spill_dir) == []
 
 
 class TestReorganizerPlanProperties:

@@ -392,6 +392,27 @@ class TestServer:
         status, reply = _post(serve_url, "/v1/multiply", body)
         assert status == 400 and "finite" in reply["error"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_result_overflowing_to_infinity_is_422(self, serve_url):
+        """Finite input whose product overflows: the body must stay strict
+        JSON, so the server refuses it instead of writing ``Infinity``."""
+        one = {"shape": [1, 1], "indptr": [0, 1], "indices": [0], "data": [1e200]}
+        req = urllib.request.Request(
+            serve_url + "/v1/multiply",
+            data=json.dumps({"algorithm": "row-product", "a": one}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(req, timeout=30)
+        with excinfo.value as response:
+            assert response.code == 422
+            reply = json.loads(response.read(), parse_constant=reject)
+        assert "finite" in reply["error"]
+
     def test_non_finite_scalars_are_400(self, serve_url, rng):
         a = random_csr(rng, 10, 10, 0.3)
         for field, value in (("max_iter", float("inf")), ("tol", float("nan"))):

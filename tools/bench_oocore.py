@@ -17,7 +17,9 @@ results.
 
 ``--smoke`` shrinks the grid to one dataset and one tiny budget but widens
 it across **all seven schemes** — the CI leg that proves the chunked path
-is bit-identical everywhere and actually spills (``--assert-spill``).
+is bit-identical everywhere, actually spills (``--assert-spill``) and keeps
+its memory envelope: every chunked cell's peak RSS must be below its
+in-memory cell's.
 
 Writes the measurements as JSON: ``BENCH_pr10.json`` at the repo root
 records this PR's numbers (schema_version 1: budgets are keyed by their CLI
@@ -120,7 +122,7 @@ def main() -> int:
     parser.add_argument("--algorithms", nargs="*", default=["row-product"])
     parser.add_argument("--smoke", action="store_true",
                         help="one small dataset, one tiny budget, all seven "
-                             "schemes (the CI bit-identity leg)")
+                             "schemes (the CI bit-identity and peak-RSS leg)")
     parser.add_argument("--assert-spill", action="store_true",
                         help="fail unless at least one partial spilled to disk")
     parser.add_argument("--out", default="BENCH_pr10.json")
@@ -171,6 +173,12 @@ def main() -> int:
                     failures.append(
                         f"{dataset}/{algorithm} @ {budget}: result differs "
                         "from the in-memory path"
+                    )
+                if args.smoke and cell["peak_rss_bytes"] >= baseline["peak_rss_bytes"]:
+                    failures.append(
+                        f"{dataset}/{algorithm} @ {budget}: peak RSS "
+                        f"{cell['peak_rss_bytes'] >> 20} MiB is not below the "
+                        f"in-memory {baseline['peak_rss_bytes'] >> 20} MiB"
                     )
                 ooc = cell["oocore"]
                 total_spills += ooc["spill_count"]
