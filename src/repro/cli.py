@@ -15,8 +15,8 @@ Commands:
 * ``experiment``        — regenerate one of the paper's tables/figures.
 * ``plan show``         — lower one algorithm for one dataset and print the
                           resulting :class:`ExecutionPlan` (phases, blocks,
-                          kernels, metadata); ``--execute`` also runs the
-                          numeric kernels with per-phase instrumentation.
+                          coverage, metadata); ``--execute`` also runs the
+                          numeric kernel with per-phase instrumentation.
 * ``trace``             — run one dataset/algorithm cell with the
                           observability plane (:mod:`repro.obs`) on and print
                           the recorded span tree plus a per-category
@@ -162,7 +162,7 @@ def _run_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
     """``run --mem-budget``: the numeric plane through the chunked executor.
 
     Skips the simulator and the bench runner's context cache entirely — at
-    full scale the in-memory reference expansion those paths materialise is
+    full scale the whole-operand expansion an in-memory multiply builds is
     exactly what the budget forbids.
     """
     import time
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", default=TITAN_XP.name)
     p.add_argument(
         "--execute", action="store_true",
-        help="also run the numeric kernels and print per-phase instrumentation",
+        help="also run the numeric kernel and print per-phase instrumentation",
     )
     p.set_defaults(func=_cmd_plan_show)
 

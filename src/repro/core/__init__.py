@@ -13,7 +13,6 @@ from repro.core.splitting import (
     SplitPlan,
     choose_split_factors,
     plan_splitting,
-    split_csc_columns,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "SplitPlan",
     "choose_split_factors",
     "plan_splitting",
-    "split_csc_columns",
 ]

@@ -150,7 +150,12 @@ class AdaptiveBlockReorganizer(SpGEMMAlgorithm):
         return BlockReorganizer(self.costs, options=report.options)
 
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
-        """Lower through the tuned pipeline (numerics identical regardless)."""
+        """Lower through the tuned pipeline.
+
+        The structure of C is the same for every option set, but the values
+        may differ from the default Block Reorganizer's in the last bits: a
+        tuned α moves pairs between classes, which reorders their tie ranks.
+        """
         return self._configured(ctx).lower(ctx, config)
 
     def plan_signature(self) -> dict:

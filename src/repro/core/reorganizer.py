@@ -8,11 +8,12 @@ baseline's fixed-size blocks.
 
 The class is a thin front over :mod:`repro.plan.passes`: lowering builds the
 outer-product baseline plan and pushes it through a pass pipeline derived
-from :class:`ReorganizerOptions` (see :func:`plan_pipeline`).  Each pass
-rewrites both planes at once — the numeric kernels (dominator columns are
-physically split through the mapper array, so the tests can verify the
-paper's "same results as the original vector pairs" claim) and the thread
-block descriptors the simulator consumes.
+from :class:`ReorganizerOptions` (see :func:`plan_pipeline`).  Classification
+splits the expansion into per-class phases, whose positions become the
+pairs' tie ranks in the numeric kernel; the technique passes reshape only
+the thread-block descriptors the simulator consumes, each keeping its
+phase's coverage — the paper's "same results as the original vector pairs"
+— which the executor checks against the blocks.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """B-Splitting (Section IV-C1): divide overloaded blocks.
 
-Dominator column vectors are copied into a temporary matrix A' whose column
-pointers are expanded so that each original dominator column becomes several
-smaller columns; a *mapper array* records which original pair every split
-column came from, so products land in exactly the same output coordinates.
-This module implements both planes:
-
-* :func:`plan_splitting` — the performance plan: per-dominator splitting
-  factor (a power of two, chosen greedily so dominator work spreads over more
-  blocks than the GPU has SMs) and the per-split-block workloads.
-* :func:`split_csc_columns` — the numeric structure: an actual split CSC
-  matrix plus mapper, used by the Block Reorganizer's numeric plane and by
-  the tests that verify split execution reproduces the original product.
+In the paper, dominator column vectors are copied into a temporary matrix
+A' whose column pointers are expanded so that each original dominator column
+becomes several smaller columns; a *mapper array* records which original
+pair every split column came from, so products land in exactly the same
+output coordinates.  Split blocks therefore compute exactly the dominator
+pairs' products — "the same results as the original vector pairs" — and
+splitting is a performance-plane decision only: :func:`plan_splitting`
+chooses the per-dominator splitting factor (a power of two, chosen greedily
+so dominator work spreads over more blocks than the GPU has SMs) and the
+per-split-block workloads.  The numeric plane computes the dominator pairs
+whole (:class:`~repro.plan.passes.SplitPass` keeps their coverage), and the
+host is charged for building A' (``split_entries``).
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sparse.csc import CSCMatrix
 
 __all__ = [
     "SplitPlan",
     "choose_split_factors",
     "plan_splitting",
-    "split_csc_columns",
-    "split_source_indices",
 ]
 
 
@@ -123,65 +120,3 @@ def plan_splitting(
         dominator_ids=dominator_ids,
         split_entries=int(dom_na.sum() + dom_nb.sum()),
     )
-
-
-def split_source_indices(
-    a_csc: CSCMatrix, plan: SplitPlan
-) -> tuple[np.ndarray, np.ndarray]:
-    """Structure of A': split-column pointers and source-entry gather array.
-
-    Returns ``(indptr, src)`` where ``indptr`` is the split matrix's column
-    pointer array (one column per split block) and ``src`` maps every entry
-    of A' to the stored entry of ``a_csc`` it is copied from.  This is the
-    symbolic half of :func:`split_csc_columns`; the plan cache records
-    ``src`` so numeric replay can gather fresh dominator values without
-    re-materialising A'.
-    """
-    n_split = plan.n_blocks
-    if n_split == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    # Source ranges: walk each dominator's column, carving consecutive chunks
-    # of plan.na entries.
-    indptr = np.zeros(n_split + 1, dtype=np.int64)
-    np.cumsum(plan.na, out=indptr[1:])
-    total = int(indptr[-1])
-
-    # Per split block, its offset within its dominator column.
-    first_of_pair = np.ones(n_split, dtype=bool)
-    first_of_pair[1:] = plan.pair_ids[1:] != plan.pair_ids[:-1]
-    running = np.cumsum(plan.na) - plan.na
-    pair_base = np.where(first_of_pair, running, 0)
-    pair_base = np.maximum.accumulate(pair_base)
-    block_starts_in_pair = running - pair_base
-
-    src_col_start = a_csc.indptr[plan.pair_ids]
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(running, plan.na)
-    src = np.repeat(src_col_start + block_starts_in_pair, plan.na) + offsets
-    return indptr, src
-
-
-def split_csc_columns(
-    a_csc: CSCMatrix, plan: SplitPlan
-) -> tuple[CSCMatrix, np.ndarray]:
-    """Materialise A': the dominator columns, physically split.
-
-    Returns a CSC matrix with one column per split block (entries copied from
-    the original dominator columns) and the mapper array giving each new
-    column's original pair id.  Expanding (A' column j) x (B row mapper[j])
-    for all j reproduces exactly the dominators' contribution to C — the
-    property the paper's Figure 5 illustrates and our tests assert.
-    """
-    n_split = plan.n_blocks
-    mapper = plan.pair_ids.copy()
-    if n_split == 0:
-        return CSCMatrix.empty((a_csc.n_rows, 0)), mapper
-
-    indptr, src = split_source_indices(a_csc, plan)
-    split = CSCMatrix(
-        (a_csc.n_rows, n_split),
-        indptr,
-        a_csc.indices[src],
-        a_csc.data[src],
-    )
-    return split, mapper

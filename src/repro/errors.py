@@ -32,9 +32,10 @@ class ConfigurationError(ReproError):
 
 
 class PlanError(ReproError):
-    """An :class:`~repro.plan.ir.ExecutionPlan` is malformed or its numeric
-    kernels are inconsistent with its block descriptors (a phase emitted a
-    different number of products than its blocks account for)."""
+    """An :class:`~repro.plan.ir.ExecutionPlan` is malformed or its coverage
+    is inconsistent with its block descriptors (a phase covers a different
+    number of products than its blocks account for, or the expansion phases
+    do not cover every product exactly once)."""
 
 
 class FingerprintError(ReproError):

@@ -1,36 +1,45 @@
 """repro.kernels — the numeric primitives, one NumPy function each.
 
-Every numeric path in the library reduces to five primitives: the two
-symbolic expansions (outer-product and Gustavson row-product), the
-coalescing merge's symbolic half, and the two segmented reductions (the
-merge's segmented sum and recipe replay's gather-multiply-sum).
-:mod:`repro.spgemm.expansion`, :mod:`repro.spgemm.merge` and
-:mod:`repro.plan.cache` call these functions directly.
+Every numeric path in the library reduces to these functions: the two
+symbolic expansions (outer-product and Gustavson row-product), the one
+numeric kernel :func:`spgemm` every lowered plan runs (its two steps,
+:func:`expand` and :func:`merge`, are public so the plan executor can time
+them), and recipe replay's gather-multiply-sum.  :mod:`repro.spgemm`,
+:mod:`repro.plan` and :mod:`repro.oocore` call these functions directly.
 
-The bit-identity invariant every caller relies on:
-
-* expansions emit triplets in the canonical orders (pair order for the outer
-  product, row order for Gustavson) with provenance indices that are plain
-  integer arithmetic over the operands' index structure;
-* the symbolic merge derives the *stable* sort permutation of the flat
-  coordinate keys — stable sorts have a unique permutation;
-* the reductions accumulate float64 values in ascending stream order (the
-  order :func:`numpy.ufunc.at` applies repeated indices), so a recipe replay
-  sums exactly as the cold merge did.
+The bit-identity invariant every caller relies on is one decision, made in
+:func:`merge`: each output entry is summed from +0.0 in ascending
+(tie rank, position in the expansion order).  The expansion order is pair
+order (outer product) or row order (Gustavson) and is a property of the
+scheme's plan; the per-pair tie rank is zero except where a plan expands
+pair classes in separate phases.  Products are keyed by coordinate (and
+rank), stably sorted, and accumulated with :func:`numpy.ufunc.at`, which
+applies repeated indices in order — so a recipe replay, which gathers the
+products in that sorted order, sums exactly as the cold kernel did.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
+    "PAIR_ORDER",
+    "ROW_ORDER",
+    "Expansion",
     "active_name",
     "expand_outer_indices",
     "expand_row_indices",
-    "merge_symbolic",
-    "segmented_sum",
+    "expand",
+    "merge",
+    "spgemm",
     "gather_multiply_sum",
 ]
+
+#: Expansion orders: pair by pair (outer product) or row by row (Gustavson).
+PAIR_ORDER = "pairs"
+ROW_ORDER = "rows"
 
 
 def active_name() -> str:
@@ -98,39 +107,94 @@ def expand_row_indices(
     return rows, b_indices[b_idx], entry_of, b_idx
 
 
-def merge_symbolic(
-    rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """The symbolic half of the coalescing merge (non-empty streams only).
+class Expansion(NamedTuple):
+    """The kernel's product stream, in expansion order.
 
-    Returns ``(order, group, n_groups, indptr, indices)``: the stable sort
-    permutation over the triplet stream, the output-entry id of each sorted
-    triplet, the unique-coordinate count, and the output CSR structure.
+    ``keys`` is each product's flat coordinate ``row * n_cols + col``,
+    scaled by ``span`` and offset by the product's tie rank when any rank is
+    non-zero.  ``a_idx``/``b_idx`` (only when gathers were asked for) are
+    the stored entries of ``A``/``B`` in CSR order that formed each product.
     """
+
+    keys: np.ndarray
+    span: int
+    vals: np.ndarray
+    a_idx: np.ndarray | None
+    b_idx: np.ndarray | None
+
+
+def expand(a, b, order: str, rank=None, *, gathers: bool = False) -> Expansion:
+    """The kernel's expansion step: every product of ``A·B`` in ``order``.
+
+    ``a`` and ``b`` are CSR (anything with ``shape``, ``indptr``,
+    ``indices`` and ``data``).  Pair order reads A by column through a
+    stable sort of its column indices — the sort
+    :func:`~repro.sparse.convert.csr_to_csc` performs, so a column lists its
+    entries in row order whatever the order within A's rows.  ``rank`` is a
+    per-pair tie rank (one entry per column of A), or None for all zero.
+    """
+    n_rows, n_cols = a.shape[0], b.shape[1]
+    if order == PAIR_ORDER:
+        to_csr = np.argsort(a.indices, kind="stable")
+        col_indptr = np.zeros(a.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=col_indptr[1:])
+        col_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a.indptr))[to_csr]
+        rows, cols, a_idx, b_idx = expand_outer_indices(
+            col_indptr, col_rows, b.indptr, b.indices
+        )
+        a_idx = to_csr[a_idx]
+    elif order == ROW_ORDER:
+        rows, cols, a_idx, b_idx = expand_row_indices(a.indptr, a.indices, b.indptr, b.indices)
+    else:
+        raise ValueError(f"unknown expansion order {order!r}")
+
+    vals = a.data[a_idx] * b.data[b_idx]
     keys = rows.astype(np.int64) * np.int64(n_cols) + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    span = 1
+    if rank is not None and np.any(rank):
+        span = int(np.max(rank)) + 1
+        keys = keys * span + rank[a.indices[a_idx]]
+    if not gathers:
+        a_idx = b_idx = None
+    return Expansion(keys, span, vals, a_idx, b_idx)
 
-    boundaries = np.empty(len(keys), dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = keys[1:] != keys[:-1]
-    group = np.cumsum(boundaries) - 1
 
-    unique_keys = keys[boundaries]
-    out_rows = unique_keys // n_cols
-    out_cols = unique_keys % n_cols
+def merge(expansion: Expansion, shape: tuple[int, int]):
+    """The kernel's merge step: sum the stream into canonical CSR.
+
+    One stable sort by key groups each output entry's products in
+    ascending (tie rank, stream position); each entry is summed from +0.0
+    in that order.  Entries that cancel to zero are kept.  Returns
+    ``(indptr, indices, data, gathers)`` where ``gathers`` is
+    ``(a_gather, b_gather, group)`` in summation order — the arrays of a
+    :class:`~repro.plan.cache.NumericRecipe` — or None when the expansion
+    carries no entry positions.
+    """
+    n_rows, n_cols = shape
+    keys, span, vals, a_idx, b_idx = expansion
+    perm = np.argsort(keys, kind="stable")
+    coords = keys[perm]
+    if span > 1:
+        coords //= span
+    first = np.ones(len(coords), dtype=bool)
+    np.not_equal(coords[1:], coords[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    coords = coords[first]
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_rows, minlength=n_rows), out=indptr[1:])
-    return order, group, int(group[-1]) + 1, indptr, out_cols
+    np.cumsum(np.bincount(coords // n_cols, minlength=n_rows), out=indptr[1:])
+    data = np.zeros(len(coords), dtype=np.float64)
+    np.add.at(data, group, vals[perm])
+    gathers = None if a_idx is None else (a_idx[perm], b_idx[perm], group)
+    return indptr, coords % n_cols, data, gathers
 
 
-def segmented_sum(
-    vals: np.ndarray, order: np.ndarray, group: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Sum ``vals[order]`` by ``group`` in ascending stream order."""
-    out = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(out, group, vals[order])
-    return out
+def spgemm(a, b, order: str, rank=None, *, gathers: bool = False):
+    """``C = A·B``: the one numeric kernel (:func:`expand` then :func:`merge`).
+
+    Returns ``(indptr, indices, data, gathers)``; see the two steps.
+    """
+    stream = expand(a, b, order, rank, gathers=gathers)
+    return merge(stream, (a.shape[0], b.shape[1]))
 
 
 def gather_multiply_sum(

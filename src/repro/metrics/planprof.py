@@ -9,7 +9,7 @@ per-stage totals so the two planes can be compared phase for phase.
 
 The plan cache's amortisation counters (:class:`PlanCacheStats`, re-exported
 from :mod:`repro.plan.cache`) also surface here: :func:`format_cache_stats`
-renders them for ``repro run --iterations`` and the iterative bench.
+renders them for ``repro run --iterations``.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ This package runs those multiplies under an explicit memory budget
 * :mod:`repro.oocore.spill` — the crash-safe, content-addressed disk store
   for partials evicted from the resident set.
 * :mod:`repro.oocore.executor` — :func:`chunked_multiply`, the driver that
-  runs panels through the existing lowering and numeric plane and places
-  each panel's CSR row slice into C, bit-identical to the in-memory path
-  except for the Block Reorganizer on skewed operands (see that module).
+  lowers once on the whole operand, runs the numeric kernel panel by panel
+  with the global plan's tie ranks and places each panel's CSR row slice
+  into C, bit-identical to the in-memory path for every scheme.
 
 Entry points: :meth:`repro.runtime.Runtime.multiply` routes here whenever
 its config carries a budget, and ``repro run/bench/compare`` expose the

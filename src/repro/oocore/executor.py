@@ -1,36 +1,30 @@
 """The chunked out-of-core executor: panel multiplies + in-place assembly.
 
 :func:`chunked_multiply` computes ``C = A·B`` under a memory budget that the
-full intermediate expansion would blow through.  It cuts A into row panels
-sized by the paper's precalculated workload sums (:mod:`repro.oocore.panels`),
-runs each panel through the *existing* lowering and numeric plane (the
-scheme's own ``multiply``), and keeps each panel's result as its CSR row
-slice of C: the row counts in memory, the column indices and values
-resident or spilled to disk through a crash-safe
+full intermediate expansion would blow through.  It lowers the scheme once
+on the whole operand, cuts A into row panels sized by the paper's
+precalculated workload sums (:mod:`repro.oocore.panels`), runs the one
+numeric kernel (:func:`repro.kernels.spgemm`) on each panel with the global
+plan's expansion order and per-pair tie ranks, and keeps each panel's
+result as its CSR row slice of C: the row counts in memory, the column
+indices and values resident or spilled to disk through a crash-safe
 :class:`~repro.oocore.spill.SpillStore` while the resident partials exceed
 the budget.  After the last panel it builds C's ``indptr`` from the row
 counts and copies every partial into place at its offset.
 
-Bit-identity: row panels of A produce disjoint, ascending row slices of C,
-and within a panel the product stream is the full stream's restriction to
-those rows in the same relative order — so every output entry is the same
-sequence of float64 additions as the in-memory path, and assembly only
-places entries, never adds them.  ``chunked_multiply`` is therefore
-bit-identical to ``algo.multiply`` for every scheme whose emission order
-depends on the rows alone; the oocore CI leg and ``repro compare
---mem-budget`` assert exactly that.
+Bit-identity: row panels of A produce disjoint, ascending row slices of C.
+Within a panel, the product stream is the full stream's restriction to
+those rows in the same relative order (in pair order, a column of the
+panel lists its entries in row order, as the whole column does), and the
+tie ranks are the global plan's, so every output entry is the same
+sequence of float64 additions as the in-memory path; assembly only places
+entries, never adds them.  ``chunked_multiply`` is therefore bit-identical
+to ``algo.multiply`` for every scheme, the Block Reorganizer included; the
+oocore CI leg and ``repro compare --mem-budget`` assert exactly that.
 
-The exception is ``block-reorganizer`` on skewed (power-law) operands.  It
-classifies and B-Splits column/row pairs from each *panel's* workload, so a
-pair can be split in a panel but not in memory (or split differently).  That
-moves its products within the stream and re-associates the float64 sums of
-the entries they feed: the structure is identical, the values differ in the
-last bits (max |Δ| 5.7e-14 to 2.3e-13 at 9 panels, ⅛ of the expansion).
-``tests/test_oocore.py`` pins this with a strict xfail.
-
-Per-panel work records ``oocore.panel[i]`` observability spans, assembly an
-``oocore.assemble`` span, and the returned :class:`OocStats` carries the
-spill and peak-RSS counters that
+Lowering records one ``plan.lower[...]`` span, per-panel work an
+``oocore.panel[i]`` span each, assembly an ``oocore.assemble`` span, and
+the returned :class:`OocStats` carries the spill and peak-RSS counters that
 :func:`repro.metrics.oocprof.format_ooc_stats` renders.
 """
 
@@ -41,13 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.oocore.budget import parse_mem_budget, products_for_budget
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore
 from repro.runtime import lifecycle
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm, validate_operands
+from repro.spgemm.base import (
+    DEFAULT_LOWERING_CONFIG,
+    MultiplyContext,
+    SpGEMMAlgorithm,
+    validate_operands,
+)
 
 __all__ = ["OocStats", "chunked_multiply"]
 
@@ -121,6 +120,20 @@ class _Partial:
         return arrays
 
 
+def _global_plan(
+    algo: SpGEMMAlgorithm, a: CSRMatrix, b: CSRMatrix
+) -> tuple[str, np.ndarray | None]:
+    """Lower ``algo`` once on the whole operand and check its invariant.
+
+    Returns what each panel needs: the expansion order and the per-pair tie
+    ranks.  The whole-operand context dies with this frame.
+    """
+    ctx = MultiplyContext.build(a, b)
+    plan = algo.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)
+    plan.phase_ops(ctx)
+    return plan.order, plan.tie_rank(len(ctx.pair_work))
+
+
 def chunked_multiply(
     algo: SpGEMMAlgorithm,
     a: CSRMatrix,
@@ -132,8 +145,7 @@ def chunked_multiply(
     """Compute ``A·B`` with ``algo`` under ``mem_budget`` bytes; see module doc.
 
     Returns the product (bit-identical to ``algo.multiply`` on the same
-    operands, except ``block-reorganizer`` on skewed operands, whose values
-    may differ in the last bits) and the run's :class:`OocStats`.
+    operands) and the run's :class:`OocStats`.
     ``spill_dir`` hosts the crash-safe spill store (``$TMPDIR`` by default).
     Deliberately does *not* take a plan cache: caching one recipe per panel
     would retain budget-sized gather arrays per LRU entry, defeating the
@@ -160,6 +172,7 @@ def chunked_multiply(
                     oversized=stats.n_oversized,
                     products=stats.total_products,
                 )
+            order, rank = _global_plan(algo, a, b)
 
             row_nnz = np.zeros(n_rows, dtype=np.int64)
             partials: list[_Partial] = []
@@ -167,17 +180,18 @@ def chunked_multiply(
             for panel in panels:
                 with obs.span(f"oocore.panel[{panel.index}]", "oocore") as sp:
                     a_panel = slice_rows(a, panel.row_start, panel.row_stop)
-                    ctx = MultiplyContext.build(a_panel, b)
-                    c_panel = algo.multiply(ctx)
-                    row_nnz[panel.row_start : panel.row_stop] = c_panel.row_nnz()
-                    part = _Partial(c_panel.indices, c_panel.data)
+                    panel_indptr, panel_indices, panel_data, _ = kernels.spgemm(
+                        a_panel, b, order, rank
+                    )
+                    row_nnz[panel.row_start : panel.row_stop] = np.diff(panel_indptr)
+                    part = _Partial(panel_indices, panel_data)
                     partials.append(part)
                     resident_bytes += part.nbytes
                     stats.resident_peak_bytes = max(stats.resident_peak_bytes, resident_bytes)
                     sp.add(
                         rows=panel.n_rows,
                         products=panel.products,
-                        nnz=c_panel.nnz,
+                        nnz=len(panel_indices),
                         spilled=0,
                     )
                     # Over budget: spill oldest-first until resident again (the

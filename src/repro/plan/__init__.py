@@ -2,7 +2,9 @@
 
 Schemes implement ``lower(ctx, config) -> ExecutionPlan``; the shared
 executors in :class:`~repro.spgemm.base.SpGEMMAlgorithm` derive the numeric
-result (:meth:`~repro.plan.ir.ExecutionPlan.execute`) and the simulator trace
+result (:meth:`~repro.plan.ir.ExecutionPlan.execute`, which runs the one
+kernel :func:`repro.kernels.spgemm` after checking each phase's
+:class:`~repro.plan.ir.Coverage` against its blocks) and the simulator trace
 (:meth:`~repro.plan.ir.ExecutionPlan.to_trace`) from the same plan, so the
 two planes stay consistent by construction.  Reorganisation techniques are
 :class:`~repro.plan.passes.PlanPass` transformations over plans.
@@ -15,22 +17,13 @@ from repro.plan.cache import (
     SemiringRecipe,
     structure_fingerprint,
 )
-from repro.plan.ir import ExecutionPlan, NumericState, PhaseExecution, PlanPhase
-from repro.plan.kernels import (
-    coalesce_kernel,
-    expand_outer_kernel,
-    expand_outer_pairs_kernel,
-    expand_row_kernel,
-    expand_row_subset_kernel,
-    sort_pending_kernel,
-)
+from repro.plan.ir import Coverage, ExecutionPlan, PhaseExecution, PlanPhase
 from repro.plan.passes import (
     ClassifyPass,
     GatherPass,
     LimitPass,
     PlanPass,
     SplitPass,
-    expand_split_kernel,
     gathered_blocks,
 )
 from repro.plan.show import format_executions, format_plan
@@ -41,22 +34,15 @@ __all__ = [
     "NumericRecipe",
     "SemiringRecipe",
     "structure_fingerprint",
+    "Coverage",
     "ExecutionPlan",
-    "NumericState",
     "PhaseExecution",
     "PlanPhase",
-    "expand_outer_kernel",
-    "expand_row_kernel",
-    "expand_outer_pairs_kernel",
-    "expand_row_subset_kernel",
-    "sort_pending_kernel",
-    "coalesce_kernel",
     "PlanPass",
     "ClassifyPass",
     "SplitPass",
     "GatherPass",
     "LimitPass",
-    "expand_split_kernel",
     "gathered_blocks",
     "format_plan",
     "format_executions",

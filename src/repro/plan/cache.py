@@ -12,8 +12,8 @@ that optimisation for our engine:
 * :func:`structure_fingerprint` — content hash of the operands' sparsity
   structure (shapes + indptr + indices, values excluded).
 * :class:`NumericRecipe` — everything needed to re-run *only* the numeric
-  phase of a plan execution: gather arrays composed from the kernels' value
-  provenance and the merge's sort permutation, plus the output structure.
+  phase of a plan execution: the numeric kernel's gather arrays in
+  summation order (:func:`repro.kernels.merge`), plus the output structure.
   :meth:`NumericRecipe.replay` is bit-identical to the cold execution by
   construction (same multiplication pairs, same float64 summation order).
 * :class:`SemiringRecipe` — the analogue for :func:`~repro.spgemm.semiring`
@@ -28,9 +28,8 @@ that optimisation for our engine:
   workload; evictions are counted in :class:`PlanCacheStats`.
 
 Recipes are verified at fill time: the cold result is replayed immediately
-and compared exactly; a mismatch (e.g. a scheme whose kernels do not report
-provenance) simply disables replay for that entry rather than risking a
-wrong answer.
+and compared exactly; a mismatch simply disables replay for that entry
+rather than risking a wrong answer.
 """
 
 from __future__ import annotations
@@ -104,11 +103,11 @@ def config_token(config: GPUConfig) -> str:
 class NumericRecipe:
     """Numeric-only replay of one plan execution on a fixed structure.
 
-    ``a_gather``/``b_gather`` index the operands' stored entries in *merged*
-    order (the kernels' provenance composed with the merge's stable sort
-    permutation); ``group`` maps each product to its output entry.  Replay is
-    one gather, one multiply and one in-order segmented sum — the same
-    float64 operations in the same order as the cold path's merge.
+    ``a_gather``/``b_gather`` index the operands' stored entries (CSR order)
+    in *merged* order — the order the numeric kernel sums them in — and
+    ``group`` maps each product to its output entry.  Replay is one gather,
+    one multiply and one in-order segmented sum — the same float64
+    operations in the same order as the cold path's merge.
 
     Attributes:
         shape: output matrix shape.
@@ -336,7 +335,6 @@ class PlanCache:
         the recipe's gather + merge runs.  ``ctx`` may be supplied when the
         caller already built one.
         """
-        from repro.plan.ir import NumericState
         from repro.spgemm.base import (
             DEFAULT_LOWERING_CONFIG,
             MultiplyContext,
@@ -369,43 +367,20 @@ class PlanCache:
             plan = algo.lower_traced(ctx, config)
             self.stats.symbolic_expansions += 1
             sp.add(lowers=1, symbolic_expansions=1)
-            state = NumericState(ctx, track_provenance=True)
-            result, _ = plan.execute_instrumented(ctx, state)
-            recipe = self._capture(state, result)
+            result, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
+            recipe = NumericRecipe(
+                shape=result.shape,
+                a_gather=a_gather,
+                b_gather=b_gather,
+                group=group,
+                n_groups=result.nnz,
+                indptr=result.indptr.copy(),
+                indices=result.indices.copy(),
+            )
+            if self.verify_fill and not _identical(recipe.replay(a.data, b.data), result):
+                recipe = None
             self._insert(key, PlanCacheEntry(plan, recipe))
         return result
-
-    def _capture(self, state, result: CSRMatrix) -> NumericRecipe | None:
-        """Build a replay recipe from a tracked execution, or ``None``."""
-        prov = state.provenance()
-        if prov is None:
-            return None
-        a_src, b_src = prov
-        mr = state.merge_recipe
-        if mr is None:
-            if len(a_src) == 0 and result.nnz == 0:
-                zi = np.zeros(0, dtype=np.int64)
-                return NumericRecipe(
-                    result.shape, zi, zi.copy(), zi.copy(), 0,
-                    result.indptr.copy(), zi.copy(),
-                )
-            return None
-        if len(a_src) != len(mr.order):
-            return None
-        recipe = NumericRecipe(
-            shape=mr.shape,
-            a_gather=a_src[mr.order],
-            b_gather=b_src[mr.order],
-            group=mr.group,
-            n_groups=mr.n_groups,
-            indptr=mr.indptr,
-            indices=mr.indices,
-        )
-        if self.verify_fill and not _identical(
-            recipe.replay(state.ctx.a_csr.data, state.ctx.b_csr.data), result
-        ):
-            return None
-        return recipe
 
     # -- semiring path --------------------------------------------------
     def semiring_multiply(

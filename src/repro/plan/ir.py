@@ -5,23 +5,28 @@ Historically every scheme maintained ``multiply()`` (numeric plane) and
 nothing *structurally* guaranteed that the trace fed to the simulator
 described the work the numeric plane actually performed.  The plan IR closes
 that gap: a scheme lowers once to an :class:`ExecutionPlan` — an ordered list
-of :class:`PlanPhase`, each carrying both the thread-block descriptors of a
-kernel launch *and* the vectorised numeric kernel that performs the same
-work — and the shared executors derive both planes from it:
+of :class:`PlanPhase`, each carrying the thread-block descriptors of a kernel
+launch *and* the :class:`Coverage` of the products that launch computes —
+and the shared executors derive both planes from it:
 
-* :meth:`ExecutionPlan.execute` runs the numeric kernels and enforces, per
-  device expansion phase, that the kernel emitted exactly as many products as
-  the phase's blocks account for (``blocks.total_ops``) — consistency by
-  construction, violations raise :class:`~repro.errors.PlanError`.
+* :meth:`ExecutionPlan.execute` first enforces, from the coverages alone,
+  that each device expansion phase covers exactly as many products as its
+  blocks account for (``blocks.total_ops``) and that the expansion phases
+  cover every product exactly once — violations raise
+  :class:`~repro.errors.PlanError` before any numeric work.  It then runs
+  the one numeric kernel, :func:`repro.kernels.spgemm`, in the plan's
+  expansion order with the plan's per-pair tie rank.
 * :meth:`ExecutionPlan.to_trace` projects the device phases onto the
   simulator's :class:`~repro.gpusim.trace.KernelTrace`, stamping the plan's
   shape digest into the trace metadata so bench artifacts record which plan
   produced them.
 
-Numeric kernels are closures ``kernel(state) -> int`` over a
-:class:`NumericState`, which owns the triplet stream and lazily caches the
-two canonical expansions so that phases restricted to a pair/row subset cost
-one mask application, not a re-expansion.
+The paper's techniques reshape thread blocks without changing what is
+computed, so the numeric result depends on two plan properties only: the
+expansion :attr:`~ExecutionPlan.order` (pair order for the outer-product
+family, row order for Gustavson-style schemes) and the tie rank
+(:meth:`ExecutionPlan.tie_rank`), which orders the sums of pairs expanded
+by different phases.
 
 Reorganisation techniques (B-Splitting and friends) are *passes* over plans —
 see :mod:`repro.plan.passes`.
@@ -33,11 +38,11 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.errors import PlanError
 from repro.gpusim.block import BlockArray
 from repro.gpusim.trace import (
@@ -47,204 +52,59 @@ from repro.gpusim.trace import (
     KernelPhase,
     KernelTrace,
 )
+from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids a base<->plan cycle
-    from repro.sparse.csr import CSRMatrix
     from repro.spgemm.base import MultiplyContext
 
-__all__ = ["NumericState", "PlanPhase", "PhaseExecution", "ExecutionPlan"]
+__all__ = ["Coverage", "PlanPhase", "PhaseExecution", "ExecutionPlan"]
 
 _STAGES = (PHASE_EXPANSION, PHASE_MERGE, PHASE_SETUP)
+_AXES = ("all", "pairs", "rows")
 
 
-class NumericState:
-    """Mutable numeric-plane state threaded through a plan's kernels.
+@dataclass(frozen=True, eq=False)
+class Coverage:
+    """Which products of the expansion ``C-hat`` a phase computes.
 
-    Owns the stream of intermediate triplets the expansion kernels emit and
-    the coalesced result the merge kernels produce.  The two canonical
-    expansions are computed lazily and cached, so several phases that each
-    expand a *subset* of pairs or rows share one vectorised expansion.
-
-    With ``track_provenance=True`` the state additionally records, per
-    emitted triplet, which stored entry of ``A`` and of ``B`` produced it
-    (in ``a_csr``/``b_csr`` entry positions) and keeps the merge's
-    :class:`~repro.spgemm.merge.MergeRecipe` — everything
-    :mod:`repro.plan.cache` needs to replay the numeric plane on new values
-    with the same sparsity structure without re-running any symbolic work.
+    ``axis`` is ``"all"`` (every product), ``"pairs"`` (the products of the
+    column/row pairs ``k`` with ``mask[k]``) or ``"rows"`` (the products
+    landing in the output rows ``i`` with ``mask[i]``).
     """
 
-    def __init__(self, ctx: MultiplyContext, *, track_provenance: bool = False) -> None:
-        self.ctx = ctx
-        self.track_provenance = track_provenance
-        #: False once any kernel emits without provenance; the capture layer
-        #: then refuses to build a replay recipe from this execution.
-        self.provenance_complete = track_provenance
-        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._prov: list[tuple[np.ndarray, np.ndarray]] = []
-        self._outer: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._row: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._outer_src: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_src: tuple[np.ndarray, np.ndarray] | None = None
-        self._csc_to_csr: np.ndarray | None = None
-        self.merge_recipe = None  # set by coalesce() when tracking
-        self.result: CSRMatrix | None = None
+    axis: str
+    mask: np.ndarray | None = None
 
-    # -- lazy canonical expansions -------------------------------------
-    def outer_expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """C-hat triplets in outer-product (pair) order, computed once."""
-        if self._outer is None:
-            from repro.spgemm.expansion import expand_outer, expand_outer_indices
+    def __post_init__(self) -> None:
+        if self.axis not in _AXES:
+            raise PlanError(f"unknown coverage axis {self.axis!r}")
+        if (self.axis == "all") != (self.mask is None):
+            raise PlanError("a mask goes with, and only with, 'pairs' or 'rows'")
+        if self.mask is not None:
+            object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
 
-            if self.track_provenance:
-                rows, cols, a_idx, b_idx = expand_outer_indices(
-                    self.ctx.a_csc, self.ctx.b_csr
-                )
-                self._outer = (
-                    rows, cols, self.ctx.a_csc.data[a_idx] * self.ctx.b_csr.data[b_idx]
-                )
-                self._outer_src = (self._csc_positions_to_csr(a_idx), b_idx)
-            else:
-                self._outer = expand_outer(self.ctx.a_csc, self.ctx.b_csr)
-        return self._outer
-
-    def row_expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """C-hat triplets in row-product (Gustavson) order, computed once."""
-        if self._row is None:
-            from repro.spgemm.expansion import expand_row, expand_row_indices
-
-            if self.track_provenance:
-                rows, cols, a_idx, b_idx = expand_row_indices(
-                    self.ctx.a_csr, self.ctx.b_csr
-                )
-                self._row = (
-                    rows, cols, self.ctx.a_csr.data[a_idx] * self.ctx.b_csr.data[b_idx]
-                )
-                self._row_src = (a_idx, b_idx)
-            else:
-                self._row = expand_row(self.ctx.a_csr, self.ctx.b_csr)
-        return self._row
-
-    # -- provenance ----------------------------------------------------
-    def _csc_positions_to_csr(self, csc_idx: np.ndarray) -> np.ndarray:
-        """Map stored-entry positions of ``a_csc`` to positions of ``a_csr``.
-
-        Canonical formats have one stored entry per coordinate, so the map is
-        the stable column sort :func:`~repro.sparse.convert.csr_to_csc`
-        performs — a pure function of the structure, computed once.
-        """
-        if self._csc_to_csr is None:
-            self._csc_to_csr = np.argsort(self.ctx.a_csr.indices, kind="stable")
-        return self._csc_to_csr[csc_idx]
-
-    def outer_sources(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Provenance of the outer expansion (csr-space), or ``(None, None)``."""
-        if not self.track_provenance:
-            return None, None
-        self.outer_expansion()
-        return self._outer_src
-
-    def row_sources(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Provenance of the row expansion (csr-space), or ``(None, None)``."""
-        if not self.track_provenance:
-            return None, None
-        self.row_expansion()
-        return self._row_src
-
-    # -- triplet stream ------------------------------------------------
-    def emit(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        *,
-        a_src: np.ndarray | None = None,
-        b_src: np.ndarray | None = None,
-        a_space: str = "csr",
-    ) -> int:
-        """Append expanded triplets to the stream; returns how many.
-
-        ``a_src``/``b_src`` give each triplet's producing stored entry of
-        ``A``/``B`` (``a_space`` names the A entry ordering, ``"csr"`` or
-        ``"csc"``); they are recorded only when provenance tracking is on,
-        and an emission without them marks the capture incomplete.
-        """
-        self._parts.append((rows, cols, vals))
-        if self.track_provenance:
-            if a_src is None or b_src is None:
-                self.provenance_complete = False
-            elif self.provenance_complete:
-                if a_space == "csc":
-                    a_src = self._csc_positions_to_csr(a_src)
-                self._prov.append((a_src, b_src))
-        return len(rows)
-
-    @property
-    def emitted(self) -> int:
-        """Total triplets emitted so far (the executor's consistency meter)."""
-        return sum(len(part[0]) for part in self._parts)
-
-    def pending(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The emitted stream as three flat arrays (emission order)."""
-        if not self._parts:
-            zi = np.zeros(0, dtype=np.int64)
-            return zi, zi.copy(), np.zeros(0, dtype=np.float64)
-        if len(self._parts) > 1:
-            merged = tuple(
-                np.concatenate([part[i] for part in self._parts]) for i in range(3)
+    def ops(self, ctx: MultiplyContext) -> int:
+        """How many products of ``ctx`` this coverage selects."""
+        if self.mask is None:
+            return ctx.total_work
+        work = ctx.pair_work if self.axis == "pairs" else ctx.row_work
+        if len(self.mask) != len(work):
+            raise PlanError(
+                f"{self.axis} coverage mask has {len(self.mask)} entries, "
+                f"the problem has {len(work)}"
             )
-            self._parts = [merged]  # type: ignore[list-item]
-        return self._parts[0]
+        return int(work[self.mask].sum())
 
-    def provenance(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The stream's ``(a_src, b_src)`` in emission order, if complete."""
-        if not (self.track_provenance and self.provenance_complete):
-            return None
-        if not self._prov:
-            zi = np.zeros(0, dtype=np.int64)
-            return zi, zi.copy()
-        if len(self._prov) > 1:
-            self._prov = [tuple(
-                np.concatenate([part[i] for part in self._prov]) for i in range(2)
-            )]  # type: ignore[list-item]
-        return self._prov[0]
-
-    def sort_pending(self) -> int:
-        """Stably sort the stream by output coordinate (ESC's sort step).
-
-        A stable sort by flat key followed by the merge's own stable sort
-        leaves duplicate-coordinate summation order unchanged, so schemes
-        that model an explicit sort kernel stay bit-identical to a direct
-        coalesce.
-        """
-        rows, cols, vals = self.pending()
-        keys = rows.astype(np.int64) * np.int64(self.ctx.out_shape[1]) + cols
-        order = np.argsort(keys, kind="stable")
-        self._parts = [(rows[order], cols[order], vals[order])]
-        prov = self.provenance()
-        if prov is not None and len(prov[0]):
-            self._prov = [(prov[0][order], prov[1][order])]
-        return len(rows)
-
-    def coalesce(self) -> CSRMatrix:
-        """Merge the emitted stream into canonical CSR (idempotent)."""
-        if self.result is None:
-            from repro.sparse.csr import CSRMatrix
-            from repro.spgemm.merge import plan_merge
-
-            rows, cols, vals = self.pending()
-            if len(rows) == 0:
-                self.result = CSRMatrix.empty(self.ctx.out_shape)
-            else:
-                recipe = plan_merge(rows, cols, self.ctx.out_shape)
-                self.result = recipe.apply(vals)
-                if self.track_provenance:
-                    self.merge_recipe = recipe
-        return self.result
+    def describe(self) -> str:
+        """Short label for plan listings: ``all``, ``pairs 3/40``, ``rows 5/90``."""
+        if self.mask is None:
+            return "all"
+        return f"{self.axis} {int(np.count_nonzero(self.mask))}/{len(self.mask)}"
 
 
 @dataclass
 class PlanPhase:
-    """One phase of a plan: a kernel launch and the numeric work it does.
+    """One phase of a plan: a kernel launch and the products it computes.
 
     Attributes:
         name: human-readable label (e.g. ``"expansion-dominator"``).
@@ -252,10 +112,9 @@ class PlanPhase:
             with :class:`~repro.gpusim.trace.KernelPhase`.
         blocks: thread-block descriptors this launch dispatches (the
             performance plane's view of the phase).
-        kernel: vectorised numeric kernel ``kernel(state) -> int`` performing
-            the phase's work on a :class:`NumericState`; returns the op count
-            it performed (instrumentation).  ``None`` for modelling-only
-            phases with no numeric effect.
+        covers: the products this phase computes (expansion) or merges
+            (merge); its op count.  ``None`` for modelling-only phases that
+            compute nothing.
         instr_override: per-warp-iteration instruction cost override,
             forwarded to the simulator phase.
         device: False for host-side phases (CPU schemes); host phases are
@@ -266,7 +125,7 @@ class PlanPhase:
     name: str
     stage: str
     blocks: BlockArray
-    kernel: Callable[[NumericState], int] | None = None
+    covers: Coverage | None = None
     instr_override: float | None = None
     device: bool = True
 
@@ -279,10 +138,12 @@ class PlanPhase:
 class PhaseExecution:
     """Instrumentation record for one executed phase (numeric plane).
 
-    ``ops`` is what the kernel reported doing, ``seconds`` the measured host
-    wall time of the vectorised kernel, and ``bytes_touched`` the modelled
-    global traffic of the phase's blocks (unique + reuse + write) — the
-    counters :mod:`repro.metrics` aggregates into plan profiles.
+    ``ops`` is the number of products the phase covers, and
+    ``bytes_touched`` the modelled global traffic of the phase's blocks
+    (unique + reuse + write) — the counters :mod:`repro.metrics` aggregates
+    into plan profiles.  The kernel runs as one expansion step and one merge
+    step; ``seconds`` is a step's measured host wall time on the first phase
+    of its stage and 0 on the others, so per-stage sums are measured times.
     """
 
     name: str
@@ -301,6 +162,11 @@ class ExecutionPlan:
     Attributes:
         algorithm: name of the scheme that lowered to this plan.
         phases: kernel launches in dependency order.
+        order: the numeric kernel's expansion order —
+            :data:`~repro.kernels.PAIR_ORDER` (outer product) or
+            :data:`~repro.kernels.ROW_ORDER` (Gustavson).  Each scheme's
+            ``lower`` sets it; it decides which position an output entry's
+            products sum in when A's rows store columns out of order.
         host_seconds: host-side preprocessing time.
         device_setup_cycles: device-side preprocessing cost in GPU cycles.
         meta: free-form diagnostics surfaced in bench output.
@@ -310,6 +176,7 @@ class ExecutionPlan:
 
     algorithm: str
     phases: list[PlanPhase] = field(default_factory=list)
+    order: str = kernels.ROW_ORDER
     host_seconds: float = 0.0
     device_setup_cycles: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -388,54 +255,112 @@ class ExecutionPlan:
         )
 
     # -- numeric plane ---------------------------------------------------
+    def phase_ops(self, ctx: MultiplyContext) -> list[int]:
+        """Products each phase covers, after enforcing the IR's invariant.
+
+        Each device expansion phase must cover exactly ``blocks.total_ops``
+        products, and the expansion phases together must cover every
+        product of ``ctx`` exactly once.  Host phases are exempt from the
+        block check only.  Raises :class:`~repro.errors.PlanError`.
+        """
+        ops = [0 if p.covers is None else p.covers.ops(ctx) for p in self.phases]
+        covers = []
+        for phase, n in zip(self.phases, ops):
+            if phase.stage != PHASE_EXPANSION:
+                continue
+            if phase.device and n != phase.blocks.total_ops:
+                raise PlanError(
+                    f"{self.algorithm!r} phase {phase.name!r} covers {n} "
+                    f"products but its blocks account for {phase.blocks.total_ops}"
+                )
+            if phase.covers is not None:
+                covers.append(phase.covers)
+
+        axes = {c.axis for c in covers} - {"all"}
+        if len(axes) > 1:
+            raise PlanError(f"{self.algorithm!r} expansion mixes pair and row coverage")
+        axis = axes.pop() if axes else "pairs"
+        work = ctx.pair_work if axis == "pairs" else ctx.row_work
+        hits = np.zeros(len(work), dtype=np.int64)
+        for c in covers:
+            hits += 1 if c.mask is None else c.mask
+        uncovered = int(work[hits == 0].sum())
+        if uncovered:
+            raise PlanError(
+                f"{self.algorithm!r} expansion phases leave {uncovered} of "
+                f"{ctx.total_work} products uncovered"
+            )
+        repeated = int(work[hits > 1].sum())
+        if repeated:
+            raise PlanError(
+                f"{self.algorithm!r} expansion phases cover {repeated} products more than once"
+            )
+        return ops
+
+    def tie_rank(self, n_pairs: int) -> np.ndarray | None:
+        """Per-pair tie rank: the position of the expansion phase covering it.
+
+        Only pair-subset phases rank their pairs (the Block Reorganizer's
+        class phases: dominator, normal, gathered); ``None`` when every rank
+        is 0, as for the other six schemes.
+        """
+        rank = None
+        expansion = [p for p in self.phases if p.stage == PHASE_EXPANSION]
+        for position, phase in enumerate(expansion):
+            if position and phase.covers is not None and phase.covers.axis == "pairs":
+                if rank is None:
+                    rank = np.zeros(n_pairs, dtype=np.int64)
+                rank[phase.covers.mask] = position
+        return rank
+
+    def run(
+        self, ctx: MultiplyContext, *, gathers: bool = False
+    ) -> tuple[CSRMatrix, list[PhaseExecution], tuple | None]:
+        """Check the invariant, then run the kernel as two timed steps.
+
+        Returns ``(C, records, recipe)``.  The expansion step's time is
+        recorded on the first expansion phase and the merge step's on the
+        first merge phase.  With ``gathers`` the recipe is the
+        ``(a_gather, b_gather, group)`` arrays of a replay recipe
+        (:mod:`repro.plan.cache`), else None.
+        """
+        ops = self.phase_ops(ctx)
+        rank = self.tie_rank(len(ctx.pair_work))
+        seconds = {}
+        with obs.span("numeric.expand", PHASE_EXPANSION) as sp:
+            start = time.perf_counter()
+            stream = kernels.expand(ctx.a_csr, ctx.b_csr, self.order, rank, gathers=gathers)
+            seconds[PHASE_EXPANSION] = time.perf_counter() - start
+            sp.add(ops=len(stream.keys))
+        with obs.span("numeric.merge", PHASE_MERGE) as sp:
+            start = time.perf_counter()
+            indptr, indices, data, captured = kernels.merge(stream, ctx.out_shape)
+            seconds[PHASE_MERGE] = time.perf_counter() - start
+            sp.add(nnz=len(indices))
+        records = [
+            PhaseExecution(
+                name=phase.name,
+                stage=phase.stage,
+                device=phase.device,
+                n_blocks=len(phase.blocks),
+                ops=n,
+                seconds=seconds.pop(phase.stage, 0.0),
+                bytes_touched=float(
+                    phase.blocks.unique_bytes.sum()
+                    + phase.blocks.reuse_bytes.sum()
+                    + phase.blocks.write_bytes.sum()
+                ),
+            )
+            for phase, n in zip(self.phases, ops)
+        ]
+        return CSRMatrix(ctx.out_shape, indptr, indices, data), records, captured
+
     def execute(self, ctx: MultiplyContext) -> CSRMatrix:
-        """Run the numeric kernels in phase order and coalesce the result."""
-        return self.execute_instrumented(ctx)[0]
+        """Run the plan numerically; returns ``C``."""
+        return self.run(ctx)[0]
 
     def execute_instrumented(
-        self, ctx: MultiplyContext, state: NumericState | None = None
+        self, ctx: MultiplyContext
     ) -> tuple[CSRMatrix, list[PhaseExecution]]:
-        """Numeric execution with per-phase instrumentation records.
-
-        Enforces the IR's core invariant: a device expansion phase's kernel
-        must emit exactly ``blocks.total_ops`` products.  An externally built
-        ``state`` (e.g. one tracking provenance for the plan cache) may be
-        supplied; it must wrap the same ``ctx``.
-        """
-        if state is None:
-            state = NumericState(ctx)
-        records: list[PhaseExecution] = []
-        for phase in self.phases:
-            with obs.span(f"numeric.phase[{phase.name}]", phase.stage) as sp:
-                before = state.emitted
-                start = time.perf_counter()
-                ops = phase.kernel(state) if phase.kernel is not None else 0
-                seconds = time.perf_counter() - start
-                if phase.device and phase.stage == PHASE_EXPANSION:
-                    emitted = state.emitted - before
-                    expected = phase.blocks.total_ops
-                    if emitted != expected:
-                        raise PlanError(
-                            f"{self.algorithm!r} phase {phase.name!r} emitted "
-                            f"{emitted} products but its blocks account for {expected}"
-                        )
-                sp.add(ops=int(ops), blocks=len(phase.blocks))
-            records.append(
-                PhaseExecution(
-                    name=phase.name,
-                    stage=phase.stage,
-                    device=phase.device,
-                    n_blocks=len(phase.blocks),
-                    ops=int(ops),
-                    seconds=seconds,
-                    bytes_touched=float(
-                        phase.blocks.unique_bytes.sum()
-                        + phase.blocks.reuse_bytes.sum()
-                        + phase.blocks.write_bytes.sum()
-                    ),
-                )
-            )
-        with obs.span("numeric.coalesce", PHASE_MERGE) as sp:
-            result = state.coalesce()
-            sp.add(nnz=result.nnz)
-        return result, records
+        """Numeric execution with one instrumentation record per phase."""
+        return self.run(ctx)[:2]

@@ -7,9 +7,12 @@ way: each technique is a :class:`PlanPass` that rewrites an
 
 * :class:`ClassifyPass` — workload precalculation + categorisation (Section
   IV-B).  Replaces the baseline's single expansion phase with per-class
-  phases (dominator / normal / gathered), each carrying a subset kernel, and
-  charges the device-side precalculation cost.  Always runs first; the other
-  passes read its classification from the plan's annotations.
+  phases (dominator / normal / gathered), each covering its class's pairs,
+  and charges the device-side precalculation cost.  Always runs first; the
+  other passes read its classification from the plan's annotations.  The
+  class phases' positions are the pairs' tie ranks
+  (:meth:`~repro.plan.ir.ExecutionPlan.tie_rank`): an output entry sums its
+  dominator products first, then normal, then gathered.
 * :class:`SplitPass` — B-Splitting (Section IV-C1): dominator blocks.
 * :class:`GatherPass` — B-Gathering (Section IV-C2): underloaded blocks.
 * :class:`LimitPass` — B-Limiting (Section IV-D): heavy merge rows.
@@ -18,6 +21,10 @@ Dropping a pass from the pipeline *is* the Figure 10 ablation: with only
 :class:`ClassifyPass` the plan degenerates to the outer-product baseline's
 fixed-size blocks, exactly as the paper describes.  New techniques (batching,
 multi-GPU sharding) slot in as further passes without touching any scheme.
+
+The technique passes reshape blocks only: each replacement phase covers the
+same pairs or rows as the phase it replaces, so the numeric result never
+depends on which techniques run.
 
 Passes mutate and return the plan they are given; lowering always builds a
 fresh baseline plan per call, so in-place rewriting is safe and keeps the
@@ -34,18 +41,12 @@ import numpy as np
 from repro.core.classify import classify_pairs
 from repro.core.gathering import plan_gathering
 from repro.core.limiting import limited_row_mask, limiting_smem_bytes
-from repro.core.splitting import (
-    SplitPlan,
-    plan_splitting,
-    split_csc_columns,
-    split_source_indices,
-)
+from repro.core.splitting import plan_splitting
 from repro.errors import PlanError
 from repro.gpusim.block import BlockArray, BlockArrayBuilder
 from repro.gpusim.host import device_precalc_cycles, host_split_seconds
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, NumericState, PlanPhase
-from repro.plan.kernels import Kernel, coalesce_kernel, expand_outer_pairs_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.traceutil import merge_blocks, outer_pair_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -59,7 +60,6 @@ __all__ = [
     "SplitPass",
     "GatherPass",
     "LimitPass",
-    "expand_split_kernel",
     "gathered_blocks",
 ]
 
@@ -133,7 +133,7 @@ class ClassifyPass:
             )
             expansion.append(PlanPhase(
                 "expansion-dominator", PHASE_EXPANSION, blocks,
-                kernel=expand_outer_pairs_kernel(classes.dominator),
+                covers=Coverage("pairs", classes.dominator),
             ))
         if classes.n_normal:
             blocks = outer_pair_blocks(
@@ -142,7 +142,7 @@ class ClassifyPass:
             )
             expansion.append(PlanPhase(
                 "expansion-normal", PHASE_EXPANSION, blocks,
-                kernel=expand_outer_pairs_kernel(classes.normal),
+                covers=Coverage("pairs", classes.normal),
             ))
         if classes.n_underloaded:
             blocks = outer_pair_blocks(
@@ -151,7 +151,7 @@ class ClassifyPass:
             )
             expansion.append(PlanPhase(
                 "expansion-gathered", PHASE_EXPANSION, blocks,
-                kernel=expand_outer_pairs_kernel(classes.underloaded),
+                covers=Coverage("pairs", classes.underloaded),
             ))
 
         plan.phases = expansion + [p for p in plan.phases if p.stage == PHASE_MERGE]
@@ -172,53 +172,16 @@ class ClassifyPass:
         return plan
 
 
-def expand_split_kernel(splan: SplitPlan) -> Kernel:
-    """Numeric kernel for split dominator blocks.
-
-    Materialises A' (the physically split dominator columns) and expands each
-    split column against the b-row its mapper entry points at — the paper's
-    "same results as the original vector pairs" property.  Materialisation
-    happens inside the kernel, so trace-only lowerings never pay for it.
-    """
-
-    def kernel(state: NumericState) -> int:
-        a_split, mapper = split_csc_columns(state.ctx.a_csc, splan)
-        na = a_split.col_nnz()
-        nb = state.ctx.b_csr.row_nnz()[mapper]
-        counts = na * nb
-        total = int(counts.sum())
-        if total == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return state.emit(
-                z, z.copy(), np.zeros(0, dtype=np.float64),
-                a_src=z.copy(), b_src=z.copy(), a_space="csc",
-            )
-        seg_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        nb_per = nb[seg_of]
-        a_pos = offsets // np.maximum(nb_per, 1)
-        b_pos = offsets % np.maximum(nb_per, 1)
-        a_idx = a_split.indptr[seg_of] + a_pos
-        b_idx = state.ctx.b_csr.indptr[mapper[seg_of]] + b_pos
-        rows = a_split.indices[a_idx]
-        cols = state.ctx.b_csr.indices[b_idx]
-        vals = a_split.data[a_idx] * state.ctx.b_csr.data[b_idx]
-        if state.track_provenance:
-            # Entries of A' are copies of a_csc entries; compose the split's
-            # gather with the expansion's so provenance lands in a_csc space.
-            _, src = split_source_indices(state.ctx.a_csc, splan)
-            return state.emit(
-                rows, cols, vals, a_src=src[a_idx], b_src=b_idx, a_space="csc"
-            )
-        return state.emit(rows, cols, vals)
-
-    return kernel
-
-
 @dataclass(frozen=True)
 class SplitPass:
-    """B-Splitting: divide each dominator pair over many smaller blocks."""
+    """B-Splitting: divide each dominator pair over many smaller blocks.
+
+    Each split block takes a consecutive chunk of its dominator's column
+    entries against the whole row vector (the paper's mapper array), so
+    the split blocks compute exactly the dominator pairs' products — "the
+    same results as the original vector pairs".  The phase keeps the
+    dominator coverage; only its blocks change.
+    """
 
     splitting_factor: int | None = None
     max_threads: int = 256
@@ -252,7 +215,7 @@ class SplitPass:
             "expansion-dominator",
             PlanPhase(
                 "expansion-dominator", PHASE_EXPANSION, blocks,
-                kernel=expand_split_kernel(splan),
+                covers=Coverage("pairs", classes.dominator),
             ),
         )
         plan.host_seconds += host_split_seconds(costs, splan.split_entries)
@@ -295,7 +258,7 @@ class GatherPass:
     """B-Gathering: combine underloaded pairs into warp-filling blocks.
 
     Gathering changes block shape only — which products are computed (and by
-    which class phase) is unchanged, so the phase keeps its subset kernel and
+    which class phase) is unchanged, so the phase keeps its pair coverage and
     the executor's op check carries over to the combined blocks.
     """
 
@@ -314,7 +277,7 @@ class GatherPass:
             "expansion-gathered",
             PlanPhase(
                 "expansion-gathered", PHASE_EXPANSION, gathered_blocks(gplan, costs),
-                kernel=expand_outer_pairs_kernel(classes.underloaded),
+                covers=Coverage("pairs", classes.underloaded),
             ),
         )
         plan.meta["n_gathered_blocks"] = gplan.n_blocks
@@ -347,11 +310,11 @@ class LimitPass:
                 ctx.row_work, ctx.c_row_nnz, costs, row_mask=mask, smem_bytes=smem
             )
             replacements.append(PlanPhase(
-                "merge-limited", PHASE_MERGE, heavy, kernel=coalesce_kernel(mask)
+                "merge-limited", PHASE_MERGE, heavy, covers=Coverage("rows", mask)
             ))
         light = merge_blocks(ctx.row_work, ctx.c_row_nnz, costs, row_mask=~mask)
         replacements.append(PlanPhase(
-            "merge", PHASE_MERGE, light, kernel=coalesce_kernel(~mask)
+            "merge", PHASE_MERGE, light, covers=Coverage("rows", ~mask)
         ))
         plan.replace_phase("merge", *replacements)
         return plan

@@ -25,14 +25,15 @@ def _threads_range(blocks) -> str:
 def format_plan(plan: ExecutionPlan) -> str:
     """Render a plan's phases, costs and metadata as fixed-width text."""
     lines = [
-        f"ExecutionPlan for {plan.algorithm!r}  (shape {plan.shape_digest()})",
+        f"ExecutionPlan for {plan.algorithm!r}  (shape {plan.shape_digest()}, "
+        f"{plan.order} order)",
         f"  host_seconds={plan.host_seconds:.3e}  "
         f"device_setup_cycles={plan.device_setup_cycles:.0f}  "
         f"total_ops={plan.total_ops()}",
         "",
         f"  {'phase':<22} {'stage':<10} {'dev':<4} {'blocks':>8} "
-        f"{'ops':>12} {'threads':>9} {'smem':>7} {'kernel':<8}",
-        "  " + "-" * 86,
+        f"{'ops':>12} {'threads':>9} {'smem':>7} {'covers':<16}",
+        "  " + "-" * 94,
     ]
     for p in plan.phases:
         smem = int(p.blocks.smem_bytes.max()) if len(p.blocks) else 0
@@ -40,7 +41,7 @@ def format_plan(plan: ExecutionPlan) -> str:
             f"  {p.name:<22} {p.stage:<10} {'gpu' if p.device else 'host':<4} "
             f"{len(p.blocks):>8} {int(np.sum(p.blocks.ops)):>12} "
             f"{_threads_range(p.blocks):>9} {smem:>7} "
-            f"{'yes' if p.kernel is not None else 'no':<8}"
+            f"{'-' if p.covers is None else p.covers.describe():<16}"
         )
     if plan.meta:
         lines.append("")

@@ -379,9 +379,10 @@ class Runtime:
         """One dataset through the out-of-core executor, by name.
 
         Loads the operands directly from :mod:`repro.datasets.loader` —
-        *not* through the bench runner's context cache, whose
-        :class:`MultiplyContext` materialises the full reference expansion;
-        at full scale only the panel path is affordable.  Returns
+        *not* through the bench runner's context cache, which keeps each
+        dataset's operands, A's CSC and the workload vectors resident for
+        the rest of the process; the chunked executor builds its own context
+        for the one lowering and drops it before the panels run.  Returns
         ``(result, OocStats)``.
         """
         from repro.datasets import loader

@@ -1,8 +1,8 @@
 """spGEMM schemes: numeric engine, baselines and library comparators."""
 
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
-from repro.spgemm.expansion import expand_outer, expand_row
-from repro.spgemm.merge import MergeRecipe, merge_triplets, plan_merge, symbolic_row_nnz
+from repro.spgemm.expansion import expand_outer
+from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 from repro.spgemm.session import IterativeSession
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.reference import reference_spgemm
@@ -21,9 +21,6 @@ __all__ = [
     "SpGEMMAlgorithm",
     "IterativeSession",
     "expand_outer",
-    "expand_row",
-    "MergeRecipe",
-    "plan_merge",
     "merge_triplets",
     "symbolic_row_nnz",
     "OuterProductSpGEMM",

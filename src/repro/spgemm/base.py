@@ -6,7 +6,8 @@ Section IV-B computes).  An algorithm then offers:
 
 * ``lower(ctx, config)`` — the one scheme-specific hook: lower the problem
   to an :class:`~repro.plan.ir.ExecutionPlan`, whose phases carry both the
-  thread-block descriptors and the numeric kernels.
+  thread-block descriptors and the products each launch covers, and which
+  names the numeric kernel's expansion order.
 * ``multiply(ctx)`` — the numeric plane: a thin executor over the plan.
 * ``build_trace(ctx, config)`` — the performance plane: the plan's device
   phases projected onto a :class:`~repro.gpusim.trace.KernelTrace`.
@@ -193,8 +194,8 @@ class SpGEMMAlgorithm(abc.ABC):
         """Lower this problem to an :class:`~repro.plan.ir.ExecutionPlan`.
 
         The single scheme-specific hook: the returned plan carries both the
-        thread blocks launched on ``config`` and the numeric kernels that
-        perform the same work.
+        thread blocks launched on ``config`` and, per phase, the products
+        they compute; it also sets the numeric kernel's expansion order.
         """
 
     def lower_traced(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
@@ -220,7 +221,7 @@ class SpGEMMAlgorithm(abc.ABC):
         *,
         plan_cache: "PlanCache | None" = None,
     ) -> CSRMatrix:
-        """Compute ``A @ B`` exactly, by executing the plan's kernels.
+        """Compute ``A @ B`` exactly, by executing the lowered plan.
 
         With a :class:`~repro.plan.cache.PlanCache`, a repeat multiply whose
         operands have a previously seen sparsity structure skips lowering and

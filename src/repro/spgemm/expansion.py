@@ -4,13 +4,14 @@ Both product formulations generate exactly the same multiset of triplets
 ``(i, j, a_ik * b_kj)`` — they differ in *grouping* (and hence in GPU load
 shape, which the trace builders capture):
 
-* :func:`expand_outer` — grouped by inner index ``k``: column ``a_{*k}``
-  times row ``b_{k*}`` (Equation 2; one thread block per pair).
-* :func:`expand_row` — grouped by output row ``i``: Gustavson's formulation
-  (one thread group per row).
+* :func:`expand_outer_indices` — grouped by inner index ``k``: column
+  ``a_{*k}`` times row ``b_{k*}`` (Equation 2; one thread block per pair).
+  :func:`expand_outer` adds the values; the reference product merges them.
+* :func:`expand_row_indices` — grouped by output row ``i``: Gustavson's
+  formulation (one thread group per row).
 
-Both wrap the vectorised primitives in :mod:`repro.kernels`; the returned
-arrays are the numeric ground truth that the merge stage coalesces into C.
+Both wrap the vectorised primitives in :mod:`repro.kernels`, whose
+:func:`~repro.kernels.spgemm` runs either order for every scheme's plan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.sparse.ops import check_multipliable
 __all__ = [
     "expand_outer",
     "expand_outer_indices",
-    "expand_row",
     "expand_row_indices",
 ]
 
@@ -61,23 +61,12 @@ def expand_row_indices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Symbolic row-product expansion of ``A @ B``.
 
-    Returns ``(rows, cols, a_idx, b_idx)`` in the same row order as
-    :func:`expand_row`, where ``a_idx``/``b_idx`` index the stored entries of
-    ``a_csr``/``b_csr`` — the provenance arrays mirroring
-    :func:`expand_outer_indices` for the Gustavson formulation.
+    Returns ``(rows, cols, a_idx, b_idx)`` ordered by output row, then by
+    the a-entry within the row, then by the b-entry — the order a
+    row-product kernel would emit — where ``a_idx``/``b_idx`` index the
+    stored entries of ``a_csr``/``b_csr``.
     """
     check_multipliable(a_csr.shape, b_csr.shape)
     return kernels.expand_row_indices(
         a_csr.indptr, a_csr.indices, b_csr.indptr, b_csr.indices
     )
-
-
-def expand_row(a_csr: CSRMatrix, b_csr: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-product (Gustavson) expansion of ``A @ B``.
-
-    Returns ``(rows, cols, vals)`` of C-hat, ordered by output row then by
-    the a-entry within the row then by the b-entry — the order a row-product
-    kernel would emit.
-    """
-    rows, cols, a_idx, b_idx = expand_row_indices(a_csr, b_csr)
-    return rows, cols, a_csr.data[a_idx] * b_csr.data[b_idx]

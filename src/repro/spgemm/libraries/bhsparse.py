@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.host import device_precalc_cycles
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_row_subset_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.traceutil import ceil_div, group_by_budget
 from repro.gpusim.block import BlockArrayBuilder
@@ -38,9 +38,10 @@ class BhSparseSpGEMM(SpGEMMAlgorithm):
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
         """One fused expand+merge kernel per row bin.
 
-        Each bin's kernel expands exactly the rows that fall in its bound
-        range (every output row lands in one bin, so per-bin row-subset
-        expansion reproduces the full row-ordered expansion bit for bit).
+        Each bin's kernel covers exactly the rows that fall in its bound
+        range; every output row lands in one bin, and rows never share an
+        output entry, so the bins need no tie rank: the numeric result is
+        the row-ordered expansion's.
         """
         work = ctx.row_work
         u = ctx.c_row_nnz
@@ -85,7 +86,7 @@ class BhSparseSpGEMM(SpGEMMAlgorithm):
                     f"bin<= {hi if hi < 1 << 60 else 'inf'}",
                     PHASE_EXPANSION,
                     builder.build(),
-                    kernel=expand_row_subset_kernel(mask),
+                    covers=Coverage("rows", mask),
                 )
             )
 
@@ -106,11 +107,14 @@ class BhSparseSpGEMM(SpGEMMAlgorithm):
                 working_set=np.full(n_blocks, 4096.0 * bpe),
                 transactions=elems * bpe / 16.0,
             )
-        phases.append(PlanPhase("compact", PHASE_MERGE, compact.build(), kernel=coalesce_kernel()))
+        phases.append(
+            PlanPhase("compact", PHASE_MERGE, compact.build(), covers=Coverage("all"))
+        )
 
         return ExecutionPlan(
             algorithm=self.name,
             phases=phases,
+            order=kernels.ROW_ORDER,
             device_setup_cycles=device_precalc_cycles(
                 self.costs, ctx.a_csr.nnz, ctx.b_csr.nnz, extra_elements=len(work)
             )

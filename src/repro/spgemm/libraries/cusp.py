@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.gpusim.block import BlockArrayBuilder
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_row_kernel, sort_pending_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.traceutil import ceil_div
 
@@ -60,10 +60,10 @@ class CuspSpGEMM(SpGEMMAlgorithm):
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
         """Balanced expansion, radix-sort passes, segmented compression.
 
-        ESC is exactly our numeric merge, so this is the one scheme whose
-        numeric path matches its performance model one-to-one: the sort phase
-        genuinely (stably) sorts the triplet stream and the compress phase
-        coalesces it.
+        ESC is exactly our numeric kernel — expand, stable sort by
+        coordinate, segmented sum — so its three phases map one-to-one onto
+        the kernel's steps: the sort and compress phases are the kernel's
+        merge step.
         """
         t = ctx.total_work
         expansion = _flat_blocks(t, _COO_BYTES, rw_factor=1.0, instr=2.0)
@@ -72,18 +72,10 @@ class CuspSpGEMM(SpGEMMAlgorithm):
         return ExecutionPlan(
             algorithm=self.name,
             phases=[
-                PlanPhase(
-                    "expand", PHASE_EXPANSION, expansion,
-                    kernel=expand_row_kernel(),
-                ),
-                PlanPhase(
-                    "sort", PHASE_MERGE, sort_blocks,
-                    kernel=sort_pending_kernel(),
-                ),
-                PlanPhase(
-                    "compress", PHASE_MERGE, compress,
-                    kernel=coalesce_kernel(),
-                ),
+                PlanPhase("expand", PHASE_EXPANSION, expansion, covers=Coverage("all")),
+                PlanPhase("sort", PHASE_MERGE, sort_blocks, covers=Coverage("all")),
+                PlanPhase("compress", PHASE_MERGE, compress, covers=Coverage("all")),
             ],
+            order=kernels.ROW_ORDER,
             meta={"total_work": t},
         )

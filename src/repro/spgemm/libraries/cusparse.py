@@ -11,10 +11,10 @@ real-world sets).
 
 from __future__ import annotations
 
+from repro import kernels
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_row_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.traceutil import row_chunk_blocks
 
@@ -34,9 +34,9 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
         """Symbolic pass + numeric pass, both warp-per-row.
 
-        Numerically, the symbolic pass walks (and emits) every product in row
-        order and the numeric pass accumulates them — hash semantics produce
-        the same values; insertion order only affects timing.
+        Numerically, the symbolic pass covers every product in row order
+        and the numeric pass merges them — hash semantics produce the same
+        values; insertion order only affects timing.
         """
         a_row_nnz = ctx.a_csr.row_nnz()
 
@@ -57,15 +57,13 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
         return ExecutionPlan(
             algorithm=self.name,
             phases=[
-                PlanPhase(
-                    "symbolic", PHASE_EXPANSION, symbolic,
-                    kernel=expand_row_kernel(),
-                ),
+                PlanPhase("symbolic", PHASE_EXPANSION, symbolic, covers=Coverage("all")),
                 PlanPhase(
                     "numeric", PHASE_MERGE, numeric,
-                    kernel=coalesce_kernel(),
+                    covers=Coverage("all"),
                     instr_override=self.costs.instr_per_product * self.hash_instr_scale,
                 ),
             ],
+            order=kernels.ROW_ORDER,
             meta={"total_work": ctx.total_work},
         )

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.gpusim.block import BlockArray
 from repro.gpusim.config import CPUConfig, GPUConfig, XEON_E5_2640V4
 from repro.gpusim.simulator import GPUSimulator
 from repro.gpusim.stats import KernelStats, PhaseStats
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_row_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 
 __all__ = ["MklSpGEMM"]
@@ -56,7 +55,7 @@ class MklSpGEMM(SpGEMMAlgorithm):
 
         Both phases are ``device=False`` with empty block arrays, so
         ``to_trace`` yields an empty trace with all time in ``host_seconds``
-        while the numeric kernels still run row-ordered expand + merge.
+        while the numeric kernel still runs in row order.
         """
         empty = BlockArray.empty()
         return ExecutionPlan(
@@ -64,15 +63,14 @@ class MklSpGEMM(SpGEMMAlgorithm):
             phases=[
                 PlanPhase(
                     "cpu-expand", PHASE_EXPANSION, empty,
-                    kernel=expand_row_kernel(),
-                    device=False,
+                    covers=Coverage("all"), device=False,
                 ),
                 PlanPhase(
                     "cpu-merge", PHASE_MERGE, empty,
-                    kernel=coalesce_kernel(),
-                    device=False,
+                    covers=Coverage("all"), device=False,
                 ),
             ],
+            order=kernels.ROW_ORDER,
             host_seconds=self.cpu_seconds(ctx),
             meta={"cpu": self.cpu.name, "total_work": ctx.total_work},
         )

@@ -1,17 +1,13 @@
 """Numeric merge: coalesce C-hat triplets into the final matrix C.
 
-The merge we *execute* is a vectorised sort-based coalesce (stable and exact
-in float64 given a deterministic summation order); the merge the simulator
-*times* is the paper's dense-accumulator-with-atomics algorithm, whose costs
-the trace builders model per output row.  Both produce identical values —
-the test suite asserts it against both our reference and SciPy.
-
-The merge factors into a *symbolic* half (sort permutation, duplicate
-grouping, output structure — a pure function of the triplet coordinates) and
-a *numeric* half (gather + segmented sum).  :func:`plan_merge` captures the
-symbolic half as a reusable :class:`MergeRecipe` so iterative workloads with
-a fixed sparsity structure pay for the sort once; :func:`merge_triplets`
-remains the one-shot convenience wrapper over both halves.
+The merge we *execute* is the numeric kernel's sort-based merge step
+(:func:`repro.kernels.merge`: stable and exact in float64, each entry summed
+in stream order); the merge the simulator *times* is the paper's
+dense-accumulator-with-atomics algorithm, whose costs the trace builders
+model per output row.  Both produce identical values — the test suite
+asserts it against both our reference and SciPy.  :func:`merge_triplets` is
+the stand-alone form over a caller's triplet stream, used by the reference
+product.
 
 The performance plane needs only the output *structure* — unique columns
 per row — and :func:`symbolic_row_nnz` counts it from the operands' index
@@ -20,70 +16,13 @@ structure alone, without building the triplet stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import kernels
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["MergeRecipe", "plan_merge", "merge_triplets", "symbolic_row_nnz"]
-
-
-@dataclass(frozen=True)
-class MergeRecipe:
-    """The symbolic half of a merge: structure-only, reusable across values.
-
-    Captures everything :func:`merge_triplets` derives from the triplet
-    *coordinates* alone — the stable sort permutation, the duplicate
-    grouping, and the output CSR structure — so that repeated merges of
-    streams with identical coordinates (iterative workloads on a fixed
-    sparsity pattern) can re-run only the numeric half via :meth:`apply`.
-
-    Attributes:
-        shape: output matrix shape.
-        order: stable sort permutation over the triplet stream.
-        group: output-entry id of each *sorted* triplet (summation target).
-        n_groups: number of unique output coordinates.
-        indptr: output CSR row pointers.
-        indices: output CSR column indices (one per unique coordinate).
-    """
-
-    shape: tuple[int, int]
-    order: np.ndarray
-    group: np.ndarray
-    n_groups: int
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def apply(self, vals: np.ndarray) -> CSRMatrix:
-        """Numeric half: sum ``vals`` into the captured output structure.
-
-        Summation order is exactly :func:`merge_triplets`'s (stable sort then
-        in-order accumulation), so the result is bit-identical to a cold
-        merge of the same stream.
-        """
-        summed = kernels.segmented_sum(vals, self.order, self.group, self.n_groups)
-        return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), summed)
-
-
-def plan_merge(
-    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
-) -> MergeRecipe:
-    """Capture the symbolic half of merging the given triplet coordinates."""
-    n_rows, n_cols = shape
-    if len(rows) == 0:
-        zi = np.zeros(0, dtype=np.int64)
-        return MergeRecipe(
-            shape, zi, zi.copy(), 0, np.zeros(n_rows + 1, dtype=np.int64), zi.copy()
-        )
-    if rows.max() >= n_rows or cols.max() >= n_cols:
-        raise ShapeMismatchError("triplet coordinate out of range")
-    order, group, n_groups, indptr, indices = kernels.merge_symbolic(
-        rows, cols, n_rows, n_cols
-    )
-    return MergeRecipe(shape, order, group, n_groups, indptr, indices)
+__all__ = ["merge_triplets", "symbolic_row_nnz"]
 
 
 def merge_triplets(
@@ -102,7 +41,14 @@ def merge_triplets(
     """
     if len(rows) == 0:
         return CSRMatrix.empty(shape)
-    out = plan_merge(rows, cols, shape).apply(vals)
+    n_rows, n_cols = shape
+    if rows.max() >= n_rows or cols.max() >= n_cols:
+        raise ShapeMismatchError("triplet coordinate out of range")
+    keys = rows.astype(np.int64) * np.int64(n_cols) + cols
+    indptr, indices, data, _ = kernels.merge(
+        kernels.Expansion(keys, 1, vals, None, None), shape
+    )
+    out = CSRMatrix(shape, indptr, indices, data)
     if drop_zeros:
         keep = out.data != 0.0
         out_rows = np.repeat(np.arange(out.n_rows, dtype=np.int64), out.row_nnz())

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.host import device_precalc_cycles
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_outer_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.traceutil import merge_blocks, outer_pair_blocks
 
@@ -49,11 +49,11 @@ class OuterProductSpGEMM(SpGEMMAlgorithm):
             algorithm=self.name,
             phases=[
                 PlanPhase(
-                    "expansion", PHASE_EXPANSION, expansion,
-                    kernel=expand_outer_kernel(),
+                    "expansion", PHASE_EXPANSION, expansion, covers=Coverage("all")
                 ),
-                PlanPhase("merge", PHASE_MERGE, merge, kernel=coalesce_kernel()),
+                PlanPhase("merge", PHASE_MERGE, merge, covers=Coverage("all")),
             ],
+            order=kernels.PAIR_ORDER,
             device_setup_cycles=device_precalc_cycles(
                 self.costs, ctx.a_csr.nnz, ctx.b_csr.nnz
             ),

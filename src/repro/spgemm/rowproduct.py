@@ -10,10 +10,10 @@ results to this baseline.
 
 from __future__ import annotations
 
+from repro import kernels
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
-from repro.plan.ir import ExecutionPlan, PlanPhase
-from repro.plan.kernels import coalesce_kernel, expand_row_kernel
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.traceutil import entry_chunk_blocks, merge_blocks
 
@@ -43,17 +43,17 @@ class RowProductSpGEMM(SpGEMMAlgorithm):
             algorithm=self.name,
             phases=[
                 PlanPhase(
-                    "expansion", PHASE_EXPANSION, expansion,
-                    kernel=expand_row_kernel(),
+                    "expansion", PHASE_EXPANSION, expansion, covers=Coverage("all")
                 ),
                 PlanPhase(
                     "merge",
                     PHASE_MERGE,
                     merge,
-                    kernel=coalesce_kernel(),
+                    covers=Coverage("all"),
                     instr_override=self.costs.instr_per_merge_elem_row,
                 ),
             ],
+            order=kernels.ROW_ORDER,
             meta={"total_work": ctx.total_work},
         )
 

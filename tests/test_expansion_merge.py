@@ -5,8 +5,14 @@ import pytest
 
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.expansion import expand_outer, expand_row
+from repro.spgemm.expansion import expand_outer, expand_row_indices
 from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
+
+
+def expand_row(a, b):
+    """Row-order triplets with values (the row-order kernel's expansion)."""
+    rows, cols, a_idx, b_idx = expand_row_indices(a, b)
+    return rows, cols, a.data[a_idx] * b.data[b_idx]
 
 
 class TestExpandOuter:

@@ -1,8 +1,9 @@
 """The numeric primitives in :mod:`repro.kernels`.
 
 Checks that the spgemm wrappers return exactly what the kernels compute,
-that the merge's segmented sum and replay's gather-multiply-sum agree bit
-for bit, and the merge's edge cases.
+that the numeric kernel equals the merge of either expansion and replays
+bit for bit from its own gathers, that the tie rank and the expansion
+order decide the summation order, and the merge's edge cases.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import pytest
 
 from repro import kernels
 from repro.sparse.convert import csr_to_csc
+from repro.sparse.csr import CSRMatrix
 from repro.spgemm.expansion import expand_outer_indices, expand_row_indices
-from repro.spgemm.merge import plan_merge
+from repro.spgemm.merge import merge_triplets
 
 from .conftest import random_csr
 
@@ -24,6 +26,24 @@ def matrices():
     a = random_csr(rng, 50, 40, 0.12)
     b = random_csr(rng, 40, 35, 0.15)
     return a, b
+
+
+def _identical(x: CSRMatrix, y: CSRMatrix) -> bool:
+    return (
+        x.indptr.tobytes() == y.indptr.tobytes()
+        and x.indices.tobytes() == y.indices.tobytes()
+        and x.data.tobytes() == y.data.tobytes()
+    )
+
+
+def _spgemm(a, b, order, rank=None) -> CSRMatrix:
+    indptr, indices, data, _ = kernels.spgemm(a, b, order, rank)
+    return CSRMatrix((a.n_rows, b.n_cols), indptr, indices, data)
+
+
+#: One output entry fed by three pairs whose float64 sum depends on order:
+#: (1e16 + 1) + 1 rounds to 1e16, (1 + 1) + 1e16 is exactly 1e16 + 2.
+_BIG = 1e16
 
 
 class TestRegistry:
@@ -49,33 +69,64 @@ class TestNumpyBackendParity:
             np.testing.assert_array_equal(np.asarray(r), np.asarray(g))
 
     def test_merge_and_sums_match_spgemm(self, matrices):
+        """In either order the kernel is the merge of that order's
+        expansion, and its gathers replay to the same bits."""
         a, b = matrices
+        shape = (a.n_rows, b.n_cols)
         rows, cols, a_idx, b_idx = expand_row_indices(a, b)
-        recipe = plan_merge(rows, cols, (a.n_rows, b.n_cols))
-        order, group, n_groups, indptr, indices = kernels.merge_symbolic(
-            rows, cols, a.n_rows, b.n_cols
-        )
-        np.testing.assert_array_equal(recipe.order, order)
-        np.testing.assert_array_equal(recipe.group, group)
-        assert recipe.n_groups == n_groups
-        np.testing.assert_array_equal(recipe.indptr, indptr)
-        np.testing.assert_array_equal(recipe.indices, indices)
-
-        vals = a.data[a_idx] * b.data[b_idx]
-        np.testing.assert_array_equal(
-            kernels.segmented_sum(vals, order, group, n_groups),
-            recipe.apply(vals).data,
-        )
-        np.testing.assert_array_equal(
-            kernels.gather_multiply_sum(
-                a.data, b.data, a_idx[order], b_idx[order], group, n_groups
-            ),
-            recipe.apply(vals).data,
-        )
+        by_rows = merge_triplets(rows, cols, a.data[a_idx] * b.data[b_idx], shape)
+        a_csc = csr_to_csc(a)
+        rows, cols, a_idx, b_idx = expand_outer_indices(a_csc, b)
+        by_pairs = merge_triplets(rows, cols, a_csc.data[a_idx] * b.data[b_idx], shape)
+        for order, want in ((kernels.ROW_ORDER, by_rows), (kernels.PAIR_ORDER, by_pairs)):
+            indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
+            assert _identical(CSRMatrix(shape, indptr, indices, data), want)
+            a_gather, b_gather, group = gathers
+            np.testing.assert_array_equal(
+                kernels.gather_multiply_sum(
+                    a.data, b.data, a_gather, b_gather, group, len(indices)
+                ),
+                data,
+            )
 
     def test_empty_stream_merge(self):
-        order, group, n_groups, indptr, indices = kernels.merge_symbolic(
-            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 3, 3
+        one = kernels.Expansion(
+            np.zeros(1, dtype=np.int64), 1, np.ones(1), None, None
         )
-        assert n_groups == 1
+        indptr, indices, data, gathers = kernels.merge(one, (3, 3))
+        assert len(indices) == 1 and gathers is None
         np.testing.assert_array_equal(indptr, [0, 1, 1, 1])
+        a = CSRMatrix.empty((3, 4))
+        indptr, indices, data, gathers = kernels.spgemm(
+            a, CSRMatrix.empty((4, 2)), kernels.PAIR_ORDER, gathers=True
+        )
+        np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
+        assert len(indices) == len(data) == 0
+        assert all(len(g) == 0 for g in gathers)
+
+
+class TestSummationOrder:
+    def _three_pairs(self, a_cols):
+        """A is one row storing columns ``a_cols``; B maps pair k to 1e16, 1, 1."""
+        a = CSRMatrix((1, 3), [0, 3], a_cols, [1.0, 1.0, 1.0])
+        b = CSRMatrix((3, 1), [0, 1, 2, 3], [0, 0, 0], [_BIG, 1.0, 1.0])
+        return a, b
+
+    @pytest.mark.parametrize("order", [kernels.PAIR_ORDER, kernels.ROW_ORDER])
+    def test_tie_rank_sums_lower_ranks_first(self, order):
+        a, b = self._three_pairs([0, 1, 2])
+        assert _spgemm(a, b, order).data[0] == _BIG
+        assert _spgemm(a, b, order, np.zeros(3, dtype=np.int64)).data[0] == _BIG
+        ranked = _spgemm(a, b, order, np.array([1, 0, 0]))
+        assert ranked.data[0] == _BIG + 2
+
+    def test_expansion_order_matters_when_rows_store_columns_out_of_order(self):
+        """Pair order sums ascending k; row order sums in stored order."""
+        a, b = self._three_pairs([1, 2, 0])
+        assert _spgemm(a, b, kernels.PAIR_ORDER).data[0] == _BIG
+        assert _spgemm(a, b, kernels.ROW_ORDER).data[0] == _BIG + 2
+
+    def test_unknown_order_rejected(self, matrices):
+        a, b = matrices
+        with pytest.raises(ValueError):
+            kernels.spgemm(a, b, "diagonal")

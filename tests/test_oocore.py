@@ -3,15 +3,15 @@
 The load-bearing guarantee is that :func:`repro.oocore.chunked_multiply`
 is *bit-identical* to the in-memory path — row panels of A produce disjoint
 row slices of C, each panel's product stream is the full stream's
-restriction in the same relative order, and assembly only places each
-panel's entries at its rows' offsets.  These tests assert that end to end
-(tiny budgets forcing real panel splits and real disk spills), pin the one
-exception (the Block Reorganizer on power-law operands, identical structure
-but last-bit value differences) with a strict xfail, plus the supporting
-pieces: budget parsing, the greedy panel planner, the crash-safe spill
-store (including the SIGTERM-mid-spill leak check and the full-disk and
-corrupt-file faults), the ``@full`` catalog derivation and the runtime/CLI
-wiring.
+restriction in the same relative order, the tie ranks come from one global
+lowering, and assembly only places each panel's entries at its rows'
+offsets.  These tests assert that end to end (tiny budgets forcing real
+panel splits and real disk spills), for every scheme including the Block
+Reorganizer on power-law operands and with a single lowering per run, plus
+the supporting pieces: budget parsing, the greedy panel planner, the
+crash-safe spill store (including the SIGTERM-mid-spill leak check and the
+full-disk and corrupt-file faults), the ``@full`` catalog derivation and
+the runtime/CLI wiring.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bench.runner import paper_algorithms
 from repro.core.reorganizer import BlockReorganizer
 from repro.datasets.catalog import (
@@ -296,14 +297,37 @@ class TestChunkedMultiply:
         assert np.array_equal(chunked.indices, reference.indices)
         assert np.allclose(chunked.data, reference.data, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="classification and B-Splitting run per panel, which re-associates "
-        "the float64 sums of some entries on skewed operands",
-    )
     def test_block_reorganizer_power_law_bit_identical(self, tmp_path):
         chunked, reference = _reorganizer_chunked_and_in_memory(tmp_path)
         _assert_identical(chunked, reference)
+
+    def test_lowers_once_outside_the_panels(self, tmp_path):
+        """One ``plan.lower[...]`` span per chunked run, none under a panel:
+        the panels run the global plan's kernel, not their own lowering."""
+        a = power_law(n=1000, nnz=6000, seed=1).to_csr()
+        budget = int(row_flops(a, a).sum()) * BYTES_PER_PRODUCT // 8
+        recorder = obs.install()
+        try:
+            _, stats = chunked_multiply(
+                BlockReorganizer(), a, mem_budget=budget, spill_dir=str(tmp_path)
+            )
+        finally:
+            obs.uninstall()
+        assert stats.n_panels > 1
+
+        def walk(spans, inside_panel):
+            for span in spans:
+                panel = inside_panel or span.name.startswith("oocore.panel[")
+                yield span, inside_panel
+                yield from walk(span.children, panel)
+
+        lowerings = [
+            (span, in_panel)
+            for span, in_panel in walk(recorder.roots, False)
+            if span.name.startswith("plan.lower[")
+        ]
+        assert [span.name for span, _ in lowerings] == ["plan.lower[block-reorganizer]"]
+        assert not lowerings[0][1]
 
     def test_large_budget_single_panel_no_spill(self, rng, tmp_path):
         a = _random_csr(rng)

@@ -14,8 +14,9 @@ from repro.errors import ConfigurationError, PlanError
 from repro.gpusim.block import BlockArray
 from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
-from repro.plan.ir import ExecutionPlan, NumericState, PlanPhase
+from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.plan.passes import ClassifyPass, GatherPass, LimitPass, SplitPass
+from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.libraries import MklSpGEMM
 from repro.spgemm.outerproduct import OuterProductSpGEMM
@@ -47,12 +48,14 @@ class TestExecutionPlanStructure:
     def test_replace_phase_splices(self, ctx):
         plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
         merge = plan.phase("merge")
-        a = PlanPhase("merge-a", "merge", merge.blocks, kernel=merge.kernel)
+        a = PlanPhase("merge-a", "merge", merge.blocks, covers=merge.covers)
         b = PlanPhase("merge-b", "merge", BlockArray.empty())
         plan.replace_phase("merge", a, b)
         assert [p.name for p in plan.phases] == ["expansion", "merge-a", "merge-b"]
         with pytest.raises(PlanError):
             plan.replace_phase("merge", a)
+        _, records = plan.execute_instrumented(ctx)
+        assert [r.ops for r in records] == [ctx.total_work, ctx.total_work, 0]
 
     def test_shape_digest_reflects_structure(self, ctx):
         algo = OuterProductSpGEMM()
@@ -72,12 +75,67 @@ class TestExecutionPlanStructure:
         assert "plan_shape" in stats.meta
 
 
+def _two_pair_phases(plan, first, second):
+    """Replace the expansion with two host phases covering the pair masks
+    (host phases skip the block check, so only the coverage is tested)."""
+    plan.replace_phase(
+        "expansion",
+        PlanPhase("first", "expansion", BlockArray.empty(), Coverage("pairs", first), device=False),
+        PlanPhase("second", "expansion", BlockArray.empty(), Coverage("pairs", second), device=False),
+    )
+
+
 class TestExecutorInvariant:
-    def test_underemitting_kernel_raises(self, ctx):
+    def test_uncovered_products_raise(self, ctx):
         plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
-        plan.phase("expansion").kernel = lambda state: 0  # emits nothing
-        with pytest.raises(PlanError):
+        half = np.arange(len(ctx.pair_work)) % 2 == 0
+        _two_pair_phases(plan, half, np.zeros_like(half))
+        with pytest.raises(PlanError, match="uncovered"):
             plan.execute(ctx)
+
+    def test_overlapping_coverage_raises(self, ctx):
+        plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
+        everything = ctx.pair_work >= 0
+        _two_pair_phases(plan, everything, ctx.pair_work > 0)
+        with pytest.raises(PlanError, match="more than once"):
+            plan.execute(ctx)
+
+    def test_disjoint_pair_phases_rank_and_match(self, ctx):
+        """Two host phases partitioning the pairs pass the check; the second
+        ranks its pairs 1, and the product is still exact."""
+        plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
+        half = np.arange(len(ctx.pair_work)) % 2 == 0
+        _two_pair_phases(plan, half, ~half)
+        np.testing.assert_array_equal(plan.tie_rank(len(half)), (~half).astype(np.int64))
+        assert plan.execute(ctx).allclose(ctx.reference_c)
+
+    def test_mixed_coverage_axes_raise(self, ctx):
+        plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
+        empty = BlockArray.empty()
+        plan.replace_phase(
+            "expansion",
+            PlanPhase("p", "expansion", empty, Coverage("pairs", ctx.pair_work > 0), device=False),
+            PlanPhase("r", "expansion", empty, Coverage("rows", ctx.row_work < 0), device=False),
+        )
+        with pytest.raises(PlanError, match="mixes"):
+            plan.execute(ctx)
+
+    def test_mask_length_checked(self, ctx):
+        plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
+        plan.phase("merge").covers = Coverage("rows", np.ones(3, dtype=bool))
+        with pytest.raises(PlanError, match="mask has 3 entries"):
+            plan.execute(ctx)
+
+    def test_empty_plan_coalesces_to_empty(self, ctx, square_csr):
+        """A plan without phases covers nothing: an error on a problem with
+        products, an empty C only on one without."""
+        plan = ExecutionPlan(algorithm="noop")
+        with pytest.raises(PlanError, match="uncovered"):
+            plan.execute(ctx)
+        empty = MultiplyContext.build(CSRMatrix.empty(square_csr.shape))
+        c = plan.execute(empty)
+        assert c.nnz == 0
+        assert c.shape == square_csr.shape
 
     def test_tampered_blocks_raise(self, ctx):
         plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
@@ -92,6 +150,17 @@ class TestExecutorInvariant:
         assert [r.name for r in records] == ["expansion", "merge"]
         assert records[0].ops == ctx.total_work
         assert all(r.seconds >= 0.0 for r in records)
+
+    def test_step_time_lands_on_first_phase_of_its_stage(self, skewed_ctx):
+        """The kernel is timed as one expansion and one merge step; later
+        phases of a stage record 0 while keeping their own op counts."""
+        _, records = BlockReorganizer().profile_plan(skewed_ctx)
+        for stage in ("expansion", "merge"):
+            staged = [r for r in records if r.stage == stage]
+            assert staged[0].seconds > 0.0
+            assert all(r.seconds == 0.0 for r in staged[1:])
+        expansion = [r.ops for r in records if r.stage == "expansion"]
+        assert sum(expansion) == skewed_ctx.total_work
 
 
 class TestHostPlans:
@@ -180,27 +249,3 @@ class TestCustomPass:
         plan = TagPass().run(plan, skewed_ctx, TITAN_XP, algo.costs)
         assert plan.meta["tagged"] is True
         assert plan.execute(skewed_ctx).allclose(skewed_ctx.reference_c)
-
-
-class TestNumericState:
-    def test_expansions_cached(self, ctx):
-        state = NumericState(ctx)
-        assert state.outer_expansion() is state.outer_expansion()
-        assert state.row_expansion() is state.row_expansion()
-
-    def test_sort_then_coalesce_matches_direct(self, ctx):
-        direct = NumericState(ctx)
-        direct.emit(*direct.row_expansion())
-        sorted_state = NumericState(ctx)
-        sorted_state.emit(*sorted_state.row_expansion())
-        sorted_state.sort_pending()
-        a = direct.coalesce()
-        b = sorted_state.coalesce()
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
-
-    def test_empty_plan_coalesces_to_empty(self, ctx):
-        plan = ExecutionPlan(algorithm="noop")
-        c = plan.execute(ctx)
-        assert c.nnz == 0

@@ -5,8 +5,9 @@ format layer (round-trips), the numeric engine (all schemes agree with a
 dense reference), the structure-only symbolic pass (exact row counts on
 adversarial operands), the paths that reuse or split a cold multiply
 (plan-cache replay, semiring replay and chunked execution are bit-identical
-to it), the Block Reorganizer's transformations (splitting and gathering
-are result-preserving / work-conserving) and the scheduler.
+to it, also on rows storing their columns out of order), the Block
+Reorganizer's transformations (splitting and gathering are
+result-preserving / work-conserving) and the scheduler.
 """
 
 import os
@@ -199,6 +200,21 @@ def _with_values(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
     return CSRMatrix(m.shape, m.indptr, m.indices, data)
 
 
+def _shuffle_rows(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
+    """Same matrix with each row's stored entries in a random order."""
+    row_of = np.repeat(np.arange(m.n_rows), m.row_nnz())
+    order = np.lexsort((rng.random(m.nnz), row_of))
+    return CSRMatrix(m.shape, m.indptr, m.indices[order], m.data[order])
+
+
+def _drop_zeros(m: CSRMatrix) -> CSRMatrix:
+    keep = m.data != 0.0
+    row_of = np.repeat(np.arange(m.n_rows), m.row_nnz())[keep]
+    indptr = np.zeros(m.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=m.n_rows), out=indptr[1:])
+    return CSRMatrix(m.shape, indptr, m.indices[keep], m.data[keep])
+
+
 def _assert_identical(got: CSRMatrix, want: CSRMatrix) -> None:
     assert got.shape == want.shape
     assert got.indptr.tobytes() == want.indptr.tobytes()
@@ -247,15 +263,47 @@ class TestReplayProperties:
                 if panelled:
                     assert stats.n_panels >= 2, algo.name
                 assert stats.spill_count <= stats.n_panels, algo.name
-                if algo.name == "block-reorganizer":
-                    # Classifies per panel, so sums may re-associate (the
-                    # strict xfail in test_oocore.py pins this).
-                    assert chunked.indptr.tobytes() == cold.indptr.tobytes()
-                    assert chunked.indices.tobytes() == cold.indices.tobytes()
-                    assert np.allclose(chunked.data, cold.data, rtol=1e-12, atol=0.0)
-                else:
-                    _assert_identical(chunked, cold)
+                _assert_identical(chunked, cold)
             assert os.listdir(spill_dir) == []
+
+    @given(multiply_operands(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_storing_columns_out_of_order(self, operands, seed):
+        """Operands whose CSR rows store columns out of order (the wire
+        format does not sort them): cold, replay and chunked agree bit for
+        bit; row-ordered schemes sum in stored order exactly as scipy does;
+        pair-ordered schemes ignore the storage order."""
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        a, b = (_shuffle_rows(m, rng) for m in operands)
+        a1, b1 = _with_values(a, rng), _with_values(b, rng)
+        a2, b2 = _with_values(a, rng), _with_values(b, rng)
+        want = (
+            sp.csr_matrix((a2.data, a2.indices, a2.indptr), shape=a2.shape)
+            @ sp.csr_matrix((b2.data, b2.indices, b2.indptr), shape=b2.shape)
+        ).tocsr()
+        want.sort_indices()
+        with tempfile.TemporaryDirectory() as spill_dir:
+            for algo in paper_algorithms():
+                session = IterativeSession(algo)
+                session.multiply(a1, b1)
+                replayed = session.multiply(a2, b2)
+                assert session.stats.numeric_replays == 1, algo.name
+                cold = algo.multiply(MultiplyContext.build(a2, b2))
+                _assert_identical(replayed, cold)
+                chunked, _ = chunked_multiply(
+                    algo, a2, b2, mem_budget=BYTES_PER_PRODUCT, spill_dir=spill_dir
+                )
+                _assert_identical(chunked, cold)
+                if algo.name in ("outer-product", "block-reorganizer"):
+                    ctx = MultiplyContext.build(a2.sort_indices(), b2.sort_indices())
+                    _assert_identical(cold, algo.multiply(ctx))
+                else:
+                    # scipy drops entries that cancel to exactly zero.
+                    kept = _drop_zeros(cold)
+                    assert kept.indptr.tobytes() == want.indptr.astype(np.int64).tobytes()
+                    assert kept.indices.tobytes() == want.indices.astype(np.int64).tobytes()
+                    assert kept.data.tobytes() == want.data.tobytes(), algo.name
 
 
 class TestReorganizerPlanProperties:

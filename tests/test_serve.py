@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -436,6 +438,38 @@ class TestServer:
         )
         assert response.startswith(b"HTTP/1.1 " + status), response[:80]
         assert b"Connection: close" in response
+
+    def test_client_disconnecting_mid_body(self, serve_url, caplog):
+        """A body cut short: a client that shuts down its sending side gets
+        400 and a closed connection; one that resets the socket is dropped
+        without an asyncio error.  The server stays healthy and nothing is
+        left queued or charged to the flop ledger."""
+        host, port = serve_url.removeprefix("http://").rsplit(":", 1)
+        request = (
+            b"POST /v1/multiply HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 1000\r\n\r\n" + b"x" * 10
+        )
+        with caplog.at_level(logging.WARNING):
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
+                response = b"".join(iter(lambda: sock.recv(65536), b""))
+            assert response.startswith(b"HTTP/1.1 400"), response[:80]
+            assert b"Connection: close" in response
+
+            sock = socket.create_connection((host, int(port)), timeout=10)
+            sock.sendall(request)
+            time.sleep(0.2)  # let the server start waiting for the body
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # linger 0: the close sends a reset
+
+            assert _get(serve_url, "/healthz") == (200, {"ok": True})
+            status, stats = _get(serve_url, "/stats")
+            time.sleep(0.1)
+        assert status == 200
+        assert stats["serving"]["inflight_flops"] == 0
+        assert stats["serving"]["queue_depth"] == 0
+        assert [r.getMessage() for r in caplog.records if r.name.startswith("asyncio")] == []
 
 
 def _raw_exchange(base, request: bytes) -> bytes:

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.classify import classify_pairs
-from repro.core.splitting import choose_split_factors, plan_splitting, split_csc_columns
+from repro.core.splitting import choose_split_factors, plan_splitting
 from repro.errors import ConfigurationError
 from repro.spgemm.base import MultiplyContext
-from repro.spgemm.expansion import expand_outer
-from repro.spgemm.merge import merge_triplets
 from repro.spgemm.reference import reference_spgemm
 
 
@@ -68,45 +65,6 @@ class TestPlan:
 
 
 class TestNumericSplitting:
-    def test_split_columns_reproduce_dominator_products(self, skewed_csr):
-        """The paper's Figure 5 claim: split vector pairs produce exactly the
-        same results as the original pairs."""
-        ctx = MultiplyContext.build(skewed_csr)
-        nb = ctx.b_csr.row_nnz()
-        classes = classify_pairs(ctx.pair_work, nb, alpha=0.5)
-        if not classes.n_dominators:
-            pytest.skip("no dominators in this draw")
-        na = ctx.a_csc.col_nnz()
-        plan = plan_splitting(na, nb, classes.dominator, n_sms=30)
-
-        # Expand split blocks through the mapper (the numeric kernel the
-        # SplitPass attaches to the dominator phase).
-        from repro.plan.ir import NumericState
-        from repro.plan.passes import expand_split_kernel
-
-        state = NumericState(ctx)
-        expand_split_kernel(plan)(state)
-        rows_s, cols_s, vals_s = state.pending()
-
-        # Expand the original dominator pairs directly.
-        rows_o, cols_o, vals_o = expand_outer(ctx.a_csc, ctx.b_csr)
-        keep = np.repeat(classes.dominator, ctx.pair_work)
-        shape = ctx.out_shape
-        direct = merge_triplets(rows_o[keep], cols_o[keep], vals_o[keep], shape)
-        via_split = merge_triplets(rows_s, cols_s, vals_s, shape)
-        assert direct.allclose(via_split)
-
-    def test_mapper_points_at_dominators(self, skewed_csr):
-        ctx = MultiplyContext.build(skewed_csr)
-        nb = ctx.b_csr.row_nnz()
-        classes = classify_pairs(ctx.pair_work, nb, alpha=0.5)
-        if not classes.n_dominators:
-            pytest.skip("no dominators in this draw")
-        plan = plan_splitting(ctx.a_csc.col_nnz(), nb, classes.dominator, 30)
-        a_split, mapper = split_csc_columns(ctx.a_csc, plan)
-        assert set(mapper.tolist()) == set(np.flatnonzero(classes.dominator).tolist())
-        a_split.validate()
-
     def test_full_reorganizer_numeric_with_forced_split(self, skewed_csr):
         from repro.core.reorganizer import BlockReorganizer, ReorganizerOptions
 
