@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import ConfigurationError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import check_multipliable
@@ -23,27 +24,13 @@ __all__ = ["k_hop_shortest_paths", "single_source_distances"]
 def _with_zero_diagonal(w: CSRMatrix) -> CSRMatrix:
     """min(W, 0-diagonal): allow paths to stop early (use fewer than k edges)."""
     n = w.n_rows
-    coo = w.to_coo()
-    rows = np.concatenate([coo.rows, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([coo.cols, np.arange(n, dtype=np.int64)])
-    vals = np.concatenate([coo.vals, np.zeros(n)])
-    # Coalesce with MIN semantics: keep the cheaper of duplicate entries.
-    keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    boundaries = np.empty(len(keys), dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = keys[1:] != keys[:-1]
-    reduced = np.minimum.reduceat(vals, np.flatnonzero(boundaries))
-    ukeys = keys[boundaries]
-    out = CSRMatrix(
-        (n, n),
-        np.zeros(n + 1, dtype=np.int64),
-        (ukeys % n).astype(np.int64),
-        reduced,
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([np.repeat(diag, w.row_nnz()), diag])
+    cols = np.concatenate([w.indices, diag])
+    vals = np.concatenate([w.data, np.zeros(n)])
+    return CSRMatrix(
+        (n, n), *kernels.coalesce(rows, cols, vals, (n, n), reduce=np.minimum, identity=np.inf)
     )
-    np.cumsum(np.bincount((ukeys // n).astype(np.int64), minlength=n), out=out.indptr[1:])
-    return out
 
 
 def k_hop_shortest_paths(
@@ -65,6 +52,7 @@ def k_hop_shortest_paths(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
+    weights.validate()
     if weights.nnz and weights.data.min() < 0:
         raise ConfigurationError("min-plus paths require non-negative weights")
     check_multipliable(weights.shape, weights.shape)

@@ -4,22 +4,33 @@ Every numeric path in the library reduces to these functions: the two
 symbolic expansions (outer-product and Gustavson row-product), the one
 numeric kernel :func:`spgemm` every lowered plan runs (its two steps,
 :func:`expand` and :func:`merge`, are public so the plan executor can time
-them), and recipe replay's gather-multiply-sum.  :mod:`repro.spgemm`,
-:mod:`repro.plan` and :mod:`repro.oocore` call these functions directly.
+them), :func:`coalesce` for a caller's triplets, and recipe replay's
+:func:`gather_reduce`.  :mod:`repro.spgemm`, :mod:`repro.plan`,
+:mod:`repro.oocore`, :mod:`repro.sparse` and :mod:`repro.apps` call these
+functions directly; no other code reduces the values of duplicate
+coordinates.
+
+The algebra is the caller's: ``combine`` forms each product and ``reduce``
+folds an entry's products starting from ``identity``.  The defaults are
+NumPy's ``*`` (:func:`operator.mul`, which unlike a direct
+:func:`numpy.multiply` call may reuse a temporary operand's buffer) and
+:func:`numpy.add` from +0.0.  Semiring products and the shortest-path
+diagonal pass their own; everything else uses the defaults.
 
 The bit-identity invariant every caller relies on is one decision, made in
-:func:`merge`: each output entry is summed from +0.0 in ascending
+:func:`merge`: each output entry is reduced from ``identity`` in ascending
 (tie rank, position in the expansion order).  The expansion order is pair
 order (outer product) or row order (Gustavson) and is a property of the
 scheme's plan; the per-pair tie rank is zero except where a plan expands
 pair classes in separate phases.  Products are keyed by coordinate (and
 rank), stably sorted, and accumulated with :func:`numpy.ufunc.at`, which
 applies repeated indices in order — so a recipe replay, which gathers the
-products in that sorted order, sums exactly as the cold kernel did.
+products in that sorted order, reduces exactly as the cold kernel did.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +45,8 @@ __all__ = [
     "expand",
     "merge",
     "spgemm",
-    "gather_multiply_sum",
+    "coalesce",
+    "gather_reduce",
 ]
 
 #: Expansion orders: pair by pair (outer product) or row by row (Gustavson).
@@ -123,7 +135,9 @@ class Expansion(NamedTuple):
     b_idx: np.ndarray | None
 
 
-def expand(a, b, order: str, rank=None, *, gathers: bool = False) -> Expansion:
+def expand(
+    a, b, order: str, rank=None, *, gathers: bool = False, combine=operator.mul
+) -> Expansion:
     """The kernel's expansion step: every product of ``A·B`` in ``order``.
 
     ``a`` and ``b`` are CSR (anything with ``shape``, ``indptr``,
@@ -132,6 +146,7 @@ def expand(a, b, order: str, rank=None, *, gathers: bool = False) -> Expansion:
     :func:`~repro.sparse.convert.csr_to_csc` performs, so a column lists its
     entries in row order whatever the order within A's rows.  ``rank`` is a
     per-pair tie rank (one entry per column of A), or None for all zero.
+    ``combine`` forms each product from its two operand values.
     """
     n_rows, n_cols = a.shape[0], b.shape[1]
     if order == PAIR_ORDER:
@@ -148,7 +163,7 @@ def expand(a, b, order: str, rank=None, *, gathers: bool = False) -> Expansion:
     else:
         raise ValueError(f"unknown expansion order {order!r}")
 
-    vals = a.data[a_idx] * b.data[b_idx]
+    vals = combine(a.data[a_idx], b.data[b_idx])
     keys = rows.astype(np.int64) * np.int64(n_cols) + cols
     span = 1
     if rank is not None and np.any(rank):
@@ -159,12 +174,13 @@ def expand(a, b, order: str, rank=None, *, gathers: bool = False) -> Expansion:
     return Expansion(keys, span, vals, a_idx, b_idx)
 
 
-def merge(expansion: Expansion, shape: tuple[int, int]):
-    """The kernel's merge step: sum the stream into canonical CSR.
+def merge(expansion: Expansion, shape: tuple[int, int], *, reduce=np.add, identity: float = 0.0):
+    """The kernel's merge step: reduce the stream into canonical CSR.
 
     One stable sort by key groups each output entry's products in
-    ascending (tie rank, stream position); each entry is summed from +0.0
-    in that order.  Entries that cancel to zero are kept.  Returns
+    ascending (tie rank, stream position); each entry is reduced from
+    ``identity`` with in-order ``reduce.at``.  Entries that reduce to the
+    identity (sums that cancel to zero) are kept.  Returns
     ``(indptr, indices, data, gathers)`` where ``gathers`` is
     ``(a_gather, b_gather, group)`` in summation order — the arrays of a
     :class:`~repro.plan.cache.NumericRecipe` — or None when the expansion
@@ -182,30 +198,66 @@ def merge(expansion: Expansion, shape: tuple[int, int]):
     coords = coords[first]
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(coords // n_cols, minlength=n_rows), out=indptr[1:])
-    data = np.zeros(len(coords), dtype=np.float64)
-    np.add.at(data, group, vals[perm])
+    data = np.full(len(coords), identity, dtype=np.float64)
+    reduce.at(data, group, vals[perm])
     gathers = None if a_idx is None else (a_idx[perm], b_idx[perm], group)
     return indptr, coords % n_cols, data, gathers
 
 
-def spgemm(a, b, order: str, rank=None, *, gathers: bool = False):
+def spgemm(
+    a,
+    b,
+    order: str,
+    rank=None,
+    *,
+    gathers: bool = False,
+    combine=operator.mul,
+    reduce=np.add,
+    identity: float = 0.0,
+):
     """``C = A·B``: the one numeric kernel (:func:`expand` then :func:`merge`).
 
     Returns ``(indptr, indices, data, gathers)``; see the two steps.
     """
-    stream = expand(a, b, order, rank, gathers=gathers)
-    return merge(stream, (a.shape[0], b.shape[1]))
+    stream = expand(a, b, order, rank, gathers=gathers, combine=combine)
+    return merge(stream, (a.shape[0], b.shape[1]), reduce=reduce, identity=identity)
 
 
-def gather_multiply_sum(
+def coalesce(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    shape: tuple[int, int],
+    *,
+    reduce=np.add,
+    identity: float = 0.0,
+):
+    """Reduce duplicate ``(row, col)`` triplets into canonical CSR.
+
+    The merge step over the caller's triplets in their given order, so
+    duplicates reduce in input order.  Coordinates must lie inside
+    ``shape``.  Returns ``(indptr, indices, data)``.
+    """
+    keys = rows.astype(np.int64, copy=False) * np.int64(shape[1]) + cols
+    stream = Expansion(keys, 1, vals, None, None)
+    indptr, indices, data, _ = merge(stream, shape, reduce=reduce, identity=identity)
+    return indptr, indices, data
+
+
+def gather_reduce(
     a_data: np.ndarray,
     b_data: np.ndarray,
     a_gather: np.ndarray,
     b_gather: np.ndarray,
     group: np.ndarray,
     n_groups: int,
+    *,
+    combine=operator.mul,
+    reduce=np.add,
+    identity: float = 0.0,
 ) -> np.ndarray:
-    """Gather both operands, multiply, and sum by ``group`` in stream order."""
-    out = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(out, group, a_data[a_gather] * b_data[b_gather])
+    """Recipe replay: gather both operands, combine, and reduce by ``group``
+    in stream order from ``identity`` — the merge step's arithmetic."""
+    out = np.full(n_groups, identity, dtype=np.float64)
+    reduce.at(out, group, combine(a_data[a_gather], b_data[b_gather]))
     return out

@@ -14,7 +14,6 @@ from repro.plan.cache import (
     NumericRecipe,
     PlanCache,
     PlanCacheStats,
-    SemiringRecipe,
     structure_fingerprint,
 )
 from repro.plan.ir import Coverage, ExecutionPlan, PhaseExecution, PlanPhase
@@ -32,7 +31,6 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "NumericRecipe",
-    "SemiringRecipe",
     "structure_fingerprint",
     "Coverage",
     "ExecutionPlan",

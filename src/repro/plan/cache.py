@@ -16,9 +16,9 @@ that optimisation for our engine:
   summation order (:func:`repro.kernels.merge`), plus the output structure.
   :meth:`NumericRecipe.replay` is bit-identical to the cold execution by
   construction (same multiplication pairs, same float64 summation order).
-* :class:`SemiringRecipe` — the analogue for :func:`~repro.spgemm.semiring`
-  products, where the *output* structure is value-dependent (identity
-  entries are dropped) so only the expansion/sort structure is reused.
+  Semiring products keep one too, captured from their one kernel call; a
+  semiring replay runs the semiring's algebra and drops identity entries
+  again, since which entries survive depends on the values.
 * :class:`PlanCache` — memoizes lowered plans and recipes keyed by
   (algorithm fingerprint, GPU config, structure fingerprint) and counts
   lookups/hits/lowers so tests and the CLI can assert amortisation.  The
@@ -37,8 +37,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "algorithm_token",
     "config_token",
     "NumericRecipe",
-    "SemiringRecipe",
     "PlanCacheStats",
     "PlanCacheEntry",
     "PlanCache",
@@ -106,8 +106,9 @@ class NumericRecipe:
     ``a_gather``/``b_gather`` index the operands' stored entries (CSR order)
     in *merged* order — the order the numeric kernel sums them in — and
     ``group`` maps each product to its output entry.  Replay is one gather,
-    one multiply and one in-order segmented sum — the same float64
-    operations in the same order as the cold path's merge.
+    one combine and one in-order reduce by ``group`` — the same float64
+    operations in the same order as the cold path's merge, under the
+    algebra the cold product ran (default: multiply, then add from +0.0).
 
     Attributes:
         shape: output matrix shape.
@@ -127,46 +128,28 @@ class NumericRecipe:
     indptr: np.ndarray
     indices: np.ndarray
 
-    def replay(self, a_data: np.ndarray, b_data: np.ndarray) -> CSRMatrix:
-        """Re-run the numeric phase against fresh operand values."""
-        summed = kernels.gather_multiply_sum(
-            a_data, b_data, self.a_gather, self.b_gather, self.group, self.n_groups
-        )
-        return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), summed)
-
-
-@dataclass(frozen=True)
-class SemiringRecipe:
-    """Symbolic-structure replay for semiring products.
-
-    Semiring merges drop entries equal to the reduce identity, so the output
-    structure depends on the values and cannot be cached; what *is* structural
-    — the expansion gathers in sorted order, the duplicate group starts and
-    the unique output coordinates before identity-dropping — is.  Replay
-    re-reduces, re-applies the identity filter and rebuilds ``indptr``.
-    """
-
-    shape: tuple[int, int]
-    a_gather: np.ndarray
-    b_gather: np.ndarray
-    group_starts: np.ndarray
-    out_rows: np.ndarray
-    out_cols: np.ndarray
-
     def replay(
-        self, a_data: np.ndarray, b_data: np.ndarray, semiring: Semiring
+        self,
+        a_data: np.ndarray,
+        b_data: np.ndarray,
+        *,
+        combine=operator.mul,
+        reduce=np.add,
+        identity: float = 0.0,
     ) -> CSRMatrix:
-        """Re-run the semiring numeric phase against fresh operand values."""
-        n_rows, _ = self.shape
-        if len(self.a_gather) == 0:
-            return CSRMatrix.empty(self.shape)
-        vals = semiring.combine(a_data[self.a_gather], b_data[self.b_gather])
-        reduced = semiring.reduce.reduceat(vals, self.group_starts)
-        keep = reduced != semiring.identity
-        out_rows, out_cols = self.out_rows[keep], self.out_cols[keep]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out_rows, minlength=n_rows), out=indptr[1:])
-        return CSRMatrix(self.shape, indptr, out_cols, reduced[keep].astype(np.float64))
+        """Re-run the numeric phase against fresh operand values."""
+        data = kernels.gather_reduce(
+            a_data,
+            b_data,
+            self.a_gather,
+            self.b_gather,
+            self.group,
+            self.n_groups,
+            combine=combine,
+            reduce=reduce,
+            identity=identity,
+        )
+        return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), data)
 
 
 @dataclass
@@ -221,7 +204,7 @@ class PlanCacheEntry:
     """One cached lowering: the plan plus (when capturable) a replay recipe."""
 
     plan: ExecutionPlan | None
-    recipe: NumericRecipe | SemiringRecipe | None = None
+    recipe: NumericRecipe | None = None
 
     @property
     def nbytes(self) -> int:
@@ -384,74 +367,54 @@ class PlanCache:
 
     # -- semiring path --------------------------------------------------
     def semiring_multiply(
-        self, a: CSRMatrix, b: CSRMatrix | None = None, semiring=None
+        self, a: CSRMatrix, b: CSRMatrix | None = None, semiring: Semiring | None = None
     ) -> CSRMatrix:
         """Semiring product with symbolic-structure reuse.
 
-        Uses the shared outer-product expansion; the cache key includes the
-        semiring name because the combine decides nothing structural but the
-        replay verification is algebra-specific.
+        A miss runs the kernel once over the semiring's algebra and keeps
+        its gathers as a :class:`NumericRecipe`; a hit replays them with the
+        semiring's algebra and drops identity entries again.  The cache key
+        includes the semiring name because the fill-time verification is
+        algebra-specific.
         """
         from repro.spgemm.base import validate_operands
-        from repro.spgemm.semiring import PLUS_TIMES, semiring_spgemm
+        from repro.spgemm.semiring import PLUS_TIMES, semiring_kernel
 
         if semiring is None:
             semiring = PLUS_TIMES
         b = a if b is None else b
         key = ("semiring", semiring.name, structure_fingerprint(a, b))
+
+        def replay(recipe: NumericRecipe) -> CSRMatrix:
+            return semiring.drop_identity(recipe.replay(a.data, b.data, **semiring.algebra))
+
         self.stats.lookups += 1
         entry = self._get(key)
         if entry is not None and entry.recipe is not None:
             self.stats.hits += 1
             self.stats.numeric_replays += 1
             with obs.span("plan.semiring[hit]", "plan", hits=1, numeric_replays=1):
-                return entry.recipe.replay(a.data, b.data, semiring)
+                return replay(entry.recipe)
 
         self.stats.misses += 1
         self.stats.symbolic_expansions += 1
         with obs.span("plan.semiring[miss]", "plan", misses=1, symbolic_expansions=1):
             validate_operands(a, b)
-            result = semiring_spgemm(a, b, semiring)
-            recipe = self._capture_semiring(a, b)
-            if (
-                recipe is not None
-                and self.verify_fill
-                and not _identical(recipe.replay(a.data, b.data, semiring), result)
-            ):
+            full, (a_gather, b_gather, group) = semiring_kernel(a, b, semiring, gathers=True)
+            recipe = NumericRecipe(
+                shape=full.shape,
+                a_gather=a_gather,
+                b_gather=b_gather,
+                group=group,
+                n_groups=full.nnz,
+                indptr=full.indptr,
+                indices=full.indices,
+            )
+            result = semiring.drop_identity(full)
+            if self.verify_fill and not _identical(replay(recipe), result):
                 recipe = None
             self._insert(key, PlanCacheEntry(None, recipe))
         return result
-
-    def _capture_semiring(
-        self, a: CSRMatrix, b: CSRMatrix
-    ) -> SemiringRecipe | None:
-        """Capture the structural half of a semiring product."""
-        from repro.spgemm.expansion import expand_outer_indices
-
-        a_csc = a.to_csc()
-        rows, cols, a_idx, b_idx = expand_outer_indices(a_csc, b)
-        shape = (a.n_rows, b.n_cols)
-        # a_idx is in a_csc entry order; replay gathers from a.data (csr).
-        csc_to_csr = np.argsort(a.indices, kind="stable")
-        a_idx = csc_to_csr[a_idx]
-        if len(rows) == 0:
-            zi = np.zeros(0, dtype=np.int64)
-            return SemiringRecipe(shape, zi, zi.copy(), zi.copy(), zi.copy(), zi.copy())
-        keys = rows.astype(np.int64) * np.int64(shape[1]) + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        boundaries = np.empty(len(keys), dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = keys[1:] != keys[:-1]
-        unique_keys = keys[boundaries]
-        return SemiringRecipe(
-            shape=shape,
-            a_gather=a_idx[order],
-            b_gather=b_idx[order],
-            group_starts=np.flatnonzero(boundaries),
-            out_rows=(unique_keys // shape[1]).astype(np.int64),
-            out_cols=unique_keys % shape[1],
-        )
 
 
 def _identical(x: CSRMatrix, y: CSRMatrix) -> bool:

@@ -1,15 +1,18 @@
 """Format conversions between COO, CSR and CSC.
 
-All conversions run in O(nnz) (counting sort / stable argsort) and preserve
-values exactly.  COO inputs are coalesced (duplicates summed) on the way in, so
-the compressed formats are always canonical: no duplicate coordinates, indices
-sorted within each row/column.
+Conversions between the compressed formats re-compress with one stable
+argsort and preserve values exactly.  COO inputs are coalesced on the way in
+by :func:`repro.kernels.coalesce` — keyed by (row, col) for CSR and by
+(col, row) for CSC, duplicates summed in input order — so the compressed
+formats are always canonical: no duplicate coordinates, indices sorted
+within each row/column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
@@ -35,18 +38,14 @@ def _compress(keys: np.ndarray, n_groups: int) -> np.ndarray:
 def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
     """Convert a COO matrix to canonical CSR (coalesces duplicates)."""
     coo.validate()
-    canon = coo.coalesce(drop_zeros=False)
-    indptr = _compress(canon.rows, canon.n_rows)
-    return CSRMatrix(canon.shape, indptr, canon.cols, canon.vals)
+    return CSRMatrix(coo.shape, *kernels.coalesce(coo.rows, coo.cols, coo.vals, coo.shape))
 
 
 def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     """Convert a COO matrix to canonical CSC (coalesces duplicates)."""
     coo.validate()
-    canon = coo.coalesce(drop_zeros=False)
-    order = np.lexsort((canon.rows, canon.cols))
-    indptr = _compress(canon.cols[order], canon.n_cols)
-    return CSCMatrix(canon.shape, indptr, canon.rows[order], canon.vals[order])
+    by_col = kernels.coalesce(coo.cols, coo.rows, coo.vals, (coo.n_cols, coo.n_rows))
+    return CSCMatrix(coo.shape, *by_col)
 
 
 def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:

@@ -3,7 +3,9 @@
 COO is the interchange format of this library: generators produce COO, and the
 compressed formats (:class:`~repro.sparse.csr.CSRMatrix`,
 :class:`~repro.sparse.csc.CSCMatrix`) are built from it.  Entries may be
-unsorted and may contain duplicates until :meth:`COOMatrix.coalesce` is called.
+unsorted and may contain duplicates until :meth:`COOMatrix.coalesce` is called,
+which sums them through the numeric kernel's merge
+(:func:`repro.kernels.coalesce`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import ShapeMismatchError, SparseFormatError
 
 __all__ = ["COOMatrix"]
@@ -100,28 +103,16 @@ class COOMatrix:
     def coalesce(self, drop_zeros: bool = True) -> "COOMatrix":
         """Return an equivalent COO matrix with duplicates summed.
 
-        Entries are sorted by (row, col).  When ``drop_zeros`` is true, entries
-        that sum to exactly zero are removed.
+        Entries are sorted by (row, col) and duplicates summed in input
+        order (:func:`repro.kernels.coalesce`).  When ``drop_zeros`` is
+        true, entries that sum to exactly zero are removed.
         """
-        if self.nnz == 0:
-            return COOMatrix.empty(self.shape)
-        key = self.rows * np.int64(self.n_cols) + self.cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        vals = self.vals[order]
-        boundaries = np.empty(len(key), dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = key[1:] != key[:-1]
-        group = np.cumsum(boundaries) - 1
-        summed = np.zeros(group[-1] + 1, dtype=np.float64)
-        np.add.at(summed, group, vals)
-        unique_key = key[boundaries]
-        rows = unique_key // self.n_cols
-        cols = unique_key % self.n_cols
+        indptr, cols, vals = kernels.coalesce(self.rows, self.cols, self.vals, self.shape)
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(indptr))
         if drop_zeros:
-            keep = summed != 0.0
-            rows, cols, summed = rows[keep], cols[keep], summed[keep]
-        return COOMatrix(self.shape, rows, cols, summed)
+            keep = vals != 0.0
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return COOMatrix(self.shape, rows, cols, vals)
 
     # ------------------------------------------------------------------
     # Conversions

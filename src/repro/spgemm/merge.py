@@ -6,8 +6,8 @@ in stream order); the merge the simulator *times* is the paper's
 dense-accumulator-with-atomics algorithm, whose costs the trace builders
 model per output row.  Both produce identical values — the test suite
 asserts it against both our reference and SciPy.  :func:`merge_triplets` is
-the stand-alone form over a caller's triplet stream, used by the reference
-product.
+the range-checked form over a caller's triplet stream
+(:func:`repro.kernels.coalesce`), used by the reference product.
 
 The performance plane needs only the output *structure* — unique columns
 per row — and :func:`symbolic_row_nnz` counts it from the operands' index
@@ -26,36 +26,19 @@ __all__ = ["merge_triplets", "symbolic_row_nnz"]
 
 
 def merge_triplets(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    shape: tuple[int, int],
-    *,
-    drop_zeros: bool = False,
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
 ) -> CSRMatrix:
     """Sum duplicate coordinates and return canonical CSR.
 
-    ``drop_zeros`` is off by default: GPU merge kernels keep explicit zeros
-    produced by cancellation, and so do we, so that nnz(C) accounting matches
-    the work the kernels actually did.
+    Explicit zeros produced by cancellation are kept: GPU merge kernels keep
+    them too, so nnz(C) accounting matches the work the kernels actually did.
     """
-    if len(rows) == 0:
-        return CSRMatrix.empty(shape)
     n_rows, n_cols = shape
-    if rows.max() >= n_rows or cols.max() >= n_cols:
+    if len(rows) and (
+        rows.min() < 0 or cols.min() < 0 or rows.max() >= n_rows or cols.max() >= n_cols
+    ):
         raise ShapeMismatchError("triplet coordinate out of range")
-    keys = rows.astype(np.int64) * np.int64(n_cols) + cols
-    indptr, indices, data, _ = kernels.merge(
-        kernels.Expansion(keys, 1, vals, None, None), shape
-    )
-    out = CSRMatrix(shape, indptr, indices, data)
-    if drop_zeros:
-        keep = out.data != 0.0
-        out_rows = np.repeat(np.arange(out.n_rows, dtype=np.int64), out.row_nnz())
-        indptr = np.zeros(out.n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out_rows[keep], minlength=out.n_rows), out=indptr[1:])
-        return CSRMatrix(shape, indptr, out.indices[keep], out.data[keep])
-    return out
+    return CSRMatrix(shape, *kernels.coalesce(rows, cols, vals, shape))
 
 
 #: Products gathered per row block of the symbolic pass (each transient

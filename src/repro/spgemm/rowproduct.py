@@ -10,6 +10,8 @@ results to this baseline.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import kernels
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
@@ -58,6 +60,6 @@ class RowProductSpGEMM(SpGEMMAlgorithm):
         )
 
     @staticmethod
-    def ctx_entry_work(ctx: MultiplyContext) -> "np.ndarray":
+    def ctx_entry_work(ctx: MultiplyContext) -> np.ndarray:
         """Products per A-entry: ``nnz(b_{col(e)*})`` in CSR order."""
         return ctx.b_csr.row_nnz()[ctx.a_csr.indices]

@@ -1,10 +1,12 @@
-"""Semiring spGEMM: the same expansion/merge machinery over other algebras.
+"""Semiring spGEMM: the numeric kernel over other algebras.
 
 Graph analytics often needs matrix multiplication over a semiring other than
 (+, x): boolean (or, and) for reachability, tropical (min, +) for shortest
-paths, (max, x) for widest paths.  The expansion stage is algebra-agnostic —
-only the per-product combine and the merge-stage reduce change — so the
-library exposes them as a :class:`Semiring` plugged into the shared engine.
+paths, (max, x) for widest paths.  The expansion is algebra-agnostic — only
+the per-product combine and the merge's reduce change — so a
+:class:`Semiring` is passed to the one numeric kernel,
+:func:`repro.kernels.spgemm`, as its ``combine``, ``reduce`` and
+``identity``; an entry reduced to the identity is dropped.
 
 Performance-wise a semiring product launches the same thread blocks as the
 numeric product (identical sparsity work), so any
@@ -19,9 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import ConfigurationError
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.expansion import expand_outer_indices
+from repro.sparse.ops import check_multipliable
+from repro.spgemm.base import validate_operands
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class Semiring:
     Attributes:
         name: identifier ("plus-times", "or-and", "min-plus", ...).
         combine: vectorised binary op replacing the scalar multiply.
-        reduce: NumPy ufunc replacing the scalar add in the merge
-            (must support ``reduceat``).
+        reduce: NumPy ufunc replacing the scalar add in the merge; each
+            entry is reduced from ``identity`` with in-order ``reduce.at``.
         identity: the reduce identity (what an absent entry means).
     """
 
@@ -42,8 +46,22 @@ class Semiring:
     identity: float
 
     def __post_init__(self) -> None:
-        if not hasattr(self.reduce, "reduceat"):
-            raise ConfigurationError("reduce must be a NumPy ufunc with reduceat")
+        if not hasattr(self.reduce, "at"):
+            raise ConfigurationError("reduce must be a NumPy ufunc (the merge calls reduce.at)")
+
+    @property
+    def algebra(self) -> dict:
+        """The numeric kernel's algebra arguments for this semiring."""
+        return {"combine": self.combine, "reduce": self.reduce, "identity": self.identity}
+
+    def drop_identity(self, c: CSRMatrix) -> CSRMatrix:
+        """``c`` without the entries equal to the identity (an explicit
+        identity is indistinguishable from an absent entry)."""
+        keep = c.data != self.identity
+        row_of = np.repeat(np.arange(c.n_rows, dtype=np.int64), c.row_nnz())[keep]
+        indptr = np.zeros(c.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=c.n_rows), out=indptr[1:])
+        return CSRMatrix(c.shape, indptr, c.indices[keep], c.data[keep])
 
 
 PLUS_TIMES = Semiring("plus-times", np.multiply, np.add, 0.0)
@@ -61,7 +79,11 @@ MIN_PLUS = Semiring("min-plus", np.add, np.minimum, np.inf)
 """Tropical semiring: entry (i, j) of C is the cheapest 2-leg path cost."""
 
 MAX_TIMES = Semiring("max-times", np.multiply, np.maximum, 0.0)
-"""Widest/most-reliable-path semiring over probabilities in [0, 1]."""
+"""Widest/most-reliable-path semiring over probabilities in [0, 1].
+
+Its domain is non-negative values: each entry is reduced from the identity
+0, so an entry whose products are all negative reduces to 0 and is dropped.
+"""
 
 __all__ = [
     "Semiring",
@@ -78,45 +100,28 @@ def semiring_spgemm(
 ) -> CSRMatrix:
     """Compute ``a (x) b`` over an arbitrary semiring.
 
-    Expansion order follows the outer product; duplicates merge with the
-    semiring's reduce.  Entries equal to the reduce identity are dropped
-    (an explicit identity is indistinguishable from an absent entry in
-    semiring algebra).
+    The numeric kernel in pair order (the outer product) with the
+    semiring's algebra: each entry is reduced in ascending k, so
+    ``PLUS_TIMES`` equals the outer-product numeric product.  Entries equal
+    to the reduce identity are dropped.
     """
     b = a if b is None else b
-    a_csc = a.to_csc()
-    rows, cols, a_idx, b_idx = expand_outer_indices(a_csc, b)
-    vals = semiring.combine(a_csc.data[a_idx], b.data[b_idx])
-    return _merge_with_reduce(rows, cols, vals, (a.n_rows, b.n_cols), semiring)
+    validate_operands(a, b)
+    c, _ = semiring_kernel(a, b, semiring)
+    return semiring.drop_identity(c)
 
 
-def _merge_with_reduce(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    shape: tuple[int, int],
-    semiring: Semiring,
-) -> CSRMatrix:
-    n_rows, n_cols = shape
-    if len(rows) == 0:
-        return CSRMatrix.empty(shape)
-    keys = rows.astype(np.int64) * np.int64(n_cols) + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
+def semiring_kernel(
+    a: CSRMatrix, b: CSRMatrix, semiring: Semiring, *, gathers: bool = False
+) -> tuple[CSRMatrix, tuple | None]:
+    """:func:`repro.kernels.spgemm` in pair order over ``semiring``'s algebra.
 
-    boundaries = np.empty(len(keys), dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = keys[1:] != keys[:-1]
-    group_starts = np.flatnonzero(boundaries)
-    reduced = semiring.reduce.reduceat(vals, group_starts)
-
-    unique_keys = keys[boundaries]
-    out_rows = unique_keys // n_cols
-    out_cols = unique_keys % n_cols
-    keep = reduced != semiring.identity
-    out_rows, out_cols, reduced = out_rows[keep], out_cols[keep], reduced[keep]
-
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_rows, minlength=n_rows), out=indptr[1:])
-    return CSRMatrix(shape, indptr, out_cols, reduced.astype(np.float64))
+    Entries equal to the identity are kept (see
+    :meth:`Semiring.drop_identity`).  The operands are not validated.
+    Returns ``(C, gathers)``, the gathers as the kernel's.
+    """
+    check_multipliable(a.shape, b.shape)
+    indptr, indices, data, captured = kernels.spgemm(
+        a, b, kernels.PAIR_ORDER, gathers=gathers, **semiring.algebra
+    )
+    return CSRMatrix((a.n_rows, b.n_cols), indptr, indices, data), captured

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.expansion import expand_outer, expand_row_indices
+from repro.spgemm.expansion import expand_outer
 from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 
 
 def expand_row(a, b):
     """Row-order triplets with values (the row-order kernel's expansion)."""
-    rows, cols, a_idx, b_idx = expand_row_indices(a, b)
+    rows, cols, a_idx, b_idx = kernels.expand_row_indices(a.indptr, a.indices, b.indptr, b.indices)
     return rows, cols, a.data[a_idx] * b.data[b_idx]
 
 
@@ -89,7 +90,6 @@ class TestMerge:
         cols = np.array([0, 0])
         vals = np.array([1.0, -1.0])
         assert merge_triplets(rows, cols, vals, (1, 1)).nnz == 1
-        assert merge_triplets(rows, cols, vals, (1, 1), drop_zeros=True).nnz == 0
 
     def test_empty(self):
         z = np.zeros(0, dtype=np.int64)
@@ -98,8 +98,10 @@ class TestMerge:
         c.validate()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            merge_triplets(np.array([5]), np.array([0]), np.array([1.0]), (2, 2))
+        """Too large, and negative (which a flat key would alias into range)."""
+        for row, col, shape in ((5, 0, (2, 2)), (1, -1, (2, 3)), (-1, 0, (2, 3))):
+            with pytest.raises(ShapeMismatchError):
+                merge_triplets(np.array([row]), np.array([col]), np.array([5.0]), shape)
 
     def test_output_canonical(self, square_csr):
         rows, cols, vals = expand_outer(square_csr.to_csc(), square_csr)

@@ -1,9 +1,8 @@
 """The numeric primitives in :mod:`repro.kernels`.
 
-Checks that the spgemm wrappers return exactly what the kernels compute,
-that the numeric kernel equals the merge of either expansion and replays
-bit for bit from its own gathers, that the tie rank and the expansion
-order decide the summation order, and the merge's edge cases.
+Checks that the numeric kernel equals the merge of either expansion and
+replays bit for bit from its own gathers, that the tie rank and the
+expansion order decide the summation order, and the merge's edge cases.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 from repro import kernels
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.expansion import expand_outer_indices, expand_row_indices
 from repro.spgemm.merge import merge_triplets
 
 from .conftest import random_csr
@@ -52,40 +50,28 @@ class TestRegistry:
 
 
 class TestNumpyBackendParity:
-    """The kernels equal what the spgemm wrappers return, bit for bit."""
-
-    def test_expansions_match_spgemm(self, matrices):
-        a, b = matrices
-        a_csc = csr_to_csc(a)
-        ref = expand_outer_indices(a_csc, b)
-        got = kernels.expand_outer_indices(
-            a_csc.indptr, a_csc.indices, b.indptr, b.indices
-        )
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(np.asarray(r), np.asarray(g))
-        ref = expand_row_indices(a, b)
-        got = kernels.expand_row_indices(a.indptr, a.indices, b.indptr, b.indices)
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(np.asarray(r), np.asarray(g))
+    """The kernel equals the merge of its own expansions, bit for bit."""
 
     def test_merge_and_sums_match_spgemm(self, matrices):
         """In either order the kernel is the merge of that order's
         expansion, and its gathers replay to the same bits."""
         a, b = matrices
         shape = (a.n_rows, b.n_cols)
-        rows, cols, a_idx, b_idx = expand_row_indices(a, b)
+        rows, cols, a_idx, b_idx = kernels.expand_row_indices(
+            a.indptr, a.indices, b.indptr, b.indices
+        )
         by_rows = merge_triplets(rows, cols, a.data[a_idx] * b.data[b_idx], shape)
         a_csc = csr_to_csc(a)
-        rows, cols, a_idx, b_idx = expand_outer_indices(a_csc, b)
+        rows, cols, a_idx, b_idx = kernels.expand_outer_indices(
+            a_csc.indptr, a_csc.indices, b.indptr, b.indices
+        )
         by_pairs = merge_triplets(rows, cols, a_csc.data[a_idx] * b.data[b_idx], shape)
         for order, want in ((kernels.ROW_ORDER, by_rows), (kernels.PAIR_ORDER, by_pairs)):
             indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
             assert _identical(CSRMatrix(shape, indptr, indices, data), want)
             a_gather, b_gather, group = gathers
             np.testing.assert_array_equal(
-                kernels.gather_multiply_sum(
-                    a.data, b.data, a_gather, b_gather, group, len(indices)
-                ),
+                kernels.gather_reduce(a.data, b.data, a_gather, b_gather, group, len(indices)),
                 data,
             )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.apps.pagerank import pagerank, pagerank_spgemm
 from repro.apps.shortestpaths import k_hop_shortest_paths
 from repro.core.adaptive import AdaptiveBlockReorganizer
@@ -166,6 +167,20 @@ class TestSemiringReplay:
         assert cache.stats.hits == 1
         cold = semiring_spgemm(a2, b2, semiring)
         _assert_bit_identical(warm, cold)
+
+    def test_miss_expands_once(self, rng, monkeypatch):
+        """One kernel call builds both the result and the recipe."""
+        calls = []
+        expand = kernels.expand_outer_indices
+
+        def counting(*args):
+            calls.append(1)
+            return expand(*args)
+
+        monkeypatch.setattr(kernels, "expand_outer_indices", counting)
+        a = random_csr(rng, 30, 30, 0.2)
+        PlanCache().semiring_multiply(a, a, MIN_PLUS)
+        assert len(calls) == 1
 
     def test_identity_dropping_recomputed_per_replay(self, rng):
         # The kept-entry set depends on values, so replay must rebuild the

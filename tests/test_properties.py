@@ -5,7 +5,8 @@ format layer (round-trips), the numeric engine (all schemes agree with a
 dense reference), the structure-only symbolic pass (exact row counts on
 adversarial operands), the paths that reuse or split a cold multiply
 (plan-cache replay, semiring replay and chunked execution are bit-identical
-to it, also on rows storing their columns out of order), the Block
+to it, also on rows storing their columns out of order), semiring products
+(PLUS_TIMES is the numeric product and scipy's, bit for bit), the Block
 Reorganizer's transformations (splitting and gathering are
 result-preserving / work-conserving) and the scheduler.
 """
@@ -26,6 +27,7 @@ from repro.core.splitting import plan_splitting
 from repro.gpusim.scheduler import list_schedule
 from repro.metrics.lbi import load_balancing_index
 from repro.oocore import BYTES_PER_PRODUCT, chunked_multiply
+from repro.plan.cache import PlanCache
 from repro.plan.estimate import row_flops
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -34,7 +36,7 @@ from repro.spgemm.base import MultiplyContext
 from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
-from repro.spgemm.semiring import MIN_PLUS, semiring_spgemm
+from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spgemm
 from repro.spgemm.session import IterativeSession
 
 
@@ -192,9 +194,10 @@ class TestSymbolicPassProperties:
                 assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
 
 
-def _with_values(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
-    """Same structure, fresh values: positive, explicit zeros and -0.0."""
-    data = rng.uniform(0.5, 2.0, m.nnz)
+def _with_values(m: CSRMatrix, rng: np.random.Generator, low: float = 0.5) -> CSRMatrix:
+    """Same structure, fresh values: uniform from ``low`` to 2 (positive by
+    default), explicit zeros and -0.0."""
+    data = rng.uniform(low, 2.0, m.nnz)
     data[rng.random(m.nnz) < 0.15] = 0.0
     data[rng.random(m.nnz) < 0.1] = -0.0
     return CSRMatrix(m.shape, m.indptr, m.indices, data)
@@ -220,6 +223,17 @@ def _assert_identical(got: CSRMatrix, want: CSRMatrix) -> None:
     assert got.indptr.tobytes() == want.indptr.tobytes()
     assert got.indices.tobytes() == want.indices.tobytes()
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def _scipy_product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    """scipy's ``a @ b`` with sorted indices (it drops exact zeros)."""
+    sp = pytest.importorskip("scipy.sparse")
+    c = (
+        sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+        @ sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
+    ).tocsr()
+    c.sort_indices()
+    return CSRMatrix(c.shape, c.indptr, c.indices, c.data)
 
 
 class TestReplayProperties:
@@ -273,16 +287,11 @@ class TestReplayProperties:
         format does not sort them): cold, replay and chunked agree bit for
         bit; row-ordered schemes sum in stored order exactly as scipy does;
         pair-ordered schemes ignore the storage order."""
-        sp = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(seed)
         a, b = (_shuffle_rows(m, rng) for m in operands)
         a1, b1 = _with_values(a, rng), _with_values(b, rng)
         a2, b2 = _with_values(a, rng), _with_values(b, rng)
-        want = (
-            sp.csr_matrix((a2.data, a2.indices, a2.indptr), shape=a2.shape)
-            @ sp.csr_matrix((b2.data, b2.indices, b2.indptr), shape=b2.shape)
-        ).tocsr()
-        want.sort_indices()
+        want = _scipy_product(a2, b2)
         with tempfile.TemporaryDirectory() as spill_dir:
             for algo in paper_algorithms():
                 session = IterativeSession(algo)
@@ -300,10 +309,31 @@ class TestReplayProperties:
                     _assert_identical(cold, algo.multiply(ctx))
                 else:
                     # scipy drops entries that cancel to exactly zero.
-                    kept = _drop_zeros(cold)
-                    assert kept.indptr.tobytes() == want.indptr.astype(np.int64).tobytes()
-                    assert kept.indices.tobytes() == want.indices.astype(np.int64).tobytes()
-                    assert kept.data.tobytes() == want.data.tobytes(), algo.name
+                    _assert_identical(_drop_zeros(cold), want)
+
+
+class TestSemiringProperties:
+    @given(multiply_operands(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_plus_times_is_the_numeric_product_and_replays_match(self, operands, seed):
+        """On signed values with explicit zeros and -0.0, PLUS_TIMES equals
+        scipy's product and the outer-product numeric product with exact
+        zeros dropped, bit for bit; for every semiring a plan-cache replay
+        with fresh values equals the cold product."""
+        rng = np.random.default_rng(seed)
+        a, b = operands
+        a1, b1 = _with_values(a, rng, low=-2.0), _with_values(b, rng, low=-2.0)
+        a2, b2 = _with_values(a, rng, low=-2.0), _with_values(b, rng, low=-2.0)
+        plus_times = semiring_spgemm(a2, b2, PLUS_TIMES)
+        _assert_identical(plus_times, _scipy_product(a2, b2))
+        numeric = OuterProductSpGEMM().multiply(MultiplyContext.build(a2, b2))
+        _assert_identical(plus_times, _drop_zeros(numeric))
+        for semiring in (PLUS_TIMES, MIN_PLUS, OR_AND, MAX_TIMES):
+            cache = PlanCache()
+            cache.semiring_multiply(a1, b1, semiring)
+            replayed = cache.semiring_multiply(a2, b2, semiring)
+            assert cache.stats.numeric_replays == 1, semiring.name
+            _assert_identical(replayed, semiring_spgemm(a2, b2, semiring))
 
 
 class TestReorganizerPlanProperties:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.apps import k_hop_shortest_paths, single_source_distances
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SparseFormatError
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.semiring import (
     MAX_TIMES,
@@ -78,6 +78,15 @@ class TestMaxTimes:
         c = semiring_spgemm(CSRMatrix.from_dense(d), semiring=MAX_TIMES).to_dense()
         assert c[0, 2] == pytest.approx(0.25)
 
+    def test_all_negative_products_store_nothing(self):
+        """Outside the domain an entry reduces from the identity 0: products
+        -1 and -0.5 leave (0, 0) absent; -2 and 1.5 give (0, 1) = 1.5."""
+        a = CSRMatrix.from_dense(np.array([[-0.5, 0.5]]))
+        b = CSRMatrix.from_dense(np.array([[2.0, 4.0], [-1.0, 3.0]]))
+        c = semiring_spgemm(a, b, MAX_TIMES)
+        assert c.indices.tolist() == [1]
+        assert c.data.tolist() == [1.5]
+
 
 class TestSemiringClass:
     def test_bad_reduce_rejected(self):
@@ -121,6 +130,21 @@ class TestShortestPaths:
         stored2 = d2 != 0
         # Once reachable, distances never increase with a larger hop budget.
         assert np.all(d4[stored2] <= d2[stored2] + 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "indptr, indices, data",
+        [
+            ([0, 1, 1], [1], [np.nan]),
+            ([0, 1, 1], [1], [np.inf]),
+            ([0, 2, 2], [1, 1], [3.0, 1.0]),  # one column stored twice
+        ],
+        ids=["nan", "inf", "duplicate"],
+    )
+    def test_invalid_weights_rejected(self, k, indptr, indices, data):
+        w = CSRMatrix((2, 2), indptr, indices, data)
+        with pytest.raises(SparseFormatError):
+            k_hop_shortest_paths(w, k)
 
     def test_negative_weights_rejected(self):
         w = CSRMatrix.from_dense(np.array([[0.0, -1.0], [0.0, 0.0]]))
