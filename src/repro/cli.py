@@ -57,8 +57,8 @@ from repro.datasets.catalog import list_names, list_specs
 from repro.errors import ReproError
 from repro.gpusim.config import TITAN_XP
 from repro.gpusim.export import stats_to_json
-from repro.metrics.obsprof import category_rollup, format_rollup
 from repro.metrics.profiling import profile_report
+from repro.obs import counters
 from repro.plan.show import format_executions, format_plan
 from repro.runtime import Runtime, RuntimeConfig, lifecycle
 
@@ -167,8 +167,6 @@ def _run_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
     """
     import time
 
-    from repro.metrics.oocprof import format_ooc_stats
-
     name = runtime.resolve_dataset(args.dataset)
     start = time.perf_counter()
     result, ooc = runtime.multiply_chunked(args.dataset, args.algorithm)
@@ -179,14 +177,20 @@ def _run_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
             "algorithm": args.algorithm,
             "seconds": seconds,
             "nnz_c": result.nnz,
-            "oocore": ooc.as_dict(),
+            "oocore": counters.snapshot(ooc),
         }, indent=2))
         return 0
     print(f"{args.algorithm} on {name} (out of core):")
     print(f"  total {seconds * 1e3:.1f} ms, nnz(C) = {result.nnz}")
-    for line in format_ooc_stats(ooc).splitlines():
-        print(f"  {line}")
+    _print_counters("oocore", ooc)
     return 0
+
+
+def _print_counters(title: str, stats) -> None:
+    """Print one counter set's declared values under ``title``."""
+    print(f"  {title}:")
+    for line in counters.text_lines(stats):
+        print(f"    {line}")
 
 
 def _print_iterative(report) -> None:
@@ -197,15 +201,13 @@ def _print_iterative(report) -> None:
     Printed timings make the amortisation visible; the cache counters prove
     the symbolic work ran exactly once.
     """
-    from repro.metrics.planprof import format_cache_stats
-
     n = len(report.seconds)
     warm_mean = report.warm_mean_seconds
     print(f"iterative numeric plane ({n} iterations, fixed structure):")
     print(f"  cold iteration   {report.cold_seconds * 1e3:9.2f} ms")
     print(f"  warm iterations  {warm_mean * 1e3:9.2f} ms mean "
           f"(x{report.cold_seconds / max(warm_mean, 1e-12):.1f} faster)")
-    print(f"  {format_cache_stats(report.stats)}")
+    _print_counters("plan cache", report.stats)
 
 
 def _cmd_compare(args: argparse.Namespace, runtime: Runtime) -> int:
@@ -330,7 +332,7 @@ def _bench_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
                 "algorithm": algo.name,
                 "seconds": seconds,
                 "nnz_c": result.nnz,
-                "oocore": ooc.as_dict(),
+                "oocore": counters.snapshot(ooc),
             })
     print(format_table(
         ["dataset", "algorithm", "time ms", "panels", "spills", "peak RSS MiB"],
@@ -385,9 +387,12 @@ def _cmd_trace(args: argparse.Namespace, runtime: Runtime) -> int:
     print(f"trace: {args.algorithm} on {gpu.name} / {args.dataset} "
           f"({stats.total_seconds * 1e6:.1f} simulated us)")
     print(obs.format_span_tree(recorder.roots))
-    rollup = category_rollup(recorder.roots)
+    rollup = obs.category_rollup(recorder.roots)
+    total = sum(seconds for _, _, seconds in rollup) or 1.0
     print("wall-clock by category (self time):")
-    print(format_rollup(rollup))
+    for category, spans, seconds in rollup:
+        print(f"  {category:<12s} {seconds * 1e3:9.3f} ms "
+              f"({100.0 * seconds / total:5.1f}%)  spans={spans}")
     if args.out:
         obs.write_trace(args.out, recorder, meta=_trace_meta(args))
         print(f"wrote Chrome trace to {args.out} (open in Perfetto)")

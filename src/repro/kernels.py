@@ -35,11 +35,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.errors import ShapeMismatchError
+
 __all__ = [
     "PAIR_ORDER",
     "ROW_ORDER",
     "Expansion",
     "active_name",
+    "check_key_space",
     "expand_outer_indices",
     "expand_row_indices",
     "expand",
@@ -57,6 +60,22 @@ ROW_ORDER = "rows"
 def active_name() -> str:
     """Name of the kernel implementation (recorded by ``perfbench/run.py``)."""
     return "numpy"
+
+
+def check_key_space(n_rows: int, n_cols: int, span: int = 1, *, error=ShapeMismatchError) -> None:
+    """Raise ``error`` unless the flat keys of an ``n_rows x n_cols`` space fit in int64.
+
+    Every flat key in the library is ``row * n_cols + col``, times ``span``
+    plus a tie rank when one is given, so the largest is
+    ``n_rows * n_cols * span - 1``; past ``2**63`` it would wrap and merge
+    entries of different rows.
+    """
+    if int(n_rows) * int(n_cols) * int(span) > 2**63:
+        ranks = f" x {span} tie ranks" if span > 1 else ""
+        raise error(
+            f"a {n_rows} x {n_cols}{ranks} coordinate space exceeds the int64 key "
+            f"limit (rows x cols x ranks must be at most 2**63)"
+        )
 
 
 def _segment_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +168,8 @@ def expand(
     ``combine`` forms each product from its two operand values.
     """
     n_rows, n_cols = a.shape[0], b.shape[1]
+    span = int(np.max(rank)) + 1 if rank is not None and np.any(rank) else 1
+    check_key_space(n_rows, n_cols, span)
     if order == PAIR_ORDER:
         to_csr = np.argsort(a.indices, kind="stable")
         col_indptr = np.zeros(a.shape[1] + 1, dtype=np.int64)
@@ -165,9 +186,7 @@ def expand(
 
     vals = combine(a.data[a_idx], b.data[b_idx])
     keys = rows.astype(np.int64) * np.int64(n_cols) + cols
-    span = 1
-    if rank is not None and np.any(rank):
-        span = int(np.max(rank)) + 1
+    if span > 1:
         keys = keys * span + rank[a.indices[a_idx]]
     if not gathers:
         a_idx = b_idx = None
@@ -238,6 +257,7 @@ def coalesce(
     duplicates reduce in input order.  Coordinates must lie inside
     ``shape``.  Returns ``(indptr, indices, data)``.
     """
+    check_key_space(*shape)
     keys = rows.astype(np.int64, copy=False) * np.int64(shape[1]) + cols
     stream = Expansion(keys, 1, vals, None, None)
     indptr, indices, data, _ = merge(stream, shape, reduce=reduce, identity=identity)

@@ -1,38 +1,17 @@
-"""Metrics: LBI (Eq. 3), GFLOPS, profiling reports, Prometheus exposition."""
+"""Metrics: LBI (Eq. 3), GFLOPS, profiling reports, Prometheus exposition checks."""
 
 from repro.metrics.gflops import FLOPS_PER_PRODUCT, gflops
-from repro.metrics.promtext import (
-    parse_exposition,
-    render_metrics,
-    validate_exposition,
-)
 from repro.metrics.lbi import load_balancing_index
-from repro.metrics.obsprof import CategoryRollup, category_rollup, format_rollup
-from repro.metrics.planprof import (
-    PlanCacheStats,
-    PlanProfile,
-    PlanStageProfile,
-    format_cache_stats,
-    plan_profile,
-)
 from repro.metrics.profiling import ProfileReport, StageProfile, profile_report
+from repro.metrics.promtext import parse_exposition, validate_exposition
 
 __all__ = [
     "FLOPS_PER_PRODUCT",
     "gflops",
     "load_balancing_index",
-    "CategoryRollup",
-    "category_rollup",
-    "format_rollup",
-    "PlanCacheStats",
-    "PlanProfile",
-    "PlanStageProfile",
-    "format_cache_stats",
-    "plan_profile",
     "ProfileReport",
     "StageProfile",
     "profile_report",
     "parse_exposition",
-    "render_metrics",
     "validate_exposition",
 ]

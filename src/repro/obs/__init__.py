@@ -33,7 +33,12 @@ trace so the aggregated tree (:func:`~repro.obs.aggregate.aggregate_spans`)
 is byte-identical between serial and parallel runs of the same work.
 """
 
-from repro.obs.aggregate import aggregate_digest, aggregate_spans, walk_aggregate
+from repro.obs.aggregate import (
+    aggregate_digest,
+    aggregate_spans,
+    category_rollup,
+    walk_aggregate,
+)
 from repro.obs.export import chrome_payload, format_span_tree, trace_events, write_trace
 from repro.obs.recorder import (
     NULL_SPAN,
@@ -65,6 +70,7 @@ __all__ = [
     "adopt",
     "aggregate_digest",
     "aggregate_spans",
+    "category_rollup",
     "chrome_payload",
     "format_span_tree",
     "install",

@@ -7,7 +7,8 @@ spans are merged by ``(name, category)``, occurrence counts and integer
 counters are summed, children are aggregated recursively, and every level is
 sorted — so the result is a pure function of what work ran, not of when or
 where it ran.  Wall-clock is deliberately excluded; it lives in the Chrome
-events (:mod:`repro.obs.export`).
+events (:mod:`repro.obs.export`) and in :func:`category_rollup`, the
+self-time table ``repro trace`` prints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from repro.obs.recorder import Span
 
-__all__ = ["aggregate_spans", "aggregate_digest", "walk_aggregate"]
+__all__ = ["aggregate_spans", "aggregate_digest", "category_rollup", "walk_aggregate"]
 
 
 def aggregate_spans(spans: Sequence[Span]) -> list[dict]:
@@ -64,3 +65,26 @@ def walk_aggregate(tree: list[dict], depth: int = 0):
     for node in tree:
         yield depth, node
         yield from walk_aggregate(node["children"], depth + 1)
+
+
+def category_rollup(spans: Sequence[Span]) -> list[tuple[str, int, float]]:
+    """Wall-clock self time by span category, largest first (ties by name).
+
+    Returns ``(category, spans, self_seconds)`` rows.  A span's self time is
+    its duration minus its children's, so nesting never double-counts and
+    the rows sum to the traced wall clock.
+    """
+    totals: dict[str, list] = {}
+
+    def visit(tree: Sequence[Span]) -> None:
+        for span in tree:
+            entry = totals.setdefault(span.category, [0, 0.0])
+            entry[0] += 1
+            entry[1] += max(0.0, span.dur - sum(child.dur for child in span.children))
+            visit(span.children)
+
+    visit(spans)
+    return sorted(
+        ((category, n, seconds) for category, (n, seconds) in totals.items()),
+        key=lambda row: (-row[2], row[0]),
+    )

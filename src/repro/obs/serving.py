@@ -19,9 +19,10 @@ module provides the per-request equivalents:
   1:1 onto Prometheus histogram exposition.
 * :class:`ServingMetrics` — per-route and per-tenant aggregation (requests,
   errors, sheds, latency histograms) plus the admission-side counters the
-  server owns (estimate fallbacks, exported traces).
+  server owns (estimate fallbacks, exported traces) and the batcher's live
+  gauges; its fields are declared once (:mod:`repro.obs.counters`).
 
-Nothing here touches the network; :mod:`repro.serve.server` assembles these
+Nothing here touches the network; :mod:`repro.serve.server` renders these
 into ``GET /stats`` and ``GET /metrics`` payloads.
 """
 
@@ -30,7 +31,9 @@ from __future__ import annotations
 import bisect
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 
+from repro.obs.counters import counter, gauge, histogram, section
 from repro.obs.recorder import Span, TraceRecorder
 
 __all__ = [
@@ -134,44 +137,43 @@ class StreamingHistogram:
         return out
 
 
+@dataclass(slots=True)
 class RouteStats:
     """Aggregated serving counters for one route (or one tenant)."""
 
-    __slots__ = ("requests", "errors", "sheds", "histogram")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.errors = 0
-        self.sheds = 0
-        self.histogram = StreamingHistogram()
-
-    def as_dict(self, *, include_buckets: bool = False) -> dict:
-        payload = {
-            "requests": self.requests,
-            "errors": self.errors,
-            "sheds": self.sheds,
-            "latency_ms": self.histogram.latency_ms(),
-        }
-        if include_buckets:
-            payload["buckets"] = [
-                [bound, count] for bound, count in self.histogram.buckets()
-            ]
-        return payload
+    requests: int = counter("Requests that reached a handler (any status but a shed).")
+    errors: int = counter("Requests answered with a status of 400 or above.")
+    sheds: int = counter("Requests shed by admission control (503).")
+    latency: StreamingHistogram = histogram(
+        StreamingHistogram, "Server-side request latency, arrival to response."
+    )
 
 
+@dataclass
 class ServingMetrics:
-    """Per-route / per-tenant latency + shed aggregation for one server.
+    """The ``serving`` section of ``/stats``: per-route and per-tenant
+    aggregation (requests, errors, sheds, latency histograms), the
+    admission-side counters the server owns, and the batcher's live gauges,
+    which the server sets each time it reads its stats.
 
     All mutation happens on the server's event-loop thread (observations are
     recorded after the awaited handler returns), so no lock is needed; the
     batcher thread never touches this object.
     """
 
-    def __init__(self) -> None:
-        self.routes: dict[str, RouteStats] = {}
-        self.tenants: dict[str, RouteStats] = {}
-        self.estimate_fallbacks = 0
-        self.traces_written = 0
+    routes: dict[str, RouteStats] = section(RouteStats, label="route")
+    tenants: dict[str, RouteStats] = section(RouteStats, label="tenant")
+    estimate_fallbacks: int = counter(
+        "Requests admitted at the full flop budget because their estimate overflowed."
+    )
+    traces_written: int = counter("Request traces exported to --trace-dir.")
+    queue_depth: int = gauge("Admitted requests waiting behind the executors.")
+    inflight_flops: int = gauge(
+        "Estimated flops of admitted, unfinished work (the admission ledger).", unit="flops"
+    )
+    coalescence_factor: float | None = gauge(
+        "Mean requests per dispatched micro-batch; null before the first batch.", default=None
+    )
 
     def _tenant(self, tenant: str) -> RouteStats:
         stats = self.tenants.get(tenant)
@@ -187,27 +189,12 @@ class ServingMetrics:
             stats.requests += 1
             if status >= 400:
                 stats.errors += 1
-            stats.histogram.observe(seconds)
+            stats.latency.observe(seconds)
 
     def shed(self, route: str, tenant: str) -> None:
         """Record an admission rejection (503) against route and tenant."""
         self.routes.setdefault(route, RouteStats()).sheds += 1
         self._tenant(tenant).sheds += 1
-
-    def snapshot(self, *, include_buckets: bool = False) -> dict:
-        """The ``serving`` section of ``/stats`` (sans batcher gauges)."""
-        return {
-            "routes": {
-                route: stats.as_dict(include_buckets=include_buckets)
-                for route, stats in sorted(self.routes.items())
-            },
-            "tenants": {
-                tenant: stats.as_dict(include_buckets=include_buckets)
-                for tenant, stats in sorted(self.tenants.items())
-            },
-            "estimate_fallbacks": self.estimate_fallbacks,
-            "traces_written": self.traces_written,
-        }
 
 
 class RequestTrace:

@@ -24,8 +24,9 @@ oocore CI leg and ``repro compare --mem-budget`` assert exactly that.
 
 Lowering records one ``plan.lower[...]`` span, per-panel work an
 ``oocore.panel[i]`` span each, assembly an ``oocore.assemble`` span, and
-the returned :class:`OocStats` carries the spill and peak-RSS counters that
-:func:`repro.metrics.oocprof.format_ooc_stats` renders.
+the returned :class:`OocStats` carries the panel, spill and peak-RSS
+counters that ``repro run --mem-budget`` prints through
+:mod:`repro.obs.counters`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import kernels, obs
+from repro.obs.counters import counter, derived, gauge
 from repro.oocore.budget import parse_mem_budget, products_for_budget
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore
@@ -58,34 +60,29 @@ def _peak_rss_bytes() -> int:
 
 @dataclass
 class OocStats:
-    """Counters from one chunked multiply (all deterministic except RSS)."""
+    """Counters from one chunked multiply (all deterministic except RSS).
 
-    budget_bytes: int
-    max_products: int
-    n_panels: int = 0
-    n_oversized: int = 0
-    total_products: int = 0
-    spill_count: int = 0
-    bytes_spilled: int = 0
-    merge_rounds: int = 0  # always 0; read only by perfbench/worker.py
-    resident_peak_bytes: int = 0
-    peak_rss_bytes: int = 0
+    ``merge_rounds`` (always 0; read only by ``perfbench/worker.py``) and
+    the raw ``panels`` list carry no declaration, so no output shows them;
+    ``panel_rows`` is their rendered summary.
+    """
+
+    budget_bytes: int = gauge("Memory budget of the run.", unit="bytes")
+    max_products: int = gauge("Products one panel may expand under the budget.")
+    n_panels: int = counter("Row panels A was cut into.")
+    n_oversized: int = counter("Single-row panels whose expansion alone exceeds the budget.")
+    total_products: int = counter("Products expanded over all panels.")
+    spill_count: int = counter("Panel partials spilled to disk.")
+    bytes_spilled: int = counter("Bytes written by spills.", unit="bytes")
+    merge_rounds: int = 0
+    resident_peak_bytes: int = gauge("Peak bytes of resident panel partials.", unit="bytes")
+    peak_rss_bytes: int = gauge("Lifetime peak resident set of the process.", unit="bytes")
     panels: list[Panel] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        """JSON-able summary (panel list reduced to its row ranges)."""
-        return {
-            "budget_bytes": self.budget_bytes,
-            "max_products": self.max_products,
-            "n_panels": self.n_panels,
-            "n_oversized": self.n_oversized,
-            "total_products": self.total_products,
-            "spill_count": self.spill_count,
-            "bytes_spilled": self.bytes_spilled,
-            "resident_peak_bytes": self.resident_peak_bytes,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "panel_rows": [[p.row_start, p.row_stop] for p in self.panels],
-        }
+    @derived(gauge("Row range [start, stop) of each panel."))
+    def panel_rows(self) -> list[list[int]]:
+        """Each panel's ``[row_start, row_stop)``, in panel order."""
+        return [[p.row_start, p.row_stop] for p in self.panels]
 
 
 class _Partial:

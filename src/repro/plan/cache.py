@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import kernels, obs
+from repro.obs.counters import counter, derived, gauge
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -165,33 +166,19 @@ class PlanCacheStats:
     lookups that could have replayed will re-lower instead.
     """
 
-    lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    lowers: int = 0
-    symbolic_expansions: int = 0
-    numeric_replays: int = 0
-    evictions: int = 0
-    evicted_bytes: int = 0
+    lookups: int = counter("Plan-cache lookups (hits + misses).")
+    hits: int = counter("Lookups served by numeric replay of a cached recipe.")
+    misses: int = counter("Lookups that ran the cold path.")
+    lowers: int = counter("Symbolic lowerings paid.")
+    symbolic_expansions: int = counter("Symbolic expansions run.")
+    numeric_replays: int = counter("Multiplies served by replaying a cached recipe.")
+    evictions: int = counter("Entries dropped by the LRU bound.")
+    evicted_bytes: int = counter("Recipe bytes dropped by the LRU bound.", unit="bytes")
 
-    @property
+    @derived(gauge("Fraction of lookups served by replay; 0 before the first lookup."))
     def hit_rate(self) -> float:
         """Fraction of lookups served by replay (0.0 when no lookups yet)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot, used by bench artifacts and ``repro run``."""
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "lowers": self.lowers,
-            "symbolic_expansions": self.symbolic_expansions,
-            "numeric_replays": self.numeric_replays,
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-            "hit_rate": self.hit_rate,
-        }
 
     def merge(self, other: "PlanCacheStats") -> None:
         """Fold another counter set into this one (aggregation across caches)."""
@@ -228,9 +215,9 @@ class PlanCache:
 
     The cache is in-memory and session-scoped: keys include algorithm and
     config fingerprints, so one cache can serve several schemes, and
-    non-fingerprintable schemes key by instance identity.  ``verify_fill``
-    (default on) replays each freshly captured recipe against the cold result
-    and requires exact equality before trusting it.
+    non-fingerprintable schemes key by instance identity.  Every freshly
+    captured recipe is replayed against the cold result and trusted only if
+    the two are exactly equal.
 
     ``max_entries`` and ``max_bytes`` bound the cache with LRU eviction —
     a lookup hit refreshes its entry's recency, an insert evicts the
@@ -243,7 +230,6 @@ class PlanCache:
     def __init__(
         self,
         *,
-        verify_fill: bool = True,
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ) -> None:
@@ -251,7 +237,6 @@ class PlanCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.verify_fill = verify_fill
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = PlanCacheStats()
@@ -360,7 +345,7 @@ class PlanCache:
                 indptr=result.indptr.copy(),
                 indices=result.indices.copy(),
             )
-            if self.verify_fill and not _identical(recipe.replay(a.data, b.data), result):
+            if not _identical(recipe.replay(a.data, b.data), result):
                 recipe = None
             self._insert(key, PlanCacheEntry(plan, recipe))
         return result
@@ -411,7 +396,7 @@ class PlanCache:
                 indices=full.indices,
             )
             result = semiring.drop_identity(full)
-            if self.verify_fill and not _identical(replay(recipe), result):
+            if not _identical(replay(recipe), result):
                 recipe = None
             self._insert(key, PlanCacheEntry(None, recipe))
         return result

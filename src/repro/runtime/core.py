@@ -38,6 +38,7 @@ from repro.errors import ReproError
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.simulator import GPUSimulator
 from repro.gpusim.stats import KernelStats
+from repro.obs.counters import counter, gauge, section
 from repro.obs.serving import NULL_REQUEST_TRACE
 from repro.plan.cache import PlanCache, PlanCacheStats, structure_fingerprint
 from repro.runtime.config import RuntimeConfig
@@ -60,7 +61,6 @@ class PooledSession:
 
     session: IterativeSession
     lock: threading.Lock = field(default_factory=threading.Lock)
-    requests: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,11 @@ class MultiplyOutcome:
 class RuntimeStats:
     """A point-in-time snapshot of one runtime's serving state."""
 
-    sessions: int
-    sessions_evicted: int
-    tenants: dict[str, int]
-    plan_cache: PlanCacheStats
-    requests: int
-
-    def as_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "sessions_evicted": self.sessions_evicted,
-            "tenants": dict(self.tenants),
-            "plan_cache": self.plan_cache.as_dict(),
-            "requests": self.requests,
-        }
+    sessions: int = gauge("Warm sessions currently pooled across all tenants.")
+    sessions_evicted: int = counter("Warm sessions dropped by the per-tenant LRU quota.")
+    tenants: dict[str, int] = gauge("Warm sessions pooled per tenant.", label="tenant")
+    plan_cache: PlanCacheStats = section(PlanCacheStats)
+    requests: int = counter("Multiplies and app calls the runtime has served.")
 
 
 @dataclass(frozen=True)
@@ -328,7 +319,6 @@ class Runtime:
             hits_before = pooled.session.stats.hits
             with trace.stage("numeric"):
                 result = pooled.session.multiply(a, b)
-            pooled.requests += 1
         finally:
             pooled.lock.release()
         with self._lock:
@@ -427,7 +417,6 @@ class Runtime:
                 tol=tol,
                 max_iter=max_iter,
             )
-            pooled.requests += 1
         with self._lock:
             self._requests += 1
         return result
@@ -449,7 +438,6 @@ class Runtime:
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
         with pooled.lock, trace.stage("numeric"):
             result = k_hop_reachability(adjacency, k, pooled.session)
-            pooled.requests += 1
         with self._lock:
             self._requests += 1
         return result
@@ -480,7 +468,6 @@ class Runtime:
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
         with pooled.lock, trace.stage("numeric"):
             result = metrics[metric](adjacency, pooled.session)
-            pooled.requests += 1
         with self._lock:
             self._requests += 1
         return result

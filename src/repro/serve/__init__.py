@@ -9,13 +9,7 @@ for routes and :mod:`repro.serve.batching` for admission control.
 
 from repro.serve.batching import AdmissionConfig, BatchStats, MicroBatcher, Overloaded
 from repro.serve.protocol import BadRequest, csr_from_wire, csr_to_wire
-from repro.serve.server import (
-    ServeConfig,
-    Server,
-    ServerThread,
-    run,
-    stats_field_names,
-)
+from repro.serve.server import ServeConfig, Server, ServerThread, run
 
 __all__ = [
     "AdmissionConfig",
@@ -29,5 +23,4 @@ __all__ = [
     "csr_from_wire",
     "csr_to_wire",
     "run",
-    "stats_field_names",
 ]

@@ -44,6 +44,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.obs.counters import counter, gauge
+
 __all__ = [
     "RETRY_AFTER_MAX",
     "AdmissionConfig",
@@ -115,32 +117,19 @@ class BatchStats:
     most recent 503.
     """
 
-    admitted: int = 0
-    rejected: int = 0
-    shed_queue: int = 0
-    shed_cost: int = 0
-    timeouts: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    largest_batch: int = 0
-    completed: int = 0
-    drained_flops: int = 0
-    retry_after_last: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "shed_queue": self.shed_queue,
-            "shed_cost": self.shed_cost,
-            "timeouts": self.timeouts,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "largest_batch": self.largest_batch,
-            "completed": self.completed,
-            "drained_flops": self.drained_flops,
-            "retry_after_last": self.retry_after_last,
-        }
+    admitted: int = counter("Requests past admission control.")
+    rejected: int = counter("Requests shed by admission control (shed_queue + shed_cost).")
+    shed_queue: int = counter("Sheds by the depth bound (--max-inflight + --max-queue).")
+    shed_cost: int = counter("Sheds by the flop budget (--max-inflight-flops).")
+    timeouts: int = counter("Requests that hit --request-timeout (504).")
+    batches: int = counter("Micro-batches dispatched.")
+    batched_requests: int = counter("Requests carried by dispatched micro-batches.")
+    largest_batch: int = gauge("Largest micro-batch dispatched so far.")
+    completed: int = counter("Work items the executor finished, timed-out callers included.")
+    drained_flops: int = counter("Estimated flops of completed work.", unit="flops")
+    retry_after_last: int = gauge(
+        "Retry-After sent with the most recent shed response.", unit="seconds"
+    )
 
 
 @dataclass

@@ -61,11 +61,11 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.metrics.promtext import render_metrics
+from repro.obs.counters import derived, exposition, gauge, section, snapshot
 from repro.obs.serving import RequestTrace, ServingMetrics
 from repro.plan.cache import structure_fingerprint
 from repro.plan.estimate import multiply_flops
-from repro.runtime import Runtime, lifecycle
+from repro.runtime import Runtime, RuntimeStats, lifecycle
 from repro.serve.batching import AdmissionConfig, BatchStats, MicroBatcher, Overloaded
 from repro.serve.protocol import (
     BadRequest,
@@ -78,11 +78,12 @@ from repro.serve.protocol import (
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_ITERATIONS",
     "ServeConfig",
     "Server",
+    "ServerStats",
     "ServerThread",
     "run",
-    "stats_field_names",
 ]
 
 #: readuntil() bound for the header block; bodies are read by length.
@@ -93,6 +94,13 @@ _MAX_HEADER_BYTES = 1 << 20
 #: any repo tool sends (perfbench serve bodies are well under 1 MB) and
 #: still admits about two million stored entries (~30 bytes each as JSON).
 MAX_BODY_BYTES = 64 << 20
+
+#: Largest ``k`` (``/v1/reachability``) and ``max_iter`` (``/v1/pagerank``)
+#: a request may ask for (400 above it).  Admission charges one multiply's
+#: flops whatever the iteration count, and a 504 does not stop the work, so
+#: without a bound one request could hold an executor thread for days.
+#: 50x pagerank's default of 200 iterations.
+MAX_ITERATIONS = 10_000
 
 #: Most trace files one server writes into ``--trace-dir`` (slow requests
 #: under sustained overload must not fill the disk).
@@ -205,10 +213,9 @@ class Server:
         if path == "/healthz":
             return 200, {"ok": True}, {}
         if path == "/stats":
-            return 200, self._stats_payload(), {}
+            return 200, snapshot(self.stats()), {}
         if path == "/metrics":
-            text = render_metrics(self._stats_payload(include_buckets=True))
-            return 200, text, {}
+            return 200, exposition(self.stats()), {}
         handlers = {
             "/v1/multiply": ("multiply", self._multiply),
             "/v1/pagerank": ("pagerank", self._pagerank),
@@ -313,7 +320,7 @@ class Server:
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
             damping = scalar(body, "damping", float, 0.85)
             tol = scalar(body, "tol", float, 1e-10)
-            max_iter = scalar(body, "max_iter", int, 200)
+            max_iter = _iterations(body, "max_iter", 200)
             fingerprint = structure_fingerprint(adjacency, adjacency)
         cost = self._estimate_cost(adjacency, adjacency, trace)
         key = (tenant, "pagerank", algorithm, fingerprint)
@@ -345,7 +352,7 @@ class Server:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
-            k = scalar(body, "k", int, 2)
+            k = _iterations(body, "k", 2)
             fingerprint = structure_fingerprint(adjacency, adjacency)
         cost = self._estimate_cost(adjacency, adjacency, trace)
         key = (tenant, f"reach:{k}", algorithm, fingerprint)
@@ -403,82 +410,44 @@ class Server:
         self.metrics.traces_written += 1
 
     # -- stats ----------------------------------------------------------
-    def _stats_payload(self, *, include_buckets: bool = False) -> dict:
-        runtime_stats = self.runtime.stats()
-        lowers = runtime_stats.plan_cache.lowers
-        bstats = self.batcher.stats
-        serving = self.metrics.snapshot(include_buckets=include_buckets)
-        serving["queue_depth"] = self.batcher.queue_depth
-        serving["inflight_flops"] = self.batcher.inflight_flops
+    def stats(self) -> ServerStats:
+        """Read every counter set behind ``/stats`` and ``/metrics`` at once.
+
+        The batcher's live gauges are copied into the serving section here,
+        on the event-loop thread that owns both.
+        """
+        batching = self.batcher.stats
+        serving = self.metrics
+        serving.queue_depth = self.batcher.queue_depth
+        serving.inflight_flops = self.batcher.inflight_flops
         # How well the batch window coalesces: mean requests per dispatch.
-        serving["coalescence_factor"] = (
-            bstats.batched_requests / bstats.batches if bstats.batches else None
+        serving.coalescence_factor = (
+            batching.batched_requests / batching.batches if batching.batches else None
         )
-        return {
-            "runtime": runtime_stats.as_dict(),
-            "batching": bstats.as_dict(),
-            "serving": serving,
-            # The serving thesis in one number: requests answered per
-            # symbolic lowering paid (> 1 means amortisation is working).
-            "requests_per_lowering": (
-                runtime_stats.requests / lowers if lowers else None
-            ),
-        }
+        return ServerStats(runtime=self.runtime.stats(), batching=batching, serving=serving)
 
 
-#: ``/stats`` sections whose dict keys are data (route/tenant names),
-#: not schema — their *children* are walked, the names themselves are not
-#: part of the documented field set.
-_DYNAMIC_KEY_SECTIONS = {"routes", "tenants"}
+@dataclass
+class ServerStats:
+    """The four sections of ``GET /stats``; ``GET /metrics`` renders the same."""
+
+    runtime: RuntimeStats = section(RuntimeStats)
+    batching: BatchStats = section(BatchStats)
+    serving: ServingMetrics = section(ServingMetrics)
+
+    @derived(gauge("Requests served per symbolic lowering paid; null before the first lowering."))
+    def requests_per_lowering(self) -> float | None:
+        """The serving thesis in one number (> 1 means amortisation works)."""
+        lowers = self.runtime.plan_cache.lowers
+        return self.runtime.requests / lowers if lowers else None
 
 
-def stats_field_names() -> set[str]:
-    """Every field name the ``/stats`` payload can contain.
-
-    Built by walking a fully-populated sample payload (all optional
-    sections present: one observed route/tenant), so ``tools/check_docs.py``
-    can require each name in the OPERATIONS.md glossary and a test can
-    assert the sample stays a superset of a live server's payload.  Keys
-    under route/tenant maps are data, not schema, and are excluded (their
-    value dicts are still walked).
-    """
-    from repro.plan.cache import PlanCacheStats
-    from repro.runtime.core import RuntimeStats
-
-    metrics = ServingMetrics()
-    metrics.observe("multiply", "default", 1e-3, 200)
-    runtime_stats = RuntimeStats(
-        sessions=0,
-        sessions_evicted=0,
-        tenants={},
-        plan_cache=PlanCacheStats(),
-        requests=0,
-    )
-    serving = metrics.snapshot()
-    serving.update(queue_depth=0, inflight_flops=0, coalescence_factor=None)
-    sample = {
-        "runtime": runtime_stats.as_dict(),
-        "batching": BatchStats().as_dict(),
-        "serving": serving,
-        "requests_per_lowering": None,
-    }
-
-    names: set[str] = set()
-
-    def walk(node: dict) -> None:
-        for key, value in node.items():
-            names.add(key)
-            if not isinstance(value, dict):
-                continue
-            if key in _DYNAMIC_KEY_SECTIONS:
-                for child in value.values():
-                    if isinstance(child, dict):
-                        walk(child)
-            else:
-                walk(value)
-
-    walk(sample)
-    return names
+def _iterations(body: dict, key: str, default: int) -> int:
+    """An iteration-count field, bounded by :data:`MAX_ITERATIONS`."""
+    value = scalar(body, key, int, default)
+    if value > MAX_ITERATIONS:
+        raise BadRequest(f"{key!r} is {value}; the limit is {MAX_ITERATIONS}")
+    return value
 
 
 # -- HTTP plumbing ------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeMismatchError, SparseFormatError
+from repro.kernels import check_key_space
 
 __all__ = ["CSRMatrix"]
 
@@ -98,8 +99,10 @@ class CSRMatrix:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`SparseFormatError` on any structural inconsistency."""
+        """Raise :class:`SparseFormatError` on any structural inconsistency,
+        or on a shape whose flat ``(row, col)`` keys would overflow int64."""
         n_rows, n_cols = self.shape
+        check_key_space(n_rows, n_cols, error=SparseFormatError)
         if len(self.indptr) != n_rows + 1:
             raise SparseFormatError(
                 f"indptr length {len(self.indptr)} != n_rows + 1 = {n_rows + 1}"

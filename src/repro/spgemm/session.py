@@ -10,7 +10,7 @@ work happen once per distinct structure:
     session = IterativeSession(RowProductSpGEMM())
     for _ in range(n_iter):
         scores = session.multiply(scores, transition)   # replay after iter 1
-    print(format_cache_stats(session.stats))
+    print("\n".join(counters.text_lines(session.stats)))   # repro.obs.counters
 
 Semiring loops use :meth:`IterativeSession.semiring_multiply` the same way.
 On a structure hit the session skips even context construction (CSC

@@ -1,5 +1,6 @@
 """Tests for the adaptive tuner, stats export and CLI."""
 
+import itertools
 import json
 
 import numpy as np
@@ -139,3 +140,53 @@ class TestCli:
 
         assert main(["experiment", "table1_systems"]) == 0
         assert "Table I" in capsys.readouterr().out
+
+    def test_run_iterations_prints_plan_cache_counters(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "poisson3da", "--algorithm", "row-product", "--iterations", "3"]
+        assert main(argv) == 0
+        counters = _counter_lines(capsys.readouterr().out, "plan cache:")
+        assert (counters["lookups"], counters["hits"], counters["lowers"]) == ("3", "2", "1")
+
+    def test_run_mem_budget_prints_ooc_counters(self, capsys, monkeypatch, tmp_path):
+        from repro.cli import main
+        from repro.runtime import Runtime
+
+        ran = []
+        chunked = Runtime.multiply_chunked_operands
+
+        def spy(self, *args):
+            result, stats = chunked(self, *args)
+            ran.append(stats)
+            return result, stats
+
+        monkeypatch.setattr(Runtime, "multiply_chunked_operands", spy)
+        argv = ["run", "poisson3da", "--algorithm", "row-product",
+                "--mem-budget", "256K", "--spill-dir", str(tmp_path)]
+        assert main(argv) == 0
+        counters = _counter_lines(capsys.readouterr().out, "oocore:")
+        (stats,) = ran
+        assert stats.spill_count > 0
+        assert counters["n_panels"] == str(stats.n_panels)
+        assert counters["spill_count"] == str(stats.spill_count)
+        assert "panel_rows" not in counters and "merge_rounds" not in counters
+
+    def test_trace_prints_self_time_rollup(self, capsys, tmp_path):
+        from repro.cli import main
+
+        out_file = tmp_path / "t.json"
+        assert main(["trace", "poisson3da", "row-product", "--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("wall-clock by category (self time):\n", 1)[1].splitlines()
+        categories = {line.split()[0] for line in rows if "spans=" in line}
+        assert {"data", "simulate"} <= categories
+        assert out_file.exists()
+
+
+def _counter_lines(out: str, title: str) -> dict[str, str]:
+    """The ``name  value`` lines the CLI printed under ``title``."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == title) + 1
+    block = itertools.takewhile(lambda line: line.startswith("    "), lines[start:])
+    return dict(line.split() for line in block)

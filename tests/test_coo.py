@@ -98,6 +98,12 @@ class TestCoalesce:
         assert coo.coalesce(drop_zeros=True).nnz == 0
         assert coo.coalesce(drop_zeros=False).nnz == 1
 
+    def test_shape_beyond_int64_keys_rejected(self):
+        """Row 4's entry must not fold into row 0 through a wrapped key."""
+        coo = COOMatrix((5, 2**62), rows=[0, 4], cols=[0, 0], vals=[1.0, 2.0])
+        with pytest.raises(ShapeMismatchError, match="int64"):
+            coo.to_csr()
+
     def test_empty_coalesce(self):
         assert COOMatrix.empty((3, 3)).coalesce().nnz == 0
 

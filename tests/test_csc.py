@@ -56,6 +56,11 @@ class TestValidation:
         with pytest.raises(SparseFormatError, match="duplicate row indices within column 0"):
             m.validate()
 
+    def test_shape_beyond_int64_keys_rejected(self):
+        m = CSCMatrix((2**62, 5), [0, 1, 1, 1, 1, 2], [0, 0], [1.0, 2.0])
+        with pytest.raises(SparseFormatError, match="2\\*\\*63"):
+            m.validate()
+
     def test_sum_duplicates_canonicalises(self):
         m = CSCMatrix(
             (3, 2), np.array([0, 3, 4]), np.array([1, 0, 1, 2]),

@@ -77,6 +77,12 @@ class TestValidation:
         with pytest.raises(SparseFormatError, match="row 2"):
             m.validate()
 
+    def test_shape_beyond_int64_keys_rejected(self):
+        """5 x 2**62 flat keys wrap in int64: (4, 0) would collide with (0, 0)."""
+        m = CSRMatrix((5, 2**62), [0, 1, 1, 1, 1, 2], [0, 0], [1.0, 2.0])
+        with pytest.raises(SparseFormatError, match="2\\*\\*63"):
+            m.validate()
+
     def test_sum_duplicates_canonicalises(self):
         m = CSRMatrix(
             (2, 3), np.array([0, 3, 4]), np.array([1, 0, 1, 2]),

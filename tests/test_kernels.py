@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.errors import ShapeMismatchError
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.merge import merge_triplets
@@ -111,6 +112,15 @@ class TestSummationOrder:
         a, b = self._three_pairs([1, 2, 0])
         assert _spgemm(a, b, kernels.PAIR_ORDER).data[0] == _BIG
         assert _spgemm(a, b, kernels.ROW_ORDER).data[0] == _BIG + 2
+
+    def test_key_space_counts_tie_ranks(self):
+        """2 x 2**62 keys fit in int64 exactly; a tie-rank span of 2 does not."""
+        a = CSRMatrix((2, 1), [0, 1, 2], [0, 0], [1.0, 2.0])
+        b = CSRMatrix((1, 2**62), [0, 1], [2**62 - 1], [3.0])
+        c = _spgemm(a, b, kernels.PAIR_ORDER)
+        assert c.indptr.tolist() == [0, 1, 2] and c.data.tolist() == [3.0, 6.0]
+        with pytest.raises(ShapeMismatchError, match="tie ranks"):
+            kernels.spgemm(a, b, kernels.PAIR_ORDER, np.array([1]))
 
     def test_unknown_order_rejected(self, matrices):
         a, b = matrices

@@ -142,6 +142,19 @@ class TestAggregation:
         node = obs.aggregate_spans(rec.roots)[0]
         assert set(node) == {"name", "category", "count", "counters", "children"}
 
+    def test_category_rollup_counts_self_time(self):
+        root, child, leaf = obs.Span("run", "bench"), obs.Span("p", "plan"), obs.Span("m", "merge")
+        root.dur, child.dur, leaf.dur = 1.0, 0.75, 0.25
+        root.children.append(child)
+        child.children.append(leaf)
+        other = obs.Span("p2", "plan")
+        other.dur = 0.5
+        assert obs.category_rollup([root, other]) == [
+            ("plan", 2, 1.0),
+            ("bench", 1, 0.25),
+            ("merge", 1, 0.25),
+        ]
+
 
 def _traced_grid_aggregate(workers: int) -> str:
     """Run the small grid traced and return the aggregate tree as JSON."""

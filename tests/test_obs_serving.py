@@ -2,8 +2,9 @@
 
 Covers the pieces under the server: streaming latency histograms
 (:mod:`repro.obs.serving`), per-request span trees, the Prometheus text
-renderer/validator (:mod:`repro.metrics.promtext`), and the admission-side
-flop estimator (:func:`repro.plan.estimate.multiply_flops`).
+rendered from the counter declarations (:mod:`repro.obs.counters`) and its
+validator (:mod:`repro.metrics.promtext`), and the admission-side flop
+estimator (:func:`repro.plan.estimate.multiply_flops`).
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.metrics.promtext import (
-    parse_exposition,
-    render_metrics,
-    validate_exposition,
-)
+from repro.metrics.promtext import parse_exposition, validate_exposition
+from repro.obs.counters import exposition, snapshot
 from repro.obs.serving import (
     BUCKET_BOUNDS,
     MAX_TRACKED_TENANTS,
@@ -28,7 +26,11 @@ from repro.obs.serving import (
     ServingMetrics,
     StreamingHistogram,
 )
+from repro.plan.cache import PlanCacheStats
 from repro.plan.estimate import multiply_flops
+from repro.runtime import RuntimeStats
+from repro.serve.batching import BatchStats
+from repro.serve.server import ServerStats
 from repro.spgemm.base import MultiplyContext
 
 from .conftest import random_csr
@@ -96,7 +98,7 @@ class TestServingMetrics:
         m.observe("multiply", "alice", 0.01, 200)
         m.observe("multiply", "alice", 0.02, 400)
         m.observe("pagerank", "bob", 0.03, 200)
-        snap = m.snapshot()
+        snap = snapshot(m)
         assert snap["routes"]["multiply"]["requests"] == 2
         assert snap["routes"]["multiply"]["errors"] == 1
         assert snap["routes"]["pagerank"]["requests"] == 1
@@ -107,7 +109,7 @@ class TestServingMetrics:
     def test_sheds_tracked_separately_from_requests(self):
         m = ServingMetrics()
         m.shed("multiply", "alice")
-        snap = m.snapshot()
+        snap = snapshot(m)
         assert snap["routes"]["multiply"]["sheds"] == 1
         assert snap["routes"]["multiply"]["requests"] == 0
 
@@ -115,16 +117,16 @@ class TestServingMetrics:
         m = ServingMetrics()
         for i in range(MAX_TRACKED_TENANTS + 10):
             m.observe("multiply", f"tenant-{i}", 0.001, 200)
-        snap = m.snapshot()
+        snap = snapshot(m)
         assert len(snap["tenants"]) == MAX_TRACKED_TENANTS + 1  # + "_other"
         assert snap["tenants"]["_other"]["requests"] == 10
 
-    def test_snapshot_buckets_flag(self):
+    def test_buckets_render_only_in_exposition(self):
         m = ServingMetrics()
         m.observe("multiply", "default", 0.001, 200)
-        assert "buckets" not in m.snapshot()["routes"]["multiply"]
-        with_buckets = m.snapshot(include_buckets=True)
-        assert with_buckets["routes"]["multiply"]["buckets"][-1][1] == 1
+        assert "buckets" not in snapshot(m)["routes"]["multiply"]
+        buckets = parse_exposition(exposition(m))["repro_routes_latency_seconds_bucket"]
+        assert buckets[-1] == ({"route": "multiply", "le": "+Inf"}, 1)
 
 
 class TestRequestTrace:
@@ -177,59 +179,69 @@ class TestRequestTrace:
         assert NULL_REQUEST_TRACE.elapsed() == 0.0
 
 
-def _sample_stats() -> dict:
-    metrics = ServingMetrics()
+def _sample_stats() -> ServerStats:
+    metrics = ServingMetrics(queue_depth=1, inflight_flops=12345, coalescence_factor=1.5)
     metrics.observe("multiply", "alice", 0.004, 200)
     metrics.observe("multiply", "alice", 0.3, 200)
     metrics.observe("pagerank", "bob", 0.02, 400)
     metrics.shed("multiply", "alice")
-    serving = metrics.snapshot(include_buckets=True)
-    serving.update(queue_depth=1, inflight_flops=12345, coalescence_factor=1.5)
-    return {
-        "runtime": {
-            "sessions": 2,
-            "sessions_evicted": 0,
-            "tenants": {"alice": 1, "bob": 1},
-            "plan_cache": {"lookups": 3, "hits": 1, "lowers": 2},
-            "requests": 3,
-        },
-        "batching": {
-            "admitted": 3, "rejected": 1, "shed_queue": 0, "shed_cost": 1,
-            "timeouts": 0, "batches": 2, "batched_requests": 3,
-            "largest_batch": 2, "completed": 3, "drained_flops": 999,
-            "retry_after_last": 7,
-        },
-        "serving": serving,
-        "requests_per_lowering": 1.5,
-    }
+    return ServerStats(
+        runtime=RuntimeStats(
+            sessions=2,
+            tenants={"alice": 1, "bob": 1},
+            plan_cache=PlanCacheStats(lookups=3, hits=1, misses=2, lowers=2),
+            requests=3,
+        ),
+        batching=BatchStats(
+            admitted=3, rejected=1, shed_cost=1, batches=2, batched_requests=3,
+            largest_batch=2, completed=3, drained_flops=999, retry_after_last=7,
+        ),
+        serving=metrics,
+    )
 
 
 class TestPromText:
     def test_render_and_validate_roundtrip(self):
-        text = render_metrics(_sample_stats())
+        text = exposition(_sample_stats())
         samples = validate_exposition(text)
         requests = dict(
             (labels["route"], value)
-            for labels, value in samples["repro_requests_total"]
+            for labels, value in samples["repro_serving_routes_requests_total"]
         )
         assert requests == {"multiply": 2, "pagerank": 1}
         sheds = dict(
             (labels["route"], value)
-            for labels, value in samples["repro_request_sheds_total"]
+            for labels, value in samples["repro_serving_routes_sheds_total"]
         )
         assert sheds["multiply"] == 1
-        (gauge,) = samples["repro_inflight_flops"]
+        (gauge,) = samples["repro_serving_inflight_flops"]
         assert gauge[1] == 12345
 
     def test_histogram_bucket_invariants_hold(self):
-        samples = validate_exposition(render_metrics(_sample_stats()))
-        buckets = [
-            (labels, value)
-            for labels, value in samples["repro_request_latency_seconds_bucket"]
-            if labels["route"] == "multiply"
-        ]
-        assert buckets[-1][0]["le"] == "+Inf"
-        assert buckets[-1][1] == 2
+        samples = validate_exposition(exposition(_sample_stats()))
+        for family, label, key, count in (
+            ("repro_serving_routes_latency_seconds", "route", "multiply", 2),
+            ("repro_serving_tenants_latency_seconds", "tenant", "alice", 2),
+        ):
+            buckets = [
+                (labels, value)
+                for labels, value in samples[f"{family}_bucket"]
+                if labels[label] == key
+            ]
+            assert buckets[-1][0]["le"] == "+Inf"
+            assert buckets[-1][1] == count
+
+    def test_sum_is_exact_total_and_null_gauge_is_nan(self):
+        stats = _sample_stats()
+        samples = parse_exposition(exposition(stats))
+        sums = {
+            labels["tenant"]: value
+            for labels, value in samples["repro_serving_tenants_latency_seconds_sum"]
+        }
+        assert sums["alice"] == stats.serving.tenants["alice"].latency.total_seconds
+        stats.serving.coalescence_factor = None
+        ((_, value),) = parse_exposition(exposition(stats))["repro_serving_coalescence_factor"]
+        assert math.isnan(value)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="not a valid sample"):
@@ -241,17 +253,16 @@ class TestPromText:
 
     def test_missing_required_metric_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
-            validate_exposition("# TYPE repro_requests_total counter\n"
-                                'repro_requests_total{route="x"} 1\n')
+            validate_exposition("# TYPE repro_serving_routes_requests_total counter\n"
+                                'repro_serving_routes_requests_total{route="x"} 1\n')
 
     def test_non_cumulative_histogram_rejected(self):
-        text = render_metrics(_sample_stats())
-        broken = text.replace(
-            'repro_request_latency_seconds_bucket{route="multiply",le="+Inf"} 2',
-            'repro_request_latency_seconds_bucket{route="multiply",le="+Inf"} 0',
-        )
-        with pytest.raises(ValueError):
-            validate_exposition(broken)
+        text = exposition(_sample_stats())
+        for family, series in (("routes", 'route="multiply"'), ("tenants", 'tenant="alice"')):
+            bucket = f'repro_serving_{family}_latency_seconds_bucket{{{series},le="+Inf"}}'
+            assert f"{bucket} 2" in text
+            with pytest.raises(ValueError):
+                validate_exposition(text.replace(f"{bucket} 2", f"{bucket} 0"))
 
 
 class TestMultiplyFlops:

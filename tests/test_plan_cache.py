@@ -397,11 +397,11 @@ class TestBoundedCache:
             PlanCache(max_bytes=-1)
 
     def test_eviction_counters_in_dict_and_rendering(self, rng):
-        from repro.metrics.planprof import format_cache_stats
+        from repro.obs.counters import snapshot, text_lines
 
         cache = PlanCache(max_entries=1)
         self._fill(cache, rng, 2)
-        d = cache.stats.as_dict()
+        d = snapshot(cache.stats)
         assert d["evictions"] == 1
         assert d["evicted_bytes"] > 0
-        assert "evictions" in format_cache_stats(cache.stats)
+        assert dict(line.split() for line in text_lines(cache.stats))["evictions"] == "1"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.runner import get_context
 from repro.gpusim.config import TITAN_XP
-from repro.metrics import plan_profile
 from repro.spgemm.base import MultiplyContext
 
 from tests.test_algorithms import ALL_ALGORITHMS
@@ -47,15 +46,3 @@ class TestPlanMatchesNumericPlane:
         if plan.total_ops():
             assert plan.total_ops() == emitted
         assert result.allclose(catalog_ctx.reference_c)
-
-
-def test_plan_profile_rollup(square_csr):
-    ctx = MultiplyContext.build(square_csr)
-    algo = ALL_ALGORITHMS[0]()
-    _, records = algo.profile_plan(ctx)
-    profile = plan_profile(algo.name, records)
-    assert profile.total_ops == ctx.total_work
-    assert profile.stage("expansion").ops == ctx.total_work
-    assert profile.stage("merge").n_phases >= 1
-    with pytest.raises(KeyError):
-        profile.stage("setup")

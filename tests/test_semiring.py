@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.apps import k_hop_shortest_paths, single_source_distances
-from repro.errors import ConfigurationError, SparseFormatError
+from repro.errors import ConfigurationError, ShapeMismatchError, SparseFormatError
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.semiring import (
     MAX_TIMES,
@@ -30,6 +30,13 @@ class TestPlusTimes:
         a = coo.to_csr()
         c = semiring_spgemm(a)
         assert np.allclose(c.to_dense(), a.to_dense() @ a.to_dense(), atol=1e-9)
+
+    def test_output_beyond_int64_keys_rejected(self):
+        """A 3x1 by 1x2**62 product has 3 * 2**62 flat output keys."""
+        a = CSRMatrix((3, 1), [0, 1, 2, 3], [0, 0, 0], [1.0, 2.0, 3.0])
+        b = CSRMatrix((1, 2**62), [0, 1], [0], [1.0])
+        with pytest.raises(ShapeMismatchError, match="int64"):
+            semiring_spgemm(a, b)
 
 
 class TestOrAnd:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
+import re
 import socket
 import struct
 import threading
@@ -33,7 +35,7 @@ from repro.serve import (
     csr_from_wire,
     csr_to_wire,
 )
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, MAX_ITERATIONS
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -363,6 +365,31 @@ class TestServer:
         )
         assert status == 400 and "damping" in body["error"]
 
+    def test_iteration_counts_above_the_limit_are_400(self, serve_url, rng):
+        """``k`` and ``max_iter`` are bounded: admission charges one
+        multiply whatever the count, so an unbounded one could pin an
+        executor thread.  Refused at validation, nothing stays charged."""
+        a = csr_to_wire(random_csr(rng, 10, 10, 0.3))
+        for route, field in (("/v1/reachability", "k"), ("/v1/pagerank", "max_iter")):
+            status, reply = _post(
+                serve_url,
+                route,
+                {"algorithm": "row-product", "adjacency": a, field: MAX_ITERATIONS + 1},
+            )
+            assert status == 400, (route, reply)
+            assert field in reply["error"] and str(MAX_ITERATIONS) in reply["error"]
+        _, stats = _get(serve_url, "/stats")
+        assert stats["serving"]["inflight_flops"] == 0
+
+    def test_output_beyond_the_int64_key_space_is_400(self, serve_url):
+        """A 3x1 by 1x2**62 product has 3 * 2**62 flat output keys."""
+        a = {"shape": [3, 1], "indptr": [0, 1, 2, 3], "indices": [0, 0, 0], "data": [1.0] * 3}
+        b = {"shape": [1, 2**62], "indptr": [0, 1], "indices": [0], "data": [1.0]}
+        status, reply = _post(
+            serve_url, "/v1/multiply", {"algorithm": "row-product", "a": a, "b": b}
+        )
+        assert status == 400 and "int64" in reply["error"], reply
+
     def test_malformed_json_is_400(self, serve_url):
         req = urllib.request.Request(
             serve_url + "/v1/multiply", data=b"{not json",
@@ -481,6 +508,10 @@ def _raw_exchange(base, request: bytes) -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+#: /stats maps whose keys are data (route and tenant names), by Prometheus label.
+_MAPS = {"routes": "route", "tenants": "tenant"}
 
 
 def _get_text(base, path):
@@ -671,7 +702,7 @@ class TestServingObservability:
         samples = validate_exposition(text)
         requests = {
             labels["route"]: value
-            for labels, value in samples["repro_requests_total"]
+            for labels, value in samples["repro_serving_routes_requests_total"]
         }
         assert requests["multiply"] == 1
         _, stats = _get(serve_url, "/stats")
@@ -680,7 +711,8 @@ class TestServingObservability:
         )
 
     def test_stats_field_names_covers_live_payload(self, serve_url, rng):
-        from repro.serve.server import _DYNAMIC_KEY_SECTIONS, stats_field_names
+        from repro.obs.counters import field_names
+        from repro.serve.server import ServerStats
 
         a = random_csr(rng, 15, 15, 0.2)
         body = {"algorithm": "row-product", "a": csr_to_wire(a)}
@@ -693,16 +725,81 @@ class TestServingObservability:
                 live.add(key)
                 if not isinstance(value, dict):
                     continue
-                if key in _DYNAMIC_KEY_SECTIONS:
-                    for child in value.values():
-                        if isinstance(child, dict):
-                            walk(child)
-                else:
-                    walk(value)
+                # Route and tenant names are data: walk only their values.
+                for child in value.values() if key in _MAPS else [value]:
+                    if isinstance(child, dict):
+                        walk(child)
 
         walk(stats)
-        missing = live - stats_field_names()
-        assert not missing, f"undocumentable live /stats keys: {sorted(missing)}"
+        assert live == field_names(ServerStats)
+
+    def test_metrics_equal_stats_under_mixed_traffic(self, rng):
+        """Two routes, two tenants, a 400 and a shed: every /metrics counter
+        and gauge equals its /stats field, found by the documented naming
+        rule, and each latency histogram's _count and _sum equal its route's
+        or tenant's count and total."""
+        from repro.metrics.promtext import validate_exposition
+
+        admission = AdmissionConfig(batch_window=0.0, max_inflight_flops=50)
+        thread = ServerThread(Runtime(RuntimeConfig()), ServeConfig(port=0, admission=admission))
+        host, port = thread.start()
+        base = f"http://{host}:{port}"
+        small = csr_to_wire(random_csr(rng, 4, 4, 0.3))
+        big = csr_to_wire(random_csr(rng, 40, 40, 0.3))  # far over the flop budget
+        try:
+            for route, body, tenant, status in (
+                ("/v1/multiply", {"algorithm": "row-product", "a": small}, "alice", 200),
+                ("/v1/multiply", {"algorithm": "row-product", "a": small}, "alice", 200),
+                ("/v1/reachability", {"algorithm": "row-product", "adjacency": small}, "bob", 200),
+                ("/v1/multiply", {"algorithm": "nope", "a": small}, "bob", 400),
+                ("/v1/multiply", {"algorithm": "row-product", "a": big}, "bob", 503),
+            ):
+                assert _post(base, route, body, tenant=tenant)[0] == status
+            _, stats = _get(base, "/stats")
+            _, text = _get_text(base, "/metrics")
+        finally:
+            thread.stop()
+        samples = validate_exposition(text)
+
+        expected = {}
+
+        def walk(value, path, labels):
+            if not isinstance(value, dict):
+                expected[("_".join(["repro", *path]), frozenset(labels.items()))] = value
+                return
+            for key, child in value.items():
+                if key in _MAPS:
+                    for name, entry in child.items():
+                        walk(entry, path + [key], {**labels, _MAPS[key]: name})
+                elif key != "latency_ms":
+                    walk(child, path + [key], labels)
+
+        walk(stats, [], {})
+        paths = {name for name, _ in expected}
+
+        def stats_path(family):
+            family = family.removesuffix("_total")
+            return family if family in paths else re.sub(r"_(seconds|bytes|flops)$", "", family)
+
+        actual = {
+            (stats_path(family), frozenset(labels.items())): value
+            for family, series in samples.items()
+            if "_latency_seconds" not in family
+            for labels, value in series
+        }
+        assert actual.keys() == expected.keys()
+        for key, value in expected.items():
+            assert math.isnan(actual[key]) if value is None else actual[key] == value, key
+
+        for section, label in (("routes", "route"), ("tenants", "tenant")):
+            family = f"repro_serving_{section}_latency_seconds"
+            counts = {labels[label]: v for labels, v in samples[f"{family}_count"]}
+            sums = {labels[label]: v for labels, v in samples[f"{family}_sum"]}
+            for key, block in stats["serving"][section].items():
+                latency = block["latency_ms"]
+                assert counts[key] == latency["count"]
+                total_ms = (latency["mean"] or 0.0) * latency["count"]
+                assert sums[key] * 1e3 == pytest.approx(total_ms, rel=1e-12)
 
     def test_trace_dir_exports_slow_requests(self, rng, tmp_path):
         runtime = Runtime(RuntimeConfig())

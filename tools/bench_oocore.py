@@ -89,12 +89,13 @@ def run_cell(dataset: str, algorithm: str, budget: str | None) -> dict:
         record["seconds"] = time.perf_counter() - start
         record["oocore"] = None
     else:
+        from repro.obs.counters import snapshot
         from repro.oocore import chunked_multiply
 
         start = time.perf_counter()
         result, stats = chunked_multiply(algo, loaded.a, loaded.b, mem_budget=budget)
         record["seconds"] = time.perf_counter() - start
-        record["oocore"] = stats.as_dict()
+        record["oocore"] = snapshot(stats)
     record["nnz_c"] = result.nnz
     record["digest"] = _digest(result)
     record["peak_rss_bytes"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

@@ -20,9 +20,13 @@ and checks each one *without executing anything*:
 * every out-of-core flag (``repro.cli.OOCORE_FLAGS``) must be registered on
   the ``run``, ``compare`` and ``bench`` subparsers and mentioned in both
   README.md and EXPERIMENTS.md (where the full-scale instructions live).
-* every field the ``/stats`` payload can contain
-  (:func:`repro.serve.server.stats_field_names`) must appear backticked in
-  the docs/OPERATIONS.md glossary — operators debug from those names.
+* every field the ``/stats`` payload can contain must appear backticked in
+  the docs/OPERATIONS.md glossary, and every Prometheus family ``/metrics``
+  can emit must appear backticked in its ``/metrics`` section — operators
+  debug from those names.  Both lists are read from the counter
+  declarations (:func:`repro.obs.counters.field_names` and
+  :func:`~repro.obs.counters.family_names` of
+  :class:`repro.serve.server.ServerStats`), the ones the server renders.
 
 Inline spans containing ``<`` are templates (``repro experiment <name>``)
 and are skipped; fenced commands must be concrete.  Exits non-zero listing
@@ -218,36 +222,47 @@ def check_oocore_flags() -> list[tuple[str, int, str, str]]:
     return failures
 
 
-def check_stats_glossary() -> list[tuple[str, int, str, str]]:
-    """Every possible ``/stats`` field must be in the OPERATIONS glossary.
+def _documented(text: str) -> set[str]:
+    """Backticked spans outside fenced blocks (fences would pair backticks
+    across lines)."""
+    documented = set()
+    in_fence = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            documented.update(_INLINE.findall(line))
+    return documented
 
-    Field names come from :func:`repro.serve.server.stats_field_names` — the
-    same schema walk a server test asserts covers live payloads — and must
-    appear backticked somewhere in docs/OPERATIONS.md.
+
+def check_stats_glossary() -> list[tuple[str, int, str, str]]:
+    """Every ``/stats`` field and ``/metrics`` family must be in OPERATIONS.
+
+    Field names must appear backticked anywhere in docs/OPERATIONS.md (the
+    glossary); family names backticked in its ``/metrics`` section.
     """
-    from repro.serve.server import stats_field_names
+    from repro.obs.counters import family_names, field_names
+    from repro.serve.server import ServerStats
 
     path = ROOT / "docs/OPERATIONS.md"
     if not path.exists():
         return []  # the missing file is already reported by main()
-    documented = set()
-    in_fence = False
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.lstrip().startswith("```"):
-            in_fence = not in_fence
-            continue
-        if not in_fence:  # fence contents would pair backticks across lines
-            documented.update(_INLINE.findall(line))
-    return [
-        (
-            "docs/OPERATIONS.md",
-            0,
-            f"/stats field {name}",
-            "missing from the OPERATIONS.md glossary",
-        )
-        for name in sorted(stats_field_names())
-        if name not in documented
+    text = path.read_text(encoding="utf-8")
+    glossary = _documented(text)
+    metrics_section = re.search(r"^## `/metrics`.*?(?=^## )", text, re.M | re.S)
+    exported = _documented(metrics_section.group(0)) if metrics_section else set()
+    failures = [
+        ("docs/OPERATIONS.md", 0, f"/stats field {name}", "missing from the glossary")
+        for name in sorted(field_names(ServerStats))
+        if name not in glossary
     ]
+    failures += [
+        ("docs/OPERATIONS.md", 0, f"/metrics family {name}", "missing from the /metrics section")
+        for name in family_names(ServerStats)
+        if name not in exported
+    ]
+    return failures
 
 
 def main() -> int:
@@ -269,11 +284,11 @@ def main() -> int:
 
     failures.extend(check_oocore_flags())
     checked += 5 * len(OOCORE_FLAGS)
-    glossary_failures = check_stats_glossary()
-    from repro.serve.server import stats_field_names
+    from repro.obs.counters import family_names, field_names
+    from repro.serve.server import ServerStats
 
-    checked += len(stats_field_names())
-    failures.extend(glossary_failures)
+    failures.extend(check_stats_glossary())
+    checked += len(field_names(ServerStats)) + len(family_names(ServerStats))
     for doc, lineno, cmd, error in failures:
         print(f"{doc}:{lineno}: {cmd!r}: {error}", file=sys.stderr)
     status = "FAILED" if failures else "ok"
