@@ -5,9 +5,7 @@ caps both the intermediate expansion a single row panel may produce and the
 partial results the executor keeps resident before spilling.  The panel
 planner converts bytes to *products* with :data:`BYTES_PER_PRODUCT`, the
 peak working-set cost of one intermediate product through the expansion +
-merge pipeline (triplet coordinates, value, flat sort key, sort permutation
-and group id — five int64/float64 arrays over the stream, plus slack for
-the argsort's internal scratch).
+merge pipeline (see the constant).
 """
 
 from __future__ import annotations
@@ -19,8 +17,10 @@ from repro.errors import OutOfCoreError
 __all__ = ["BYTES_PER_PRODUCT", "parse_mem_budget", "products_for_budget"]
 
 #: Peak bytes one intermediate product costs while a panel is expanded and
-#: merged: rows + cols + vals triplet (24), flat sort key (8), stable-sort
-#: permutation (8), group id (8) — 48 bytes of live arrays per product.
+#: merged.  Expansion: B's stored-entry index, flat key and value (24) plus
+#: the two operand-value temporaries the product is formed from (16).
+#: Merge: flat key, value and group id (24) plus one row block's scratch,
+#: at most 2**18 products.  48 bytes per product covers both.
 BYTES_PER_PRODUCT = 48
 
 _UNITS = {

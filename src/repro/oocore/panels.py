@@ -5,7 +5,7 @@
 combine without any cross-panel arithmetic and the panel path is
 bit-identical to the in-memory path row by row (the triplet stream a panel
 expands is the full stream's restriction to those rows, in the same relative
-order, and the coalescing merge's stable sort keys on (row, col)).
+order, and the merge reduces each entry in stream order).
 
 The planner sizes panels from the paper's precalculated workload sums
 (:func:`repro.plan.estimate.row_flops` — products landing in each output
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.plan.estimate import row_flops
 from repro.sparse.csr import CSRMatrix
 
@@ -54,27 +55,21 @@ class Panel:
 def plan_panels(a: CSRMatrix, b: CSRMatrix, max_products: int) -> list[Panel]:
     """Greedily cut A's rows into contiguous panels of ≤ ``max_products``.
 
-    Every row lands in exactly one panel and panels are returned in row
+    The cut is the numeric merge's (:func:`repro.kernels.row_blocks`): each
+    panel is the longest run of rows that fits, and at least one row.  Every
+    row lands in exactly one panel and panels are returned in row
     order (the order the executor places them in C).  An empty A yields a
     single empty panel so the executor's pipeline needs no special case.
     """
     if max_products < 1:
         raise ValueError(f"max_products must be >= 1, got {max_products}")
-    work = row_flops(a, b)
-    n_rows = a.n_rows
-    if n_rows == 0:
+    if a.n_rows == 0:
         return [Panel(index=0, row_start=0, row_stop=0, products=0)]
-    panels: list[Panel] = []
-    lo = 0
-    acc = 0
-    for i in range(n_rows):
-        w = int(work[i])
-        if i > lo and acc + w > max_products:
-            panels.append(Panel(len(panels), lo, i, acc, acc > max_products))
-            lo, acc = i, 0
-        acc += w
-    panels.append(Panel(len(panels), lo, n_rows, acc, acc > max_products))
-    return panels
+    ends = np.cumsum(row_flops(a, b))
+    return [
+        Panel(i, blk.start, blk.stop, blk.hi - blk.lo, blk.hi - blk.lo > max_products)
+        for i, blk in enumerate(kernels.row_blocks(ends, max_products=max_products))
+    ]
 
 
 def slice_rows(a: CSRMatrix, lo: int, hi: int) -> CSRMatrix:

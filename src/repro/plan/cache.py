@@ -12,8 +12,8 @@ that optimisation for our engine:
 * :func:`structure_fingerprint` — content hash of the operands' sparsity
   structure (shapes + indptr + indices, values excluded).
 * :class:`NumericRecipe` — everything needed to re-run *only* the numeric
-  phase of a plan execution: the numeric kernel's gather arrays in
-  summation order (:func:`repro.kernels.merge`), plus the output structure.
+  phase of a plan execution: the numeric kernel's gather arrays in stream
+  order (:func:`repro.kernels.merge`), plus the output structure.
   :meth:`NumericRecipe.replay` is bit-identical to the cold execution by
   construction (same multiplication pairs, same float64 summation order).
   Semiring products keep one too, captured from their one kernel call; a
@@ -69,8 +69,8 @@ def structure_fingerprint(a: CSRMatrix, b: CSRMatrix) -> str:
     """Hash the sparsity structure of ``a @ b``'s operands (not their values).
 
     Two multiplies with equal fingerprints expand to the same coordinate
-    stream and merge through the same sort permutation, so a cached
-    :class:`NumericRecipe` replays exactly.
+    stream over the same row blocks and number the same output entries, so
+    a cached :class:`NumericRecipe` replays exactly.
     """
     h = hashlib.sha256()
     for m in (a, b):
@@ -105,17 +105,18 @@ class NumericRecipe:
     """Numeric-only replay of one plan execution on a fixed structure.
 
     ``a_gather``/``b_gather`` index the operands' stored entries (CSR order)
-    in *merged* order — the order the numeric kernel sums them in — and
-    ``group`` maps each product to its output entry.  Replay is one gather,
-    one combine and one in-order reduce by ``group`` — the same float64
-    operations in the same order as the cold path's merge, under the
-    algebra the cold product ran (default: multiply, then add from +0.0).
+    in *stream* order — the kernel's expansion order, in which it sums each
+    entry's products — and ``group`` maps each product to its output entry.
+    Replay is one gather, one combine and one in-order reduce by ``group`` —
+    the same float64 operations in the same order as the cold path's merge,
+    under the algebra the cold product ran (default: multiply, then add from
+    +0.0).
 
     Attributes:
         shape: output matrix shape.
-        a_gather: stored-entry index into ``A.data`` per product, sorted order.
-        b_gather: stored-entry index into ``B.data`` per product, sorted order.
-        group: output-entry id per product (summation target), sorted order.
+        a_gather: stored-entry index into ``A.data`` per product, stream order.
+        b_gather: stored-entry index into ``B.data`` per product, stream order.
+        group: output-entry id per product (summation target), stream order.
         n_groups: number of output entries.
         indptr: output CSR row pointers.
         indices: output CSR column indices.

@@ -89,6 +89,13 @@ class COOMatrix:
     # Validation and normalisation
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        """Raise :class:`SparseFormatError` if any index is out of range or
+        any value is not finite."""
+        self._check_range()
+        if not np.all(np.isfinite(self.vals)):
+            raise SparseFormatError("non-finite value in COO matrix")
+
+    def _check_range(self) -> None:
         """Raise :class:`SparseFormatError` if any index is out of range."""
         n_rows, n_cols = self.shape
         if self.nnz == 0:
@@ -97,16 +104,16 @@ class COOMatrix:
             raise SparseFormatError("row index out of range")
         if self.cols.min() < 0 or self.cols.max() >= n_cols:
             raise SparseFormatError("column index out of range")
-        if not np.all(np.isfinite(self.vals)):
-            raise SparseFormatError("non-finite value in COO matrix")
 
     def coalesce(self, drop_zeros: bool = True) -> "COOMatrix":
         """Return an equivalent COO matrix with duplicates summed.
 
         Entries are sorted by (row, col) and duplicates summed in input
         order (:func:`repro.kernels.coalesce`).  When ``drop_zeros`` is
-        true, entries that sum to exactly zero are removed.
+        true, entries that sum to exactly zero are removed.  Raises
+        :class:`SparseFormatError` if any index is out of range.
         """
+        self._check_range()
         indptr, cols, vals = kernels.coalesce(self.rows, self.cols, self.vals, self.shape)
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(indptr))
         if drop_zeros:

@@ -9,10 +9,10 @@ shape, which the trace builders capture):
 * row product — grouped by output row ``i``: Gustavson's formulation (one
   thread group per row).
 
-Both are :mod:`repro.kernels` primitives, whose :func:`~repro.kernels.spgemm`
-runs either order for every scheme's plan.  :func:`expand_outer` is the
-outer-product stream with values over a CSC left operand, which the
-reference product merges.
+Both are walks of :func:`repro.kernels.expand_entries` over A's stored
+entries, and :func:`~repro.kernels.spgemm` runs either order for every
+scheme's plan.  :func:`expand_outer` is the outer-product stream with
+values over a CSC left operand, which the reference product merges.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ def expand_outer(a_csc: CSCMatrix, b_csr: CSRMatrix) -> tuple[np.ndarray, np.nda
     kernel would emit.
     """
     check_multipliable(a_csc.shape, b_csr.shape)
-    rows, cols, a_idx, b_idx = kernels.expand_outer_indices(
-        a_csc.indptr, a_csc.indices, b_csr.indptr, b_csr.indices
-    )
-    return rows, cols, a_csc.data[a_idx] * b_csr.data[b_idx]
+    # The walk over A's entries in CSC order: pair by pair, rows ascending.
+    pairs = np.repeat(np.arange(a_csc.n_cols, dtype=np.int64), np.diff(a_csc.indptr))
+    counts = np.diff(b_csr.indptr)[pairs]
+    b_idx = kernels.expand_entries(b_csr.indptr[pairs], counts)
+    vals = np.repeat(a_csc.data, counts) * b_csr.data[b_idx]
+    return np.repeat(a_csc.indices, counts), b_csr.indices[b_idx], vals

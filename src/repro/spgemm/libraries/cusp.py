@@ -60,10 +60,10 @@ class CuspSpGEMM(SpGEMMAlgorithm):
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
         """Balanced expansion, radix-sort passes, segmented compression.
 
-        ESC is exactly our numeric kernel — expand, stable sort by
-        coordinate, segmented sum — so its three phases map one-to-one onto
-        the kernel's steps: the sort and compress phases are the kernel's
-        merge step.
+        ESC computes what our numeric kernel computes — expand, order by
+        coordinate, segmented sum — so its three phases map onto the
+        kernel's two steps: the sort and compress phases are the kernel's
+        merge step (which numbers entries without a global sort).
         """
         t = ctx.total_work
         expansion = _flat_blocks(t, _COO_BYTES, rw_factor=1.0, instr=2.0)

@@ -107,6 +107,16 @@ class TestCoalesce:
     def test_empty_coalesce(self):
         assert COOMatrix.empty((3, 3)).coalesce().nnz == 0
 
+    @pytest.mark.parametrize("row, col", [(0, 3), (0, -1), (2, 0), (-1, 0)])
+    def test_out_of_range_coordinate_rejected(self, row, col):
+        """Column 3 of a 2 x 3 matrix must not fold into row 1's column 0,
+        and a negative index must not reach the merge."""
+        coo = COOMatrix((2, 3), rows=[row, 1], cols=[col, 0], vals=[1.0, 2.0])
+        with pytest.raises(SparseFormatError, match="out of range"):
+            coo.coalesce()
+        with pytest.raises(SparseFormatError, match="out of range"):
+            coo.allclose(coo)
+
     def test_preserves_total_sum(self, rng):
         n = 200
         coo = COOMatrix(

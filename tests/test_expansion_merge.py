@@ -11,9 +11,11 @@ from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 
 
 def expand_row(a, b):
-    """Row-order triplets with values (the row-order kernel's expansion)."""
-    rows, cols, a_idx, b_idx = kernels.expand_row_indices(a.indptr, a.indices, b.indptr, b.indices)
-    return rows, cols, a.data[a_idx] * b.data[b_idx]
+    """Row-order triplets with values: the walk over A's entries in CSR order."""
+    counts = b.row_nnz()[a.indices]
+    b_idx = kernels.expand_entries(b.indptr[a.indices], counts)
+    rows = np.repeat(np.repeat(np.arange(a.n_rows), a.row_nnz()), counts)
+    return rows, b.indices[b_idx], np.repeat(a.data, counts) * b.data[b_idx]
 
 
 class TestExpandOuter:

@@ -53,33 +53,44 @@ class TestRegistry:
 class TestNumpyBackendParity:
     """The kernel equals the merge of its own expansions, bit for bit."""
 
-    def test_merge_and_sums_match_spgemm(self, matrices):
-        """In either order the kernel is the merge of that order's
-        expansion, and its gathers replay to the same bits."""
+    def test_merge_and_sums_match_spgemm(self, matrices, monkeypatch):
+        """In either order the kernel is the merge of that order's walk over
+        A's entries, and its gathers replay to the same bits, also a few
+        products at a time."""
         a, b = matrices
         shape = (a.n_rows, b.n_cols)
-        rows, cols, a_idx, b_idx = kernels.expand_row_indices(
-            a.indptr, a.indices, b.indptr, b.indices
-        )
-        by_rows = merge_triplets(rows, cols, a.data[a_idx] * b.data[b_idx], shape)
+        default_chunk = kernels.REPLAY_PRODUCTS
         a_csc = csr_to_csc(a)
-        rows, cols, a_idx, b_idx = kernels.expand_outer_indices(
-            a_csc.indptr, a_csc.indices, b.indptr, b.indices
-        )
-        by_pairs = merge_triplets(rows, cols, a_csc.data[a_idx] * b.data[b_idx], shape)
-        for order, want in ((kernels.ROW_ORDER, by_rows), (kernels.PAIR_ORDER, by_pairs)):
+        walks = {
+            # CSR order: row by row, each row's entries as stored.
+            kernels.ROW_ORDER: (np.repeat(np.arange(a.n_rows), a.row_nnz()), a.indices, a.data),
+            # CSC order: pair by pair, each column's entries by row.
+            kernels.PAIR_ORDER: (
+                a_csc.indices, np.repeat(np.arange(a.n_cols), a_csc.col_nnz()), a_csc.data
+            ),
+        }
+        for order, (rows, ks, a_vals) in walks.items():
+            counts = b.row_nnz()[ks]
+            b_idx = kernels.expand_entries(b.indptr[ks], counts)
+            want = merge_triplets(
+                np.repeat(rows, counts),
+                b.indices[b_idx],
+                np.repeat(a_vals, counts) * b.data[b_idx],
+                shape,
+            )
             indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
             assert _identical(CSRMatrix(shape, indptr, indices, data), want)
             a_gather, b_gather, group = gathers
-            np.testing.assert_array_equal(
-                kernels.gather_reduce(a.data, b.data, a_gather, b_gather, group, len(indices)),
-                data,
-            )
+            for chunk in (default_chunk, 7):
+                monkeypatch.setattr(kernels, "REPLAY_PRODUCTS", chunk)
+                replayed = kernels.gather_reduce(
+                    a.data, b.data, a_gather, b_gather, group, len(indices)
+                )
+                assert replayed.tobytes() == data.tobytes()
 
     def test_empty_stream_merge(self):
-        one = kernels.Expansion(
-            np.zeros(1, dtype=np.int64), 1, np.ones(1), None, None
-        )
+        block = kernels.RowBlock(start=0, stop=3, lo=0, hi=1, dense=False)
+        one = kernels.Expansion(np.zeros(1, dtype=np.int64), np.ones(1), None, None, [block])
         indptr, indices, data, gathers = kernels.merge(one, (3, 3))
         assert len(indices) == 1 and gathers is None
         np.testing.assert_array_equal(indptr, [0, 1, 1, 1])
@@ -114,13 +125,17 @@ class TestSummationOrder:
         assert _spgemm(a, b, kernels.ROW_ORDER).data[0] == _BIG + 2
 
     def test_key_space_counts_tie_ranks(self):
-        """2 x 2**62 keys fit in int64 exactly; a tie-rank span of 2 does not."""
+        """2 x 2**62 keys fit in int64 exactly, with or without a tie rank:
+        the rank orders the walk, not the keys."""
         a = CSRMatrix((2, 1), [0, 1, 2], [0, 0], [1.0, 2.0])
         b = CSRMatrix((1, 2**62), [0, 1], [2**62 - 1], [3.0])
-        c = _spgemm(a, b, kernels.PAIR_ORDER)
-        assert c.indptr.tolist() == [0, 1, 2] and c.data.tolist() == [3.0, 6.0]
-        with pytest.raises(ShapeMismatchError, match="tie ranks"):
-            kernels.spgemm(a, b, kernels.PAIR_ORDER, np.array([1]))
+        for rank in (None, np.array([1])):
+            for order in (kernels.PAIR_ORDER, kernels.ROW_ORDER):
+                c = _spgemm(a, b, order, rank)
+                assert c.indptr.tolist() == [0, 1, 2] and c.data.tolist() == [3.0, 6.0]
+                assert c.indices.tolist() == [2**62 - 1] * 2
+        with pytest.raises(ShapeMismatchError, match="int64 key"):
+            kernels.spgemm(CSRMatrix.empty((3, 1)), CSRMatrix.empty((1, 2**62)), "pairs")
 
     def test_unknown_order_rejected(self, matrices):
         a, b = matrices

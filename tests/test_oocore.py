@@ -162,6 +162,23 @@ class TestPlanPanels:
                 assert p.products > 1
         assert sum(p.oversized for p in panels) == int((work > 1).sum())
 
+    @pytest.mark.parametrize("divisor", [1, 3, 7, 50, 10**9])
+    def test_cut_equals_the_greedy_row_loop(self, rng, divisor):
+        """Each panel takes rows while its work fits, and at least one row:
+        the greedy loop over rows, kept here as the reference."""
+        a = power_law(n=300, nnz=1500, seed=divisor % 97).to_csr()
+        work = row_flops(a, a)
+        budget = max(1, int(work.sum()) // divisor)
+        want, lo, acc = [], 0, 0
+        for i, w in enumerate(work.tolist()):
+            if i > lo and acc + w > budget:
+                want.append((lo, i, acc, acc > budget))
+                lo, acc = i, 0
+            acc += w
+        want.append((lo, a.n_rows, acc, acc > budget))
+        panels = plan_panels(a, a, max_products=budget)
+        assert [(p.row_start, p.row_stop, p.products, p.oversized) for p in panels] == want
+
     def test_empty_matrix_yields_one_empty_panel(self):
         a = CSRMatrix(
             (0, 5),

@@ -171,13 +171,13 @@ class TestSemiringReplay:
     def test_miss_expands_once(self, rng, monkeypatch):
         """One kernel call builds both the result and the recipe."""
         calls = []
-        expand = kernels.expand_outer_indices
+        expand = kernels.expand_entries
 
         def counting(*args):
             calls.append(1)
             return expand(*args)
 
-        monkeypatch.setattr(kernels, "expand_outer_indices", counting)
+        monkeypatch.setattr(kernels, "expand_entries", counting)
         a = random_csr(rng, 30, 30, 0.2)
         PlanCache().semiring_multiply(a, a, MIN_PLUS)
         assert len(calls) == 1

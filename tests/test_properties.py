@@ -5,7 +5,9 @@ format layer (round-trips), the numeric engine (all schemes agree with a
 dense reference), the structure-only symbolic pass (exact row counts on
 adversarial operands), the paths that reuse or split a cold multiply
 (plan-cache replay, semiring replay and chunked execution are bit-identical
-to it, also on rows storing their columns out of order), semiring products
+to it, also on rows storing their columns out of order), the exact oracle
+(the kernel in both orders, tie ranks included, is scipy's product with the
+inner index permuted by the rank, bit for bit), semiring products
 (PLUS_TIMES is the numeric product and scipy's, bit for bit), the Block
 Reorganizer's transformations (splitting and gathering are
 result-preserving / work-conserving) and the scheduler.
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.bench.runner import paper_algorithms
 from repro.core.classify import classify_pairs
 from repro.core.gathering import plan_gathering
@@ -31,8 +34,8 @@ from repro.plan.cache import PlanCache
 from repro.plan.estimate import row_flops
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm import merge
-from repro.spgemm.base import MultiplyContext
+from repro.sparse.random import power_law
+from repro.spgemm.base import DEFAULT_LOWERING_CONFIG, MultiplyContext
 from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
@@ -166,7 +169,7 @@ class TestSpGEMMProperties:
 class TestSymbolicPassProperties:
     @given(multiply_operands(), st.integers(1, 40), st.integers(1, 64))
     @settings(max_examples=80, deadline=None)
-    def test_counts_match_reference_and_scipy(self, operands, block_products, mask_bytes):
+    def test_counts_match_reference_and_scipy(self, operands, block_products, mask_cells):
         """Default, all-dense and all-sorted counting, over many small
         blocks and on int32 index arrays, equals the merged product's
         stored entries and scipy's."""
@@ -185,10 +188,10 @@ class TestSymbolicPassProperties:
         assert np.array_equal(symbolic_row_nnz(a, b), expected)
         for fill in (0.0, float("inf")):
             with mock.patch.multiple(
-                merge,
-                SYMBOLIC_DENSE_MIN_FILL=fill,
-                SYMBOLIC_BLOCK_PRODUCTS=block_products,
-                SYMBOLIC_MASK_BYTES=mask_bytes,
+                kernels,
+                DENSE_MIN_FILL=fill,
+                BLOCK_PRODUCTS=block_products,
+                BLOCK_CELLS=mask_cells,
             ):
                 assert np.array_equal(symbolic_row_nnz(a, b), expected)
                 assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
@@ -225,15 +228,31 @@ def _assert_identical(got: CSRMatrix, want: CSRMatrix) -> None:
     assert got.data.tobytes() == want.data.tobytes()
 
 
-def _scipy_product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """scipy's ``a @ b`` with sorted indices (it drops exact zeros)."""
+def _scipy_product(a: CSRMatrix, b: CSRMatrix, rank: np.ndarray | None = None) -> CSRMatrix:
+    """scipy's ``a @ b`` with sorted indices (it drops exact zeros).
+
+    scipy adds each entry's products in ascending inner index.  Given a
+    per-pair tie ``rank``, this multiplies ``A[:, p]`` (rows sorted) by
+    ``B[p, :]`` instead, ``p`` the stable argsort of the rank: the sum in
+    ascending (tie rank, k).
+    """
     sp = pytest.importorskip("scipy.sparse")
-    c = (
-        sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-        @ sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
-    ).tocsr()
+    left = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    right = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
+    if rank is not None:
+        p = np.argsort(rank, kind="stable")
+        left = left[:, p].tocsr()
+        left.sort_indices()
+        right = right[p, :].tocsr()
+    c = (left @ right).tocsr()
     c.sort_indices()
     return CSRMatrix(c.shape, c.indptr, c.indices, c.data)
+
+
+def _tie_rank(algo, a: CSRMatrix, b: CSRMatrix) -> np.ndarray | None:
+    """The per-pair tie rank of ``algo``'s plan for ``a @ b`` (None if all 0)."""
+    ctx = MultiplyContext.build(a, b)
+    return algo.lower(ctx, DEFAULT_LOWERING_CONFIG).tie_rank(len(ctx.pair_work))
 
 
 class TestReplayProperties:
@@ -242,16 +261,13 @@ class TestReplayProperties:
     def test_replay_semiring_and_chunked_match_cold(self, operands, seed):
         """For every scheme: a plan-cache replay with fresh values equals a
         cold multiply on them, a MIN_PLUS replay equals the cold semiring
-        product, and all of it equals scipy.  Split into row panels (with
-        spills) the product equals the in-memory one."""
-        sp = pytest.importorskip("scipy.sparse")
+        product, and the product equals scipy's, bit for bit modulo exact
+        zeros (permuted by the plan's tie rank for the Block Reorganizer).
+        Split into row panels (with spills) the product equals the
+        in-memory one."""
         rng = np.random.default_rng(seed)
         a, b = operands
         a2, b2 = _with_values(a, rng), _with_values(b, rng)
-        expected = (
-            sp.csr_matrix((a2.data, a2.indices, a2.indptr), shape=a2.shape)
-            @ sp.csr_matrix((b2.data, b2.indices, b2.indptr), shape=b2.shape)
-        ).toarray()
         semiring_cold = semiring_spgemm(a2, b2, MIN_PLUS)
         panelled = np.count_nonzero(row_flops(a2, b2)) >= 2
         # hypothesis runs examples inside one test call, so a function-scoped
@@ -264,7 +280,8 @@ class TestReplayProperties:
                 assert session.stats.numeric_replays == 1, algo.name
                 cold = algo.multiply(MultiplyContext.build(a2, b2))
                 _assert_identical(replayed, cold)
-                assert np.allclose(cold.to_dense(), expected, rtol=1e-12, atol=0.0), algo.name
+                want = _scipy_product(a2, b2, _tie_rank(algo, a2, b2))
+                _assert_identical(_drop_zeros(cold), want)
 
                 session.semiring_multiply(a, b, MIN_PLUS)
                 _assert_identical(session.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
@@ -334,6 +351,57 @@ class TestSemiringProperties:
             replayed = cache.semiring_multiply(a2, b2, semiring)
             assert cache.stats.numeric_replays == 1, semiring.name
             _assert_identical(replayed, semiring_spgemm(a2, b2, semiring))
+
+
+class TestExactOracle:
+    """The kernel sums each entry in ascending (tie rank, k): in both
+    orders, with a random per-pair rank on signed values, it equals scipy's
+    rank-permuted product bit for bit, modulo exact zeros."""
+
+    @staticmethod
+    def _check(operands, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (_with_values(m, rng, low=-2.0) for m in operands)
+        rank = rng.integers(0, 3, a.n_cols)
+        want = _scipy_product(a, b, rank)
+        for order in (kernels.PAIR_ORDER, kernels.ROW_ORDER):
+            indptr, indices, data, _ = kernels.spgemm(a, b, order, rank)
+            got = CSRMatrix((a.n_rows, b.n_cols), indptr, indices, data)
+            _assert_identical(_drop_zeros(got), want)
+
+    @given(multiply_operands(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_ranked_sum_is_rank_permuted_scipy(self, operands, seed):
+        self._check(operands, seed)
+
+    @given(
+        multiply_operands(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 64),
+        st.sampled_from([0.0, float("inf")]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_all_dense_and_all_sorted_blocks(self, operands, seed, block_products, cells, fill):
+        """The same sums when every block takes the mask, or every block
+        sorts, over many tiny blocks."""
+        with mock.patch.multiple(
+            kernels, DENSE_MIN_FILL=fill, BLOCK_PRODUCTS=block_products, BLOCK_CELLS=cells
+        ):
+            self._check(operands, seed)
+
+    def test_block_reorganizer_ranked_power_law(self):
+        """A power-law operand whose plan carries tie ranks: the Block
+        Reorganizer equals the rank-permuted scipy product, and not the
+        plain one, so the oracle tells the two sums apart."""
+        a = power_law(n=1000, nnz=6000, seed=1).to_csr()
+        a = _with_values(a, np.random.default_rng(0), low=-2.0)
+        algo = BlockReorganizer()
+        rank = _tie_rank(algo, a, a)
+        assert rank is not None and np.any(rank)
+        c = _drop_zeros(algo.multiply(MultiplyContext.build(a, a)))
+        _assert_identical(c, _scipy_product(a, a, rank))
+        assert c.data.tobytes() != _scipy_product(a, a).data.tobytes()
 
 
 class TestReorganizerPlanProperties:
