@@ -185,5 +185,5 @@ class BlockReorganizer(SpGEMMAlgorithm):
         for p in self.pipeline():
             with obs.span(f"reorganize.{p.signature()['pass']}", "plan") as sp:
                 plan = p.run(plan, ctx, config, self.costs)
-                sp.add(phases=len(plan.phases), blocks=int(plan.n_blocks))
+                sp.add(phases=len(plan.phases), ops=int(plan.total_ops()))
         return plan

@@ -123,7 +123,9 @@ def _global_plan(
     """Lower ``algo`` once on the whole operand and check its invariant.
 
     Returns what each panel needs: the expansion order and the per-pair tie
-    ranks.  The whole-operand context dies with this frame.
+    ranks.  Nothing reads the merge phases' blocks, which lowering defers,
+    so no symbolic pass runs (bhSPARSE's row bins still count C's rows).
+    The whole-operand context dies with this frame.
     """
     ctx = MultiplyContext.build(a, b)
     plan = algo.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)

@@ -19,17 +19,19 @@ that optimisation for our engine:
   Semiring products keep one too, captured from their one kernel call; a
   semiring replay runs the semiring's algebra and drops identity entries
   again, since which entries survive depends on the values.
-* :class:`PlanCache` — memoizes lowered plans and recipes keyed by
-  (algorithm fingerprint, GPU config, structure fingerprint) and counts
-  lookups/hits/lowers so tests and the CLI can assert amortisation.  The
-  cache is **bounded**: ``max_entries`` and ``max_bytes`` put an LRU limit
-  on how many recipes a long-lived process (an :class:`IterativeSession`
-  held by ``repro.serve``, say) can accumulate from an evolving-structure
-  workload; evictions are counted in :class:`PlanCacheStats`.
+* :class:`PlanCache` — memoizes recipes keyed by (algorithm fingerprint,
+  GPU config, structure fingerprint) and counts lookups/hits/lowers so tests
+  and the CLI can assert amortisation.  The cache is **bounded**:
+  ``max_entries`` and ``max_bytes`` put an LRU limit on how many recipes a
+  long-lived process (an :class:`IterativeSession` held by ``repro.serve``,
+  say) can accumulate from an evolving-structure workload; evictions are
+  counted in :class:`PlanCacheStats`.
 
 Recipes are verified at fill time: the cold result is replayed immediately
-and compared exactly; a mismatch simply disables replay for that entry
-rather than risking a wrong answer.
+and compared exactly, and only a recipe that reproduces it is cached.  A
+mismatch caches nothing, so the structure's next lookup runs the cold path
+again rather than risking a wrong answer.  The cache keeps no plans: a
+replay needs none, and a plan's deferred blocks would pin its context.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.gpusim.config import GPUConfig
-    from repro.plan.ir import ExecutionPlan
     from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
     from repro.spgemm.semiring import Semiring
 
@@ -60,7 +61,6 @@ __all__ = [
     "config_token",
     "NumericRecipe",
     "PlanCacheStats",
-    "PlanCacheEntry",
     "PlanCache",
 ]
 
@@ -130,6 +130,12 @@ class NumericRecipe:
     indptr: np.ndarray
     indices: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        """Retained size: the bytes of the recipe's index arrays, which the
+        cache's byte budget counts."""
+        return sum(f.nbytes for f in vars(self).values() if isinstance(f, np.ndarray))
+
     def replay(
         self,
         a_data: np.ndarray,
@@ -187,37 +193,13 @@ class PlanCacheStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-@dataclass
-class PlanCacheEntry:
-    """One cached lowering: the plan plus (when capturable) a replay recipe."""
-
-    plan: ExecutionPlan | None
-    recipe: NumericRecipe | None = None
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate retained size: the recipe's index/structure arrays.
-
-        The plan itself is small (phase descriptors); the recipe's gather
-        arrays scale with the product stream and dominate, so the byte
-        budget counts ndarray fields only.
-        """
-        if self.recipe is None:
-            return 0
-        return sum(
-            f.nbytes
-            for f in vars(self.recipe).values()
-            if isinstance(f, np.ndarray)
-        )
-
-
 class PlanCache:
-    """Memoize lowered plans and numeric-replay recipes per structure.
+    """Memoize numeric-replay recipes per structure.
 
     The cache is in-memory and session-scoped: keys include algorithm and
     config fingerprints, so one cache can serve several schemes, and
     non-fingerprintable schemes key by instance identity.  Every freshly
-    captured recipe is replayed against the cold result and trusted only if
+    captured recipe is replayed against the cold result and cached only if
     the two are exactly equal.
 
     ``max_entries`` and ``max_bytes`` bound the cache with LRU eviction —
@@ -241,7 +223,7 @@ class PlanCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = PlanCacheStats()
-        self._entries: OrderedDict[tuple, PlanCacheEntry] = OrderedDict()
+        self._entries: OrderedDict[tuple, NumericRecipe] = OrderedDict()
         self._entry_bytes = 0
 
     def __len__(self) -> int:
@@ -249,7 +231,7 @@ class PlanCache:
 
     @property
     def nbytes(self) -> int:
-        """Approximate bytes retained by cached recipes (see entry.nbytes)."""
+        """Bytes retained by cached recipes (see :attr:`NumericRecipe.nbytes`)."""
         return self._entry_bytes
 
     def clear(self) -> None:
@@ -257,20 +239,20 @@ class PlanCache:
         self._entries.clear()
         self._entry_bytes = 0
 
-    def _get(self, key: tuple) -> PlanCacheEntry | None:
-        """Look an entry up, refreshing its LRU recency on a hit."""
-        entry = self._entries.get(key)
-        if entry is not None:
+    def _get(self, key: tuple) -> NumericRecipe | None:
+        """Look a recipe up, refreshing its LRU recency on a hit."""
+        recipe = self._entries.get(key)
+        if recipe is not None:
             self._entries.move_to_end(key)
-        return entry
+        return recipe
 
-    def _insert(self, key: tuple, entry: PlanCacheEntry) -> None:
-        """Insert (or replace) an entry, then evict LRU until within budget."""
+    def _insert(self, key: tuple, recipe: NumericRecipe) -> None:
+        """Insert (or replace) a recipe, then evict LRU until within budget."""
         old = self._entries.pop(key, None)
         if old is not None:
             self._entry_bytes -= old.nbytes
-        self._entries[key] = entry
-        self._entry_bytes += entry.nbytes
+        self._entries[key] = recipe
+        self._entry_bytes += recipe.nbytes
         while self._over_budget():
             evicted_key, evicted = self._entries.popitem(last=False)
             self._entry_bytes -= evicted.nbytes
@@ -295,14 +277,17 @@ class PlanCache:
         *,
         ctx: MultiplyContext | None = None,
         config: GPUConfig | None = None,
+        fingerprint: str | None = None,
     ) -> CSRMatrix:
         """Compute ``a @ b`` with ``algo``, replaying on structure hits.
 
         On a hit the entire cold pipeline — operand validation, context
-        construction (CSC conversion, workload precalculation),
-        classification, lowering and symbolic expansion — is skipped; only
-        the recipe's gather + merge runs.  ``ctx`` may be supplied when the
-        caller already built one.
+        construction and workload precalculation, classification, lowering
+        and the numeric kernel's expansion walk — is skipped; only the
+        recipe's gather + reduce runs.  ``ctx`` may be supplied when the
+        caller already built one, and ``fingerprint`` when it already
+        hashed the operands (:func:`structure_fingerprint` of ``a`` and
+        ``b``); both are computed when absent.
         """
         from repro.spgemm.base import (
             DEFAULT_LOWERING_CONFIG,
@@ -313,19 +298,16 @@ class PlanCache:
         if config is None:
             config = DEFAULT_LOWERING_CONFIG
         b = a if b is None else b
-        key = (
-            "plan",
-            algorithm_token(algo),
-            config_token(config),
-            structure_fingerprint(a, b),
-        )
+        if fingerprint is None:
+            fingerprint = structure_fingerprint(a, b)
+        key = ("plan", algorithm_token(algo), config_token(config), fingerprint)
         self.stats.lookups += 1
-        entry = self._get(key)
-        if entry is not None and entry.recipe is not None:
+        recipe = self._get(key)
+        if recipe is not None:
             self.stats.hits += 1
             self.stats.numeric_replays += 1
             with obs.span("plan.cache[hit]", "plan", hits=1, numeric_replays=1):
-                return entry.recipe.replay(a.data, b.data)
+                return recipe.replay(a.data, b.data)
 
         self.stats.misses += 1
         with obs.span("plan.cache[miss]", "plan", misses=1) as sp:
@@ -346,9 +328,8 @@ class PlanCache:
                 indptr=result.indptr.copy(),
                 indices=result.indices.copy(),
             )
-            if not _identical(recipe.replay(a.data, b.data), result):
-                recipe = None
-            self._insert(key, PlanCacheEntry(plan, recipe))
+            if _identical(recipe.replay(a.data, b.data), result):
+                self._insert(key, recipe)
         return result
 
     # -- semiring path --------------------------------------------------
@@ -375,12 +356,12 @@ class PlanCache:
             return semiring.drop_identity(recipe.replay(a.data, b.data, **semiring.algebra))
 
         self.stats.lookups += 1
-        entry = self._get(key)
-        if entry is not None and entry.recipe is not None:
+        recipe = self._get(key)
+        if recipe is not None:
             self.stats.hits += 1
             self.stats.numeric_replays += 1
             with obs.span("plan.semiring[hit]", "plan", hits=1, numeric_replays=1):
-                return replay(entry.recipe)
+                return replay(recipe)
 
         self.stats.misses += 1
         self.stats.symbolic_expansions += 1
@@ -397,9 +378,8 @@ class PlanCache:
                 indices=full.indices,
             )
             result = semiring.drop_identity(full)
-            if not _identical(replay(recipe), result):
-                recipe = None
-            self._insert(key, PlanCacheEntry(None, recipe))
+            if _identical(replay(recipe), result):
+                self._insert(key, recipe)
         return result
 
 

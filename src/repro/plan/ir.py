@@ -102,6 +102,26 @@ class Coverage:
         return f"{self.axis} {int(np.count_nonzero(self.mask))}/{len(self.mask)}"
 
 
+class _Blocks:
+    """:attr:`PlanPhase.blocks`: a :class:`BlockArray` or a zero-argument
+    builder of one, called on the first read and replaced by its result.
+
+    Class access raises :class:`AttributeError`, which tells
+    :func:`dataclasses.dataclass` the field has no default.
+    """
+
+    def __get__(self, phase, owner=None) -> BlockArray:
+        if phase is None:
+            raise AttributeError("blocks")
+        blocks = phase.__dict__["_blocks"]
+        if callable(blocks):
+            blocks = phase.__dict__["_blocks"] = blocks()
+        return blocks
+
+    def __set__(self, phase, blocks) -> None:
+        phase.__dict__["_blocks"] = blocks
+
+
 @dataclass
 class PlanPhase:
     """One phase of a plan: a kernel launch and the products it computes.
@@ -111,7 +131,11 @@ class PlanPhase:
         stage: coarse bucket — ``expansion``, ``merge`` or ``setup`` — shared
             with :class:`~repro.gpusim.trace.KernelPhase`.
         blocks: thread-block descriptors this launch dispatches (the
-            performance plane's view of the phase).
+            performance plane's view of the phase).  A lowering may pass a
+            zero-argument builder instead (a :func:`functools.partial`),
+            called on the first read: the merge phases' blocks need C's
+            row counts (``ctx.c_row_nnz``), which only the performance plane
+            reads before the numeric run has counted them.
         covers: the products this phase computes (expansion) or merges
             (merge); its op count.  ``None`` for modelling-only phases that
             compute nothing.
@@ -124,7 +148,7 @@ class PlanPhase:
 
     name: str
     stage: str
-    blocks: BlockArray
+    blocks: BlockArray = _Blocks()
     covers: Coverage | None = None
     instr_override: float | None = None
     device: bool = True
@@ -323,6 +347,12 @@ class ExecutionPlan:
         first merge phase.  With ``gathers`` the recipe is the
         ``(a_gather, b_gather, group)`` arrays of a replay recipe
         (:mod:`repro.plan.cache`), else None.
+
+        The merge counts C's row entries, so a context whose
+        :attr:`~repro.spgemm.base.MultiplyContext.c_row_nnz` nothing has
+        read yet takes them from the result's ``indptr`` instead of running
+        the symbolic pass; the records then build any deferred blocks from
+        them.
         """
         ops = self.phase_ops(ctx)
         rank = self.tie_rank(len(ctx.pair_work))
@@ -337,6 +367,8 @@ class ExecutionPlan:
             indptr, indices, data, captured = kernels.merge(stream, ctx.out_shape)
             seconds[PHASE_MERGE] = time.perf_counter() - start
             sp.add(nnz=len(indices))
+        if "c_row_nnz" not in vars(ctx):
+            ctx.c_row_nnz = np.diff(indptr)
         records = [
             PhaseExecution(
                 name=phase.name,

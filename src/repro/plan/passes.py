@@ -34,6 +34,7 @@ annotation plumbing trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.gpusim.block import BlockArray, BlockArrayBuilder
 from repro.gpusim.host import device_precalc_cycles, host_split_seconds
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
-from repro.spgemm.traceutil import merge_blocks, outer_pair_blocks
+from repro.spgemm.traceutil import ctx_merge_blocks, outer_pair_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.gpusim.config import GPUConfig
@@ -121,7 +122,7 @@ class ClassifyPass:
 
     def run(self, plan, ctx, config, costs) -> ExecutionPlan:
         """Split the expansion phase by block class and annotate the plan."""
-        na = ctx.a_csc.col_nnz()
+        na = ctx.a_col_nnz
         nb = ctx.b_csr.row_nnz()
         classes = classify_pairs(ctx.pair_work, nb, alpha=self.alpha)
 
@@ -286,7 +287,12 @@ class GatherPass:
 
 @dataclass(frozen=True)
 class LimitPass:
-    """B-Limiting: cap merge-block residency on heavy output rows."""
+    """B-Limiting: cap merge-block residency on heavy output rows.
+
+    The row split reads only ``ctx.row_work``; both merge phases defer their
+    blocks, which need C's row counts, until they are read
+    (:func:`~repro.spgemm.traceutil.ctx_merge_blocks`).
+    """
 
     beta: float = 10.0
     limiting_factor: int = 4
@@ -306,13 +312,11 @@ class LimitPass:
         replacements: list[PlanPhase] = []
         if mask.any():
             smem = limiting_smem_bytes(4096, self.limiting_factor, config.smem_per_sm)
-            heavy = merge_blocks(
-                ctx.row_work, ctx.c_row_nnz, costs, row_mask=mask, smem_bytes=smem
-            )
+            heavy = partial(ctx_merge_blocks, ctx, costs, row_mask=mask, smem_bytes=smem)
             replacements.append(PlanPhase(
                 "merge-limited", PHASE_MERGE, heavy, covers=Coverage("rows", mask)
             ))
-        light = merge_blocks(ctx.row_work, ctx.c_row_nnz, costs, row_mask=~mask)
+        light = partial(ctx_merge_blocks, ctx, costs, row_mask=~mask)
         replacements.append(PlanPhase(
             "merge", PHASE_MERGE, light, covers=Coverage("rows", ~mask)
         ))

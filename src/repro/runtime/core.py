@@ -318,7 +318,7 @@ class Runtime:
         try:
             hits_before = pooled.session.stats.hits
             with trace.stage("numeric"):
-                result = pooled.session.multiply(a, b)
+                result = pooled.session.multiply(a, b, fingerprint=fp)
         finally:
             pooled.lock.release()
         with self._lock:
@@ -483,7 +483,7 @@ class Runtime:
         with pooled.lock:
             for _ in range(iterations):
                 start = time.perf_counter()
-                pooled.session.multiply(a, b)
+                pooled.session.multiply(a, b, fingerprint=fp)
                 seconds.append(time.perf_counter() - start)
         return IterationReport(seconds=seconds, stats=pooled.session.stats)
 

@@ -82,29 +82,49 @@ class MultiplyContext:
 
     The vectors mirror the paper's precalculation step: ``pair_work`` is the
     block-wise nnz of the outer-product formulation, ``row_work`` the row-wise
-    nnz used by the merge model and B-Limiting.
+    nnz used by the merge model and B-Limiting.  Every vector reads A in CSR:
+    the CSC copy (:attr:`a_csc`) is built only for the reference product.
+    Operands are taken as given; every caller in the library validates them
+    first (:func:`validate_operands`) or builds them from a catalog dataset.
     """
 
     a_csr: CSRMatrix
-    a_csc: CSCMatrix
     b_csr: CSRMatrix
 
     @classmethod
     def build(
         cls, a: CSRMatrix, b: CSRMatrix | None = None, a_csc: CSCMatrix | None = None
     ) -> "MultiplyContext":
-        """Build a context for ``a @ b`` (``b`` defaults to ``a``: C = A^2)."""
+        """Build a context for ``a @ b`` (``b`` defaults to ``a``: C = A^2).
+
+        ``a_csc`` is A's CSC form when the caller already holds one (the
+        dataset loader does); otherwise :attr:`a_csc` converts on first use.
+        """
         b = a if b is None else b
         check_multipliable(a.shape, b.shape)
-        return cls(a_csr=a, a_csc=a_csc if a_csc is not None else a.to_csc(), b_csr=b)
+        ctx = cls(a_csr=a, b_csr=b)
+        if a_csc is not None:
+            ctx.a_csc = a_csc
+        return ctx
+
+    @cached_property
+    def a_csc(self) -> CSCMatrix:
+        """A in CSC, converted on first use: only :attr:`reference_c` and the
+        dataset tools read it."""
+        return self.a_csr.to_csc()
 
     # ------------------------------------------------------------------
     # Precalculated workloads (Section IV-B)
     # ------------------------------------------------------------------
     @cached_property
+    def a_col_nnz(self) -> np.ndarray:
+        """Stored entries per column of A, ``nnz(a_{*k})``, counted from CSR."""
+        return np.bincount(self.a_csr.indices, minlength=self.a_csr.n_cols)
+
+    @cached_property
     def pair_work(self) -> np.ndarray:
         """Products per column/row pair k — the block-wise nnz."""
-        return self.a_csc.col_nnz() * self.b_csr.row_nnz()
+        return self.a_col_nnz * self.b_csr.row_nnz()
 
     @property
     def total_work(self) -> int:
@@ -132,10 +152,16 @@ class MultiplyContext:
     def c_row_nnz(self) -> np.ndarray:
         """Unique output coordinates per row (the symbolic multiply).
 
-        Counted from the operands' index structure alone by
-        :func:`~repro.spgemm.merge.symbolic_row_nnz` — no values, no
-        expansion, no merge.  It equals ``reference_c.row_nnz()``: the merge
-        keeps explicit zeros, so stored entries are unique coordinates.
+        Only the performance plane's cost model reads it: the merge phases'
+        blocks, which lowering defers until they are read, and bhSPARSE's
+        row bins.  A numeric run fills it for free —
+        :meth:`~repro.plan.ir.ExecutionPlan.run` stores the merged result's
+        row counts here when nothing has read it yet — so a cold multiply
+        never counts C twice.  Read before that, it runs the structure-only
+        symbolic pass, :func:`~repro.spgemm.merge.symbolic_row_nnz`: no
+        values, no expansion, no merge.  Both give ``reference_c.row_nnz()``:
+        the merge keeps explicit zeros, so stored entries are unique
+        coordinates.
         """
         return symbolic_row_nnz(self.a_csr, self.b_csr, self.row_work)
 
@@ -204,15 +230,14 @@ class SpGEMMAlgorithm(abc.ABC):
         Every executor path (``multiply``, ``build_trace``, ``profile_plan``
         and the plan cache's cold path) lowers through this hook so the
         trace's ``plan.lower[...]`` node counts lowerings exactly once each,
-        with phase/block/op counters attached.
+        with phase and op counters attached.  It counts no blocks: that
+        would build the deferred merge-phase blocks, and with them the
+        symbolic pass, on paths that never read them (the simulator's
+        ``gpusim.run[...]`` span counts them).
         """
         with obs.span(f"plan.lower[{self.name}]", "plan") as sp:
             plan = self.lower(ctx, config)
-            sp.add(
-                phases=len(plan.phases),
-                blocks=int(plan.n_blocks),
-                ops=int(plan.total_ops()),
-            )
+            sp.add(phases=len(plan.phases), ops=int(plan.total_ops()))
         return plan
 
     def multiply(

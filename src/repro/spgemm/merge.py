@@ -13,7 +13,8 @@ the range-checked form over a caller's triplet stream
 The performance plane needs only the output *structure* — unique columns
 per row — and :func:`symbolic_row_nnz` counts it from the operands' index
 structure alone, without building the triplet stream, over the same row
-blocks as the numeric merge.
+blocks as the numeric merge.  A numeric run reads the same counts off its
+merged result instead (:meth:`repro.plan.ir.ExecutionPlan.run`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def symbolic_row_nnz(a_csr, b_csr, row_work: np.ndarray | None = None) -> np.nda
     """Per-row count of unique output columns of ``A @ B`` — the symbolic pass.
 
     This is ``nnz(c_{i*})`` for every output row, which the trace builders
-    need to model atomic collisions (``k_r - u_r``) and which B-Limiting's
-    row classification uses.  It reads index structure only: A is walked in
+    need to model atomic collisions (``k_r - u_r``) and bhSPARSE's lowering
+    bins rows by.  It reads index structure only: A is walked in
     the numeric merge's row blocks (:func:`repro.kernels.row_blocks`), each
     block gathers just B's column ids (no values, no provenance), and counts
     its unique columns per row exactly, either by scattering into a

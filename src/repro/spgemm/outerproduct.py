@@ -11,6 +11,8 @@ inefficiencies the Block Reorganizer removes; this baseline is the paper's
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro import kernels
@@ -19,7 +21,7 @@ from repro.gpusim.host import device_precalc_cycles
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
-from repro.spgemm.traceutil import merge_blocks, outer_pair_blocks
+from repro.spgemm.traceutil import ctx_merge_blocks, outer_pair_blocks
 
 __all__ = ["OuterProductSpGEMM"]
 
@@ -34,8 +36,12 @@ class OuterProductSpGEMM(SpGEMMAlgorithm):
         self.fixed_block_size = fixed_block_size
 
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
-        """One fixed-size block per non-empty pair; pair-order expansion."""
-        na = ctx.a_csc.col_nnz()
+        """One fixed-size block per non-empty pair; pair-order expansion.
+
+        The merge phase's blocks are built when first read (they need C's
+        row counts, see :func:`~repro.spgemm.traceutil.ctx_merge_blocks`).
+        """
+        na = ctx.a_col_nnz
         nb = ctx.b_csr.row_nnz()
         nonempty = (na > 0) & (nb > 0)
         expansion = outer_pair_blocks(
@@ -44,7 +50,7 @@ class OuterProductSpGEMM(SpGEMMAlgorithm):
             self.costs,
             fixed_threads=self.fixed_block_size,
         )
-        merge = merge_blocks(ctx.row_work, ctx.c_row_nnz, self.costs, row_form=False)
+        merge = partial(ctx_merge_blocks, ctx, self.costs, row_form=False)
         return ExecutionPlan(
             algorithm=self.name,
             phases=[

@@ -10,6 +10,8 @@ results to this baseline.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro import kernels
@@ -17,7 +19,7 @@ from repro.gpusim.config import GPUConfig
 from repro.gpusim.trace import PHASE_EXPANSION, PHASE_MERGE
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
-from repro.spgemm.traceutil import entry_chunk_blocks, merge_blocks
+from repro.spgemm.traceutil import ctx_merge_blocks, entry_chunk_blocks
 
 __all__ = ["RowProductSpGEMM"]
 
@@ -32,7 +34,11 @@ class RowProductSpGEMM(SpGEMMAlgorithm):
         self.block_threads = block_threads
 
     def lower(self, ctx: MultiplyContext, config: GPUConfig) -> ExecutionPlan:
-        """Thread-per-A-entry blocks + row-form merge; row-order expansion."""
+        """Thread-per-A-entry blocks + row-form merge; row-order expansion.
+
+        The merge phase's blocks are built when first read (they need C's
+        row counts, see :func:`~repro.spgemm.traceutil.ctx_merge_blocks`).
+        """
         entry_work = self.ctx_entry_work(ctx)
         expansion = entry_chunk_blocks(
             entry_work,
@@ -40,7 +46,7 @@ class RowProductSpGEMM(SpGEMMAlgorithm):
             threads=self.block_threads,
             instr_scale=self.costs.row_exp_instr_scale,
         )
-        merge = merge_blocks(ctx.row_work, ctx.c_row_nnz, self.costs, row_form=True)
+        merge = partial(ctx_merge_blocks, ctx, self.costs, row_form=True)
         return ExecutionPlan(
             algorithm=self.name,
             phases=[

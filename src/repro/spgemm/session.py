@@ -13,9 +13,8 @@ work happen once per distinct structure:
     print("\n".join(counters.text_lines(session.stats)))   # repro.obs.counters
 
 Semiring loops use :meth:`IterativeSession.semiring_multiply` the same way.
-On a structure hit the session skips even context construction (CSC
-conversion and workload precalculation) — the replay reads nothing but the
-operands' value arrays.
+On a structure hit the session skips even context construction and workload
+precalculation — the replay reads nothing but the operands' value arrays.
 """
 
 from __future__ import annotations
@@ -69,9 +68,18 @@ class IterativeSession:
         """The underlying cache's amortisation counters."""
         return self.cache.stats
 
-    def multiply(self, a: CSRMatrix, b: CSRMatrix | None = None) -> CSRMatrix:
-        """``a @ b`` (``b`` defaults to ``a``), replaying on structure hits."""
-        return self.cache.multiply(self.algorithm, a, b, config=self.config)
+    def multiply(
+        self, a: CSRMatrix, b: CSRMatrix | None = None, *, fingerprint: str | None = None
+    ) -> CSRMatrix:
+        """``a @ b`` (``b`` defaults to ``a``), replaying on structure hits.
+
+        ``fingerprint`` is the operands' structure fingerprint when the
+        caller already computed it (the runtime's session pool does); the
+        plan cache hashes them otherwise.
+        """
+        return self.cache.multiply(
+            self.algorithm, a, b, config=self.config, fingerprint=fingerprint
+        )
 
     def semiring_multiply(
         self,

@@ -6,10 +6,15 @@ none of them loops over blocks in Python.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.gpusim.block import BlockArray, BlockArrayBuilder
 from repro.gpusim.costs import CostModel
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.spgemm.base import MultiplyContext
 
 __all__ = [
     "ceil_div",
@@ -18,6 +23,7 @@ __all__ = [
     "row_chunk_blocks",
     "entry_chunk_blocks",
     "merge_blocks",
+    "ctx_merge_blocks",
     "group_by_budget",
 ]
 
@@ -355,3 +361,14 @@ def merge_blocks(
         _add(kk, uu)
 
     return builder.build()
+
+
+def ctx_merge_blocks(ctx: MultiplyContext, costs: CostModel, **kwargs) -> BlockArray:
+    """:func:`merge_blocks` for ``ctx``'s output rows, keyword arguments passed on.
+
+    Lowerings defer it, ``partial(ctx_merge_blocks, ctx, costs, ...)``, as a
+    merge phase's block builder (:class:`~repro.plan.ir.PlanPhase`): it
+    reads ``ctx.c_row_nnz`` only when called, after a numeric run has filled
+    it or, on the performance plane, through the symbolic pass.
+    """
+    return merge_blocks(ctx.row_work, ctx.c_row_nnz, costs, **kwargs)

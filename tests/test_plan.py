@@ -1,9 +1,13 @@
-"""ExecutionPlan IR mechanics, the executor's consistency invariant, and the
-reorganizer's pass-pipeline round trip."""
+"""ExecutionPlan IR mechanics, the executor's consistency invariant, the
+merge phases' deferred blocks, and the reorganizer's pass-pipeline round
+trip."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.bench.runner import paper_algorithms
 from repro.core.reorganizer import (
     BlockReorganizer,
     ReorganizerOptions,
@@ -14,12 +18,21 @@ from repro.errors import ConfigurationError, PlanError
 from repro.gpusim.block import BlockArray
 from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
+from repro.oocore import chunked_multiply
+from repro.plan.cache import PlanCache
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.plan.passes import ClassifyPass, GatherPass, LimitPass, SplitPass
 from repro.sparse.csr import CSRMatrix
+from repro.spgemm import base
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.libraries import MklSpGEMM
 from repro.spgemm.outerproduct import OuterProductSpGEMM
+
+SCHEMES = [algo.name for algo in paper_algorithms()]
+
+
+def _scheme(name):
+    return next(algo for algo in paper_algorithms() if algo.name == name)
 
 
 @pytest.fixture
@@ -172,6 +185,75 @@ class TestHostPlans:
         assert trace.phases == []
         assert trace.host_seconds > 0
         assert plan.execute(ctx).allclose(ctx.reference_c)
+
+
+class TestDeferredBlocks:
+    """Merge phases build their blocks when first read, from C's row counts:
+    a numeric run takes those from the kernel, so only the performance plane
+    (and bhSPARSE's lowering, whose row bins read them) runs the symbolic
+    pass, and no path converts A to CSC."""
+
+    @pytest.mark.parametrize("path", ["plan-cache", "multiply", "chunked"])
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_cold_multiply_runs_no_symbolic_pass_or_csc_copy(
+        self, name, path, skewed_csr, monkeypatch
+    ):
+        calls = {"symbolic": 0, "to_csc": 0}
+        symbolic, to_csc = base.symbolic_row_nnz, CSRMatrix.to_csc
+
+        def counting_symbolic(*args, **kwargs):
+            calls["symbolic"] += 1
+            return symbolic(*args, **kwargs)
+
+        def counting_to_csc(self):
+            calls["to_csc"] += 1
+            return to_csc(self)
+
+        monkeypatch.setattr(base, "symbolic_row_nnz", counting_symbolic)
+        monkeypatch.setattr(CSRMatrix, "to_csc", counting_to_csc)
+        algo, a = _scheme(name), skewed_csr
+        if path == "plan-cache":
+            c = PlanCache().multiply(algo, a, a)
+        elif path == "multiply":
+            c = algo.multiply(MultiplyContext.build(a, a))
+        else:
+            c, _ = chunked_multiply(algo, a, a, mem_budget="256K")
+        assert calls == {"symbolic": int(name == "bhsparse"), "to_csc": 0}
+        monkeypatch.undo()
+        assert c.allclose(MultiplyContext.build(a, a).reference_c)
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_trace_after_numeric_run_equals_symbolic_trace(self, name, skewed_csr):
+        """A plan whose deferred blocks read the kernel's row counts projects
+        the same trace as one lowered after the symbolic pass."""
+        algo = _scheme(name)
+        ran = MultiplyContext.build(skewed_csr)
+        plan = algo.lower(ran, TITAN_XP)
+        plan.execute(ran)
+        fresh = MultiplyContext.build(skewed_csr)
+        fresh.c_row_nnz
+        got, want = plan.to_trace(), algo.lower(fresh, TITAN_XP).to_trace()
+        assert got.meta["plan_shape"] == want.meta["plan_shape"]
+        assert [(p.name, p.stage) for p in got.phases] == [
+            (p.name, p.stage) for p in want.phases
+        ]
+        for mine, theirs in zip(got.phases, want.phases):
+            for column in dataclasses.fields(BlockArray):
+                np.testing.assert_array_equal(
+                    getattr(mine.blocks, column.name), getattr(theirs.blocks, column.name)
+                )
+
+    def test_blocks_built_once_on_first_read(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return BlockArray.empty()
+
+        phase = PlanPhase("merge", "merge", build)
+        assert built == []
+        assert phase.blocks is phase.blocks
+        assert built == [1]
 
 
 OPTION_SETS = [

@@ -8,6 +8,8 @@ the work performed.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.apps.pagerank import pagerank, pagerank_spgemm
 from repro.apps.shortestpaths import k_hop_shortest_paths
 from repro.core.adaptive import AdaptiveBlockReorganizer
 from repro.core.reorganizer import BlockReorganizer
-from repro.plan.cache import PlanCache, structure_fingerprint
+from repro.plan.cache import NumericRecipe, PlanCache, structure_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.outerproduct import OuterProductSpGEMM
@@ -196,6 +198,36 @@ class TestSemiringReplay:
         assert cache.stats.hits == 1
         cold = semiring_spgemm(a2, a2, OR_AND)
         _assert_bit_identical(warm, cold)
+
+
+class TestFillTimeVerification:
+    @pytest.mark.parametrize("path", ["plan", "semiring"])
+    def test_recipe_that_disagrees_is_not_cached(self, path, rng, monkeypatch):
+        """A recipe whose verifying replay disagrees with the cold result is
+        dropped: the cold result comes back as computed, nothing is cached,
+        and the structure's next lookup misses again."""
+        algo = RowProductSpGEMM()
+        a = random_csr(rng, 30, 30, 0.2)
+        replay = NumericRecipe.replay
+
+        def disagreeing(self, *args, **kwargs):
+            out = replay(self, *args, **kwargs)
+            out.data += 1.0
+            return out
+
+        monkeypatch.setattr(NumericRecipe, "replay", disagreeing)
+        cache = PlanCache()
+        if path == "plan":
+            run = partial(cache.multiply, algo, a, a)
+            cold = algo.multiply(MultiplyContext.build(a, a))
+        else:
+            run = partial(cache.semiring_multiply, a, a, MIN_PLUS)
+            cold = semiring_spgemm(a, a, MIN_PLUS)
+        assert cold.nnz
+        _assert_bit_identical(run(), cold)
+        assert (len(cache), cache.nbytes) == (0, 0)
+        _assert_bit_identical(run(), cold)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
 
 
 class TestIterativeSession:

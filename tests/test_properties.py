@@ -3,7 +3,8 @@
 Strategies generate small random sparse matrices; the invariants cover the
 format layer (round-trips), the numeric engine (all schemes agree with a
 dense reference), the structure-only symbolic pass (exact row counts on
-adversarial operands), the paths that reuse or split a cold multiply
+adversarial operands, and the same counts left by a numeric run), the
+paths that reuse or split a cold multiply
 (plan-cache replay, semiring replay and chunked execution are bit-identical
 to it, also on rows storing their columns out of order), the exact oracle
 (the kernel in both orders, tie ranks included, is scipy's product with the
@@ -195,6 +196,48 @@ class TestSymbolicPassProperties:
             ):
                 assert np.array_equal(symbolic_row_nnz(a, b), expected)
                 assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
+
+    @given(
+        multiply_operands(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["sorted", "shuffled", "int32"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_numeric_run_counts_what_the_symbolic_pass_counts(self, operands, seed, form):
+        """For every scheme, a plan run leaves ``ctx.c_row_nnz`` equal to the
+        symbolic pass's counts (the merged result's row counts, explicit and
+        cancelled zeros included), and ``pair_work``, counted from CSR, equal
+        to the CSC-based count: on signed unit values, whose sums cancel
+        often, on rows storing columns out of order and on int32 index
+        arrays."""
+        rng = np.random.default_rng(seed)
+        a, b = (_unit_values(m, rng) for m in operands)
+        if form == "shuffled":
+            a, b = _shuffle_rows(a, rng), _shuffle_rows(b, rng)
+        elif form == "int32":
+            a, b = _int32(a), _int32(b)
+        expected = symbolic_row_nnz(a, b)
+        pair_work = a.to_csc().col_nnz() * b.row_nnz()
+        for algo in paper_algorithms():
+            ctx = MultiplyContext.build(a, b)
+            c = algo.lower(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
+            assert np.array_equal(ctx.c_row_nnz, expected), algo.name
+            assert np.array_equal(np.diff(c.indptr), expected), algo.name
+            assert np.array_equal(ctx.pair_work, pair_work), algo.name
+
+
+def _unit_values(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
+    """Same structure, values drawn from -1, +1, 0 and -0.0."""
+    data = rng.choice(np.array([-1.0, 1.0, 0.0, -0.0]), m.nnz)
+    return CSRMatrix(m.shape, m.indptr, m.indices, data)
+
+
+def _int32(m: CSRMatrix) -> CSRMatrix:
+    """``m`` holding int32 index arrays, as scipy's matrices do (a
+    :class:`CSRMatrix` casts its arrays to int64 when constructed)."""
+    out = CSRMatrix(m.shape, m.indptr, m.indices, m.data)
+    out.indptr, out.indices = m.indptr.astype(np.int32), m.indices.astype(np.int32)
+    return out
 
 
 def _with_values(m: CSRMatrix, rng: np.random.Generator, low: float = 0.5) -> CSRMatrix:

@@ -89,6 +89,28 @@ class TestRuntimeFacade:
         assert first.fingerprint == second.fingerprint
         assert first.result.data.tobytes() == second.result.data.tobytes()
 
+    def test_warm_multiply_hashes_the_structure_once(self, rng, monkeypatch):
+        """The session pool's fingerprint is also the plan cache's key."""
+        from repro.plan import cache
+        from repro.runtime import core
+
+        a, b = _pair(rng)
+        calls = []
+        fingerprint = cache.structure_fingerprint
+
+        def counting(x, y):
+            calls.append(1)
+            return fingerprint(x, y)
+
+        monkeypatch.setattr(cache, "structure_fingerprint", counting)
+        monkeypatch.setattr(core, "structure_fingerprint", counting)
+        with Runtime(RuntimeConfig()) as rt:
+            rt.multiply("row-product", a, b)
+            calls.clear()
+            warm = rt.multiply("row-product", a, b)
+        assert warm.replayed
+        assert len(calls) == 1
+
     def test_unknown_algorithm_raises(self, rng):
         a, b = _pair(rng)
         with Runtime(RuntimeConfig()) as rt:
