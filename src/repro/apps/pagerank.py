@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.plan.cache import PlanCache
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import spmv
 from repro.spgemm.base import SpGEMMAlgorithm
-from repro.spgemm.session import IterativeSession
 
 __all__ = [
     "PageRankResult",
@@ -88,7 +88,7 @@ def pagerank(
 
 def pagerank_spgemm(
     adjacency: CSRMatrix,
-    engine: SpGEMMAlgorithm | IterativeSession,
+    engine: SpGEMMAlgorithm | PlanCache,
     *,
     damping: float = 0.85,
     tol: float = 1e-10,
@@ -99,8 +99,8 @@ def pagerank_spgemm(
     Each step computes ``scores_row @ P^T`` with the supplied engine, where
     the score row keeps *full support* (all n entries stored, zeros
     explicit).  Both operand structures are therefore identical every
-    iteration, so with a session-held plan cache the whole run lowers and
-    expands symbolically exactly once; iterations 2..N replay the numeric
+    iteration, so with a plan cache (``engine`` may be one the caller holds)
+    the whole run lowers exactly once; iterations 2..N replay the numeric
     phase.  Mathematically mirrors :func:`pagerank` (same damping, teleport
     and dangling-mass handling); results agree to float rounding, not bit
     for bit, because the summation order differs.
@@ -110,7 +110,7 @@ def pagerank_spgemm(
     n = adjacency.n_rows
     if n == 0:
         return PageRankResult(np.zeros(0), 0, 0.0, True)
-    session = IterativeSession.wrap(engine)
+    cache = PlanCache.wrap(engine)
     p_t = transition_matrix(adjacency).transpose()  # right-multiplying rows
     dangling = adjacency.row_nnz() == 0
 
@@ -122,7 +122,7 @@ def pagerank_spgemm(
     for iteration in range(1, max_iter + 1):
         dangling_mass = scores[dangling].sum() / n
         score_row = CSRMatrix((1, n), full_indptr.copy(), full_cols.copy(), scores)
-        product = session.multiply(score_row, p_t)
+        product = cache.multiply(score_row, p_t)
         propagated = np.zeros(n, dtype=np.float64)
         cols, vals = product.row(0)
         propagated[cols] = vals
@@ -137,7 +137,7 @@ def pagerank_spgemm(
 def batched_personalized_pagerank(
     adjacency: CSRMatrix,
     seeds: CSRMatrix,
-    engine: SpGEMMAlgorithm | IterativeSession,
+    engine: SpGEMMAlgorithm | PlanCache,
     *,
     damping: float = 0.85,
     n_steps: int = 3,
@@ -149,20 +149,20 @@ def batched_personalized_pagerank(
     multiplied by the transition matrix with the supplied spGEMM engine —
     the batched-analytics pattern that motivates spGEMM in the paper's
     introduction.  The score block's structure grows as mass spreads and
-    stabilises once its support saturates, at which point a session-held
+    stabilises once its support saturates, at which point a caller-held
     plan cache serves every remaining step by numeric replay.
 
     Returns the matrix of approximate scores, one row per query.
     """
     if seeds.n_cols != adjacency.n_rows:
         raise ConfigurationError("seed columns must index graph nodes")
-    session = IterativeSession.wrap(engine)
+    cache = PlanCache.wrap(engine)
     p_t = transition_matrix(adjacency).transpose()  # right-multiplying rows
     scores = seeds
     teleport = 1.0 - damping
     accumulated = _scale(seeds, teleport)
     for _ in range(n_steps):
-        scores = _scale(session.multiply(scores, p_t), damping)
+        scores = _scale(cache.multiply(scores, p_t), damping)
         accumulated = _add(accumulated, _scale(scores, teleport))
     return accumulated
 

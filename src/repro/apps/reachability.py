@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.plan.cache import PlanCache
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import SpGEMMAlgorithm
-from repro.spgemm.session import IterativeSession
 
 __all__ = ["WalkCounts", "k_hop_walks", "k_hop_reachability", "recommend_by_paths"]
 
@@ -37,27 +37,27 @@ class WalkCounts:
 
 
 def k_hop_walks(
-    adjacency: CSRMatrix, k: int, engine: SpGEMMAlgorithm | IterativeSession
+    adjacency: CSRMatrix, k: int, engine: SpGEMMAlgorithm | PlanCache
 ) -> WalkCounts:
     """Walk-count matrices ``A, A^2, ..., A^k`` via chained spGEMM.
 
     The left operand densifies every hop, so each product has a new
-    structure; a session-held plan cache still pays off when several calls
+    structure; a caller-held plan cache still pays off when several calls
     share the adjacency (or when walk counts saturate early).
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    session = IterativeSession.wrap(engine)
+    cache = PlanCache.wrap(engine)
     hops = [adjacency]
     current = adjacency
     for _ in range(k - 1):
-        current = session.multiply(current, adjacency)
+        current = cache.multiply(current, adjacency)
         hops.append(current)
     return WalkCounts(hops)
 
 
 def k_hop_reachability(
-    adjacency: CSRMatrix, k: int, engine: SpGEMMAlgorithm | IterativeSession
+    adjacency: CSRMatrix, k: int, engine: SpGEMMAlgorithm | PlanCache
 ) -> CSRMatrix:
     """Boolean k-hop reachability: which nodes are within <= k hops.
 
@@ -69,12 +69,12 @@ def k_hop_reachability(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    session = IterativeSession.wrap(engine)
+    cache = PlanCache.wrap(engine)
     bool_adjacency = _booleanize(adjacency)
     reach = bool_adjacency
     frontier = reach
     for _ in range(k - 1):
-        frontier = _booleanize(session.multiply(frontier, bool_adjacency))
+        frontier = _booleanize(cache.multiply(frontier, bool_adjacency))
         from repro.sparse.ops import add
 
         reach = _booleanize(add(reach, frontier))
@@ -84,7 +84,7 @@ def k_hop_reachability(
 def recommend_by_paths(
     adjacency: CSRMatrix,
     user: int,
-    engine: SpGEMMAlgorithm | IterativeSession,
+    engine: SpGEMMAlgorithm | PlanCache,
     *,
     n_recommendations: int = 5,
 ) -> list[tuple[int, float]]:

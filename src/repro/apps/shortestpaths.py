@@ -12,11 +12,11 @@ import numpy as np
 
 from repro import kernels
 from repro.errors import ConfigurationError
+from repro.plan.cache import PlanCache
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import check_multipliable
-from repro.plan.cache import PlanCache
+from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.semiring import MIN_PLUS
-from repro.spgemm.session import IterativeSession
 
 __all__ = ["k_hop_shortest_paths", "single_source_distances"]
 
@@ -34,17 +34,19 @@ def _with_zero_diagonal(w: CSRMatrix) -> CSRMatrix:
 
 
 def k_hop_shortest_paths(
-    weights: CSRMatrix, k: int, *, session: IterativeSession | None = None
+    weights: CSRMatrix, k: int, *, cache: PlanCache | None = None
 ) -> CSRMatrix:
     """Cheapest path costs using at most ``k`` edges (stored entries only).
 
     Args:
         weights: non-negative edge weights; absent entries mean no edge.
         k: maximum number of edges per path (k >= 1).
-        session: optional :class:`~repro.spgemm.session.IterativeSession`;
-            the distance matrix's structure stabilises once all <= k-hop
-            pairs are discovered, after which each relaxation is a structure
-            hit replaying only the (min, +) numeric phase.
+        cache: optional caller-held :class:`~repro.plan.cache.PlanCache`
+            (one scoped to the call by default); the distance matrix's
+            structure stabilises once all <= k-hop pairs are discovered,
+            after which each relaxation is a structure hit replaying only
+            the (min, +) numeric phase.  A semiring product runs the
+            pair-order kernel whatever scheme the cache is bound to.
 
     Returns:
         CSR matrix whose entry (i, j) is the min-cost i->j path of <= k
@@ -58,7 +60,8 @@ def k_hop_shortest_paths(
     check_multipliable(weights.shape, weights.shape)
     step = _with_zero_diagonal(weights)
     dist = step
-    cache = session.cache if session is not None else PlanCache()
+    if cache is None:
+        cache = PlanCache(OuterProductSpGEMM())
     for _ in range(k - 1):
         dist = cache.semiring_multiply(dist, step, MIN_PLUS)
     return dist
@@ -69,12 +72,12 @@ def single_source_distances(
     source: int,
     k: int,
     *,
-    session: IterativeSession | None = None,
+    cache: PlanCache | None = None,
 ) -> np.ndarray:
     """Distances from ``source`` using at most ``k`` edges (inf = unreached)."""
     if not 0 <= source < weights.n_rows:
         raise ConfigurationError(f"source {source} out of range")
-    dist = k_hop_shortest_paths(weights, k, session=session)
+    dist = k_hop_shortest_paths(weights, k, cache=cache)
     out = np.full(weights.n_cols, np.inf)
     cols, vals = dist.row(source)
     out[cols] = vals

@@ -4,8 +4,8 @@ Common-neighbour counting, cosine similarity and Jaccard similarity between
 all node pairs reduce to the product ``A @ A^T`` (or ``A^2`` on symmetric
 graphs) — exactly the spGEMM workload the paper optimises.  Any
 :class:`~repro.spgemm.base.SpGEMMAlgorithm` can serve as the engine; like
-the other apps, a caller-held :class:`~repro.spgemm.session.IterativeSession`
-is also accepted so repeated queries on one graph replay their plan.
+the other apps, a caller-held :class:`~repro.plan.cache.PlanCache` is also
+accepted so repeated queries on one graph replay their plan.
 """
 
 from __future__ import annotations
@@ -13,27 +13,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeMismatchError
+from repro.plan.cache import PlanCache
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import SpGEMMAlgorithm
-from repro.spgemm.session import IterativeSession
 
 __all__ = ["common_neighbors", "cosine_similarity", "jaccard_similarity", "top_similar_pairs"]
 
 
 def common_neighbors(
-    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | IterativeSession
+    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | PlanCache
 ) -> CSRMatrix:
     """Count shared out-neighbours for every node pair: ``A @ A^T``.
 
     Entry (i, j) is ``|N(i) ∩ N(j)|`` for a 0/1 adjacency matrix (weighted
     graphs yield the weighted overlap).
     """
-    session = IterativeSession.wrap(engine)
-    return session.multiply(adjacency, adjacency.transpose())
+    return PlanCache.wrap(engine).multiply(adjacency, adjacency.transpose())
 
 
 def cosine_similarity(
-    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | IterativeSession
+    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | PlanCache
 ) -> CSRMatrix:
     """Cosine similarity of neighbourhood vectors for every node pair.
 
@@ -50,7 +49,7 @@ def cosine_similarity(
 
 
 def jaccard_similarity(
-    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | IterativeSession
+    adjacency: CSRMatrix, engine: SpGEMMAlgorithm | PlanCache
 ) -> CSRMatrix:
     """Jaccard similarity of out-neighbourhoods for every node pair.
 

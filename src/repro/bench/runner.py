@@ -66,7 +66,7 @@ def get_context(dataset_name: str) -> MultiplyContext:
     if key not in _CTX_CACHE:
         with obs.span(f"context.build[{dataset_name}]", "data") as sp:
             ds = load(dataset_name)
-            ctx = MultiplyContext.build(ds.a, ds.b, a_csc=ds.a_csc)
+            ctx = MultiplyContext.build(ds.a, ds.b)
             with obs.span(f"context.symbolic[{dataset_name}]", "data") as sym:
                 ctx.c_row_nnz  # force the symbolic pass once, outside any timing
                 sym.add(products=int(ctx.total_work), nnz_c=int(ctx.nnz_c))

@@ -196,10 +196,11 @@ def _print_counters(title: str, stats) -> None:
 def _print_iterative(report) -> None:
     """Render the numeric-plane iteration demo (fixed structure, N passes).
 
-    Iteration 1 pays the full pipeline (context, lowering, symbolic
-    expansion); iterations 2..N are structure hits served by numeric replay.
-    Printed timings make the amortisation visible; the cache counters prove
-    the symbolic work ran exactly once.
+    Iteration 1 pays the full pipeline (context, lowering, the kernel's
+    expansion walk and recipe capture); iterations 2..N are structure hits
+    served by numeric replay.  Printed timings make the amortisation
+    visible; the cache counters (``lowers``, ``hits``) show the scheme
+    lowered exactly once.
     """
     n = len(report.seconds)
     warm_mean = report.warm_mean_seconds

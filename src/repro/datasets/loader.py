@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.errors import DatasetError
 from repro.datasets.catalog import DatasetSpec, get_spec
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import total_expansion_work
 from repro.sparse.random import banded_regular, power_law
 from repro.sparse.rmat import RMATParams, rmat_general, rmat_graph500
 
@@ -27,13 +25,11 @@ class LoadedDataset:
     Attributes:
         spec: the catalog entry this was generated from.
         a: left operand in CSR.
-        a_csc: left operand in CSC (outer-product schemes read columns of A).
         b: right operand in CSR (same object as ``a`` for ``C = A^2``).
     """
 
     spec: DatasetSpec
     a: CSRMatrix
-    a_csc: CSCMatrix
     b: CSRMatrix
 
     @property
@@ -43,7 +39,9 @@ class LoadedDataset:
     @property
     def expansion_work(self) -> int:
         """nnz(C-hat): total intermediate products of ``a @ b``."""
-        return total_expansion_work(self.a_csc, self.b)
+        from repro.plan.estimate import multiply_flops
+
+        return multiply_flops(self.a, self.b)
 
 
 #: Keyed by ``(name, recipe fingerprint)``: a respecified dataset (changed
@@ -69,7 +67,7 @@ def load(name: str) -> LoadedDataset:
         a_coo, b_coo = _generate(spec)
         a = a_coo.to_csr()
         b = b_coo.to_csr() if b_coo is not None else a
-        loaded = LoadedDataset(spec=spec, a=a, a_csc=a_coo.to_csc(), b=b)
+        loaded = LoadedDataset(spec=spec, a=a, b=b)
         sp.add(nnz_a=a.nnz, nnz_b=b.nnz, rows=a.n_rows)
     _CACHE[key] = loaded
     return loaded

@@ -19,13 +19,15 @@ that optimisation for our engine:
   Semiring products keep one too, captured from their one kernel call; a
   semiring replay runs the semiring's algebra and drops identity entries
   again, since which entries survive depends on the values.
-* :class:`PlanCache` — memoizes recipes keyed by (algorithm fingerprint,
-  GPU config, structure fingerprint) and counts lookups/hits/lowers so tests
-  and the CLI can assert amortisation.  The cache is **bounded**:
-  ``max_entries`` and ``max_bytes`` put an LRU limit on how many recipes a
-  long-lived process (an :class:`IterativeSession` held by ``repro.serve``,
-  say) can accumulate from an evolving-structure workload; evictions are
-  counted in :class:`PlanCacheStats`.
+* :class:`PlanCache` — one scheme's recipes, keyed by structure fingerprint,
+  with lookups/hits/lowers counted so tests and the CLI can assert
+  amortisation.  A recipe depends on the structure, the expansion order and
+  the pair tie ranks, never on the simulated GPU, so the key holds neither
+  the scheme (the cache is bound to one) nor a GPU config.  The cache is
+  **bounded**: ``max_entries`` and ``max_bytes`` put an LRU limit on how
+  many recipes a long-lived process (the runtime's session pool behind
+  ``repro.serve``, say) can accumulate from an evolving-structure
+  workload; evictions are counted in :class:`PlanCacheStats`.
 
 Recipes are verified at fill time: the cold result is replayed immediately
 and compared exactly, and only a recipe that reproduces it is cached.  A
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,14 +52,11 @@ from repro.obs.counters import counter, derived, gauge
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.gpusim.config import GPUConfig
-    from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
+    from repro.spgemm.base import SpGEMMAlgorithm
     from repro.spgemm.semiring import Semiring
 
 __all__ = [
     "structure_fingerprint",
-    "algorithm_token",
-    "config_token",
     "NumericRecipe",
     "PlanCacheStats",
     "PlanCache",
@@ -79,25 +77,6 @@ def structure_fingerprint(a: CSRMatrix, b: CSRMatrix) -> str:
         h.update(np.ascontiguousarray(m.indptr, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(m.indices, dtype=np.int64).tobytes())
     return h.hexdigest()
-
-
-def algorithm_token(algo: SpGEMMAlgorithm) -> str:
-    """Cache-key identity of a scheme: its fingerprint, or its object id.
-
-    Non-fingerprintable schemes (adaptive/tuned) fall back to instance
-    identity — reuse still works within one session holding the instance,
-    which is the iterative-workload case this cache exists for.
-    """
-    if algo.fingerprintable:
-        return json.dumps(algo.fingerprint(), sort_keys=True, separators=(",", ":"))
-    return f"instance:{type(algo).__name__}:{id(algo)}"
-
-
-def config_token(config: GPUConfig) -> str:
-    """Cache-key identity of the lowering target."""
-    return json.dumps(
-        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
-    )
 
 
 @dataclass(frozen=True)
@@ -164,10 +143,11 @@ class NumericRecipe:
 class PlanCacheStats:
     """Amortisation counters for one :class:`PlanCache`.
 
-    ``lookups = hits + misses``; ``lowers`` and ``symbolic_expansions`` count
-    the expensive work actually performed, ``numeric_replays`` the work the
-    cache reduced each hit to.  An N-iteration fixed-structure loop should
-    show ``lowers == 1`` and ``numeric_replays == N - 1``.  ``evictions`` /
+    ``lookups = hits + misses``; every hit is a numeric replay, and
+    ``lowers`` counts the plan-path misses, each of which lowered the
+    scheme (a semiring miss lowers nothing).  An N-iteration
+    fixed-structure loop should show ``lowers == 1`` and
+    ``hits == N - 1``.  ``evictions`` /
     ``evicted_bytes`` count entries dropped by the LRU bound — non-zero means
     the workload's structure churn exceeds the configured budget and some
     lookups that could have replayed will re-lower instead.
@@ -177,8 +157,6 @@ class PlanCacheStats:
     hits: int = counter("Lookups served by numeric replay of a cached recipe.")
     misses: int = counter("Lookups that ran the cold path.")
     lowers: int = counter("Symbolic lowerings paid.")
-    symbolic_expansions: int = counter("Symbolic expansions run.")
-    numeric_replays: int = counter("Multiplies served by replaying a cached recipe.")
     evictions: int = counter("Entries dropped by the LRU bound.")
     evicted_bytes: int = counter("Recipe bytes dropped by the LRU bound.", unit="bytes")
 
@@ -194,13 +172,19 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Memoize numeric-replay recipes per structure.
+    """One scheme's numeric-replay recipes, memoized per structure.
 
-    The cache is in-memory and session-scoped: keys include algorithm and
-    config fingerprints, so one cache can serve several schemes, and
-    non-fingerprintable schemes key by instance identity.  Every freshly
-    captured recipe is replayed against the cold result and cached only if
-    the two are exactly equal.
+    The cache is in-memory and bound to :attr:`algorithm`, so a loop over
+    a fixed structure stays a plain ``cache.multiply(a, b)`` while
+    lowering and every structure-only step happen once per structure::
+
+        cache = PlanCache(RowProductSpGEMM())
+        for _ in range(n_iter):
+            scores = cache.multiply(scores, transition)   # replay after iter 1
+        print("\n".join(counters.text_lines(cache.stats)))  # repro.obs.counters
+
+    Every freshly captured recipe is replayed against the cold result and
+    cached only if the two are exactly equal.
 
     ``max_entries`` and ``max_bytes`` bound the cache with LRU eviction —
     a lookup hit refreshes its entry's recency, an insert evicts the
@@ -212,6 +196,7 @@ class PlanCache:
 
     def __init__(
         self,
+        algorithm: SpGEMMAlgorithm,
         *,
         max_entries: int | None = None,
         max_bytes: int | None = None,
@@ -220,11 +205,22 @@ class PlanCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        self.algorithm = algorithm
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[tuple, NumericRecipe] = OrderedDict()
         self._entry_bytes = 0
+
+    @classmethod
+    def wrap(cls, engine: "SpGEMMAlgorithm | PlanCache") -> "PlanCache":
+        """Coerce an engine into a cache (pass caches through unchanged).
+
+        Lets the :mod:`repro.apps` entry points accept either a bare scheme
+        (a cache scoped to one call) or a caller-held cache whose recipes
+        — and counters — span many calls.
+        """
+        return engine if isinstance(engine, cls) else cls(engine)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -270,24 +266,18 @@ class PlanCache:
 
     # -- plan path ------------------------------------------------------
     def multiply(
-        self,
-        algo: SpGEMMAlgorithm,
-        a: CSRMatrix,
-        b: CSRMatrix | None = None,
-        *,
-        ctx: MultiplyContext | None = None,
-        config: GPUConfig | None = None,
-        fingerprint: str | None = None,
+        self, a: CSRMatrix, b: CSRMatrix | None = None, *, fingerprint: str | None = None
     ) -> CSRMatrix:
-        """Compute ``a @ b`` with ``algo``, replaying on structure hits.
+        """Compute ``a @ b`` (``b`` defaults to ``a``), replaying on structure hits.
 
         On a hit the entire cold pipeline — operand validation, context
         construction and workload precalculation, classification, lowering
         and the numeric kernel's expansion walk — is skipped; only the
-        recipe's gather + reduce runs.  ``ctx`` may be supplied when the
-        caller already built one, and ``fingerprint`` when it already
-        hashed the operands (:func:`structure_fingerprint` of ``a`` and
-        ``b``); both are computed when absent.
+        recipe's gather + reduce runs.  ``fingerprint`` is
+        :func:`structure_fingerprint` of ``a`` and ``b`` when the caller
+        already hashed them (the runtime's session pool does); it is
+        computed when absent.  A miss lowers for
+        :data:`~repro.spgemm.base.DEFAULT_LOWERING_CONFIG`.
         """
         from repro.spgemm.base import (
             DEFAULT_LOWERING_CONFIG,
@@ -295,30 +285,25 @@ class PlanCache:
             validate_operands,
         )
 
-        if config is None:
-            config = DEFAULT_LOWERING_CONFIG
         b = a if b is None else b
         if fingerprint is None:
             fingerprint = structure_fingerprint(a, b)
-        key = ("plan", algorithm_token(algo), config_token(config), fingerprint)
+        key = ("plan", fingerprint)
         self.stats.lookups += 1
         recipe = self._get(key)
         if recipe is not None:
             self.stats.hits += 1
-            self.stats.numeric_replays += 1
-            with obs.span("plan.cache[hit]", "plan", hits=1, numeric_replays=1):
+            with obs.span("plan.cache[hit]", "plan", hits=1):
                 return recipe.replay(a.data, b.data)
 
         self.stats.misses += 1
         with obs.span("plan.cache[miss]", "plan", misses=1) as sp:
             validate_operands(a, b)
-            if ctx is None:
-                ctx = MultiplyContext.build(a, b)
+            ctx = MultiplyContext.build(a, b)
             self.stats.lowers += 1
-            plan = algo.lower_traced(ctx, config)
-            self.stats.symbolic_expansions += 1
-            sp.add(lowers=1, symbolic_expansions=1)
-            result, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
+            sp.add(lowers=1)
+            plan = self.algorithm.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)
+            result, _, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
             recipe = NumericRecipe(
                 shape=result.shape,
                 a_gather=a_gather,
@@ -340,9 +325,10 @@ class PlanCache:
 
         A miss runs the kernel once over the semiring's algebra and keeps
         its gathers as a :class:`NumericRecipe`; a hit replays them with the
-        semiring's algebra and drops identity entries again.  The cache key
-        includes the semiring name because the fill-time verification is
-        algebra-specific.
+        semiring's algebra and drops identity entries again.  A semiring
+        product is the pair-order kernel whatever :attr:`algorithm` is, so
+        it lowers nothing; the key includes the semiring name because the
+        fill-time verification is algebra-specific.
         """
         from repro.spgemm.base import validate_operands
         from repro.spgemm.semiring import PLUS_TIMES, semiring_kernel
@@ -359,13 +345,11 @@ class PlanCache:
         recipe = self._get(key)
         if recipe is not None:
             self.stats.hits += 1
-            self.stats.numeric_replays += 1
-            with obs.span("plan.semiring[hit]", "plan", hits=1, numeric_replays=1):
+            with obs.span("plan.semiring[hit]", "plan", hits=1):
                 return replay(recipe)
 
         self.stats.misses += 1
-        self.stats.symbolic_expansions += 1
-        with obs.span("plan.semiring[miss]", "plan", misses=1, symbolic_expansions=1):
+        with obs.span("plan.semiring[miss]", "plan", misses=1):
             validate_operands(a, b)
             full, (a_gather, b_gather, group) = semiring_kernel(a, b, semiring, gathers=True)
             recipe = NumericRecipe(

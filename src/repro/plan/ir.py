@@ -339,20 +339,19 @@ class ExecutionPlan:
 
     def run(
         self, ctx: MultiplyContext, *, gathers: bool = False
-    ) -> tuple[CSRMatrix, list[PhaseExecution], tuple | None]:
+    ) -> tuple[CSRMatrix, list[int], dict[str, float], tuple | None]:
         """Check the invariant, then run the kernel as two timed steps.
 
-        Returns ``(C, records, recipe)``.  The expansion step's time is
-        recorded on the first expansion phase and the merge step's on the
-        first merge phase.  With ``gathers`` the recipe is the
-        ``(a_gather, b_gather, group)`` arrays of a replay recipe
-        (:mod:`repro.plan.cache`), else None.
+        Returns ``(C, ops, seconds, recipe)``: the products each phase
+        covers (:meth:`phase_ops`), each stage's measured step time, and,
+        with ``gathers``, the ``(a_gather, b_gather, group)`` arrays of a
+        replay recipe (:mod:`repro.plan.cache`), else None.  It reads no
+        phase's blocks, so a merge phase's deferred blocks stay unbuilt.
 
         The merge counts C's row entries, so a context whose
         :attr:`~repro.spgemm.base.MultiplyContext.c_row_nnz` nothing has
         read yet takes them from the result's ``indptr`` instead of running
-        the symbolic pass; the records then build any deferred blocks from
-        them.
+        the symbolic pass; deferred blocks built later read them from there.
         """
         ops = self.phase_ops(ctx)
         rank = self.tie_rank(len(ctx.pair_work))
@@ -369,6 +368,23 @@ class ExecutionPlan:
             sp.add(nnz=len(indices))
         if "c_row_nnz" not in vars(ctx):
             ctx.c_row_nnz = np.diff(indptr)
+        return CSRMatrix(ctx.out_shape, indptr, indices, data), ops, seconds, captured
+
+    def execute(self, ctx: MultiplyContext) -> CSRMatrix:
+        """Run the plan numerically; returns ``C``."""
+        return self.run(ctx)[0]
+
+    def execute_instrumented(
+        self, ctx: MultiplyContext
+    ) -> tuple[CSRMatrix, list[PhaseExecution]]:
+        """Numeric execution with one instrumentation record per phase.
+
+        The expansion step's time is recorded on the first expansion phase
+        and the merge step's on the first merge phase.  The records read
+        every phase's blocks, so they build any deferred merge blocks (from
+        the row counts the run just stored); :meth:`execute` builds none.
+        """
+        result, ops, seconds, _ = self.run(ctx)
         records = [
             PhaseExecution(
                 name=phase.name,
@@ -385,14 +401,4 @@ class ExecutionPlan:
             )
             for phase, n in zip(self.phases, ops)
         ]
-        return CSRMatrix(ctx.out_shape, indptr, indices, data), records, captured
-
-    def execute(self, ctx: MultiplyContext) -> CSRMatrix:
-        """Run the plan numerically; returns ``C``."""
-        return self.run(ctx)[0]
-
-    def execute_instrumented(
-        self, ctx: MultiplyContext
-    ) -> tuple[CSRMatrix, list[PhaseExecution]]:
-        """Numeric execution with one instrumentation record per phase."""
-        return self.run(ctx)[:2]
+        return result, records

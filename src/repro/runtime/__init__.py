@@ -1,10 +1,11 @@
 """repro.runtime — the reusable execution layer beneath every front-end.
 
 The CLI subcommands and the :mod:`repro.serve` server are both thin
-adapters over one :class:`Runtime`: a facade owning dataset contexts,
-fingerprint-keyed :class:`~repro.spgemm.session.IterativeSession` pools,
-bench-runner defaults and trace wiring, with deterministic startup/shutdown
-(see :mod:`repro.runtime.lifecycle` for the signal-safe teardown path).
+adapters over one :class:`Runtime`: a facade owning dataset contexts, warm
+session pools (scheme-bound :class:`~repro.plan.cache.PlanCache` instances
+keyed by tenant, scheme instance and structure fingerprint), bench-runner
+defaults and trace wiring, with deterministic startup/shutdown (see
+:mod:`repro.runtime.lifecycle` for the signal-safe teardown path).
 """
 
 from repro.runtime.config import (

@@ -1,9 +1,9 @@
 """The :class:`Runtime` facade: one object that owns session lifecycle.
 
 Everything a front-end needs to execute work — dataset contexts, algorithm
-instances, warm :class:`~repro.spgemm.session.IterativeSession` pools keyed
-by sparsity-structure fingerprint, bench-runner defaults and trace
-recording — is constructed, cached and *shut down* here.  The CLI
+instances, warm sessions (scheme-bound :class:`~repro.plan.cache.PlanCache`
+pools keyed by sparsity-structure fingerprint), bench-runner defaults and
+trace recording — is constructed, cached and *shut down* here.  The CLI
 subcommands and the :mod:`repro.serve` front-end are thin adapters over
 this one class; neither constructs a session or cache directly.
 
@@ -14,13 +14,17 @@ Lifecycle::
         c, meta = rt.multiply("row-product", a, b, tenant="alice")
     # sessions dropped, their counters folded into the retired totals
 
-Sessions are pooled per ``(tenant, algorithm, structure fingerprint)`` with
-a per-tenant LRU bound (:attr:`RuntimeConfig.sessions_per_tenant`): one
-tenant's structure churn evicts its *own* oldest warm session — dropping
-that session's cached plans and recipes, which is exactly the per-tenant
-plan-cache quota — and can never evict another tenant's.  Each pooled
-session carries a lock so concurrent callers of the same structure
-serialise while distinct structures proceed in parallel.
+Sessions are pooled per ``(tenant, scheme instance, structure
+fingerprint)`` with a per-tenant LRU bound
+(:attr:`RuntimeConfig.sessions_per_tenant`): one tenant's structure churn
+evicts its *own* oldest warm session — dropping that session's cached
+recipes, which is exactly the per-tenant plan-cache quota — and can never
+evict another tenant's.  A registry name resolves to the runtime's one
+instance of that scheme, so named callers share warm sessions; a caller's
+own instance keys its own sessions, so two differently-configured
+instances never serve each other's recipes.  Each pooled session carries a
+lock so concurrent callers of the same structure serialise while distinct
+structures proceed in parallel.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.plan.cache import PlanCache, PlanCacheStats, structure_fingerprint
 from repro.runtime.config import RuntimeConfig
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import SpGEMMAlgorithm
-from repro.spgemm.session import IterativeSession
 
 __all__ = [
     "IterationReport",
@@ -57,9 +60,9 @@ __all__ = [
 
 @dataclass
 class PooledSession:
-    """One warm session plus the bookkeeping the pool needs around it."""
+    """One warm session: a scheme-bound plan cache and the lock its callers hold."""
 
-    session: IterativeSession
+    cache: PlanCache
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -113,7 +116,7 @@ class Runtime:
     def __init__(self, config: RuntimeConfig | None = None) -> None:
         self.config = config if config is not None else RuntimeConfig()
         self._lock = threading.RLock()
-        self._sessions: OrderedDict[tuple[str, str, str], PooledSession] = OrderedDict()
+        self._sessions: OrderedDict[tuple[str, SpGEMMAlgorithm, str], PooledSession] = OrderedDict()
         self._retired_stats = PlanCacheStats()
         self._sessions_evicted = 0
         self._requests = 0
@@ -147,7 +150,7 @@ class Runtime:
                 return
             self._closed = True
             for pooled in self._sessions.values():
-                self._retired_stats.merge(pooled.session.stats)
+                self._retired_stats.merge(pooled.cache.stats)
             self._sessions.clear()
 
     def _require_open(self) -> None:
@@ -203,8 +206,8 @@ class Runtime:
     def algorithms(self) -> dict[str, SpGEMMAlgorithm]:
         """The seven paper schemes, resolved once and shared.
 
-        One instance per name per runtime, so non-fingerprintable schemes
-        keep a stable cache identity across requests.
+        One instance per name per runtime, so every caller naming a scheme
+        lands on the same warm sessions.
         """
         with self._lock:
             if self._algos is None:
@@ -238,39 +241,37 @@ class Runtime:
         structure: str,
         tenant: str = "default",
     ) -> PooledSession:
-        """A warm session for (tenant, algorithm, structure fingerprint).
+        """A warm session for (tenant, scheme instance, structure fingerprint).
 
-        Creating, reusing and evicting sessions all happens here: a cache
-        hit refreshes LRU recency; a miss builds a fresh session whose
-        :class:`PlanCache` is bounded by
-        :attr:`RuntimeConfig.plan_cache_entries`; and when the owning
-        tenant exceeds :attr:`RuntimeConfig.sessions_per_tenant`, that
-        tenant's least-recently-used session is dropped and its counters
-        folded into the retired totals.  Callers must hold the returned
+        A name resolves to the runtime's one instance (:meth:`algorithm`);
+        an instance keys its own sessions.  Creating, reusing and evicting
+        sessions all happens here: a pool hit refreshes LRU recency; a miss
+        builds a fresh session whose :class:`PlanCache`, bound to the
+        scheme, is bounded by :attr:`RuntimeConfig.plan_cache_entries`; and
+        when the owning tenant exceeds
+        :attr:`RuntimeConfig.sessions_per_tenant`, that tenant's
+        least-recently-used session is dropped and its counters folded into
+        the retired totals.  Callers must hold the returned
         :attr:`PooledSession.lock` while multiplying on it.
         """
         self._require_open()
         algo = (
             self.algorithm(algorithm) if isinstance(algorithm, str) else algorithm
         )
-        key = (tenant, algo.name, structure)
+        key = (tenant, algo, structure)
         with self._lock:
             pooled = self._sessions.get(key)
             if pooled is not None:
                 self._sessions.move_to_end(key)
                 return pooled
             pooled = PooledSession(
-                session=IterativeSession(
-                    algo,
-                    cache=PlanCache(max_entries=self.config.plan_cache_entries),
-                    config=self.config.gpu,
-                )
+                PlanCache(algo, max_entries=self.config.plan_cache_entries)
             )
             self._sessions[key] = pooled
             evicted = self._evict_tenant_overflow(tenant)
         for old in evicted:
             with old.lock:  # let an in-flight multiply finish first
-                retired = old.session.stats
+                retired = old.cache.stats
             with self._lock:
                 self._retired_stats.merge(retired)
         return pooled
@@ -292,6 +293,7 @@ class Runtime:
         *,
         tenant: str = "default",
         trace=NULL_REQUEST_TRACE,
+        fingerprint: str | None = None,
     ) -> MultiplyOutcome:
         """``a @ b`` on a warm session pooled by structure fingerprint.
 
@@ -300,9 +302,13 @@ class Runtime:
         work) — the amortisation signal ``repro.serve`` reports per batch.
         ``trace`` (a :class:`~repro.obs.serving.RequestTrace`) receives the
         ``session`` (pool lookup + lock wait) and ``numeric`` (multiply on
-        the warm session) stages.
+        the warm session) stages.  ``fingerprint`` is
+        :func:`~repro.plan.cache.structure_fingerprint` of the operands
+        when the caller already hashed them (the server does); it is
+        computed when absent.
         """
-        fp = structure_fingerprint(a, a if b is None else b)
+        if fingerprint is None:
+            fingerprint = structure_fingerprint(a, a if b is None else b)
         if self.config.mem_budget is not None:
             with trace.stage("numeric"):
                 result, _ = self.multiply_chunked_operands(algorithm, a, b)
@@ -310,24 +316,24 @@ class Runtime:
                 self._requests += 1
             trace.add(replayed=0)
             return MultiplyOutcome(
-                result=result, fingerprint=fp, replayed=False, tenant=tenant
+                result=result, fingerprint=fingerprint, replayed=False, tenant=tenant
             )
         with trace.stage("session"):
-            pooled = self.session(algorithm, structure=fp, tenant=tenant)
+            pooled = self.session(algorithm, structure=fingerprint, tenant=tenant)
             pooled.lock.acquire()
         try:
-            hits_before = pooled.session.stats.hits
+            hits_before = pooled.cache.stats.hits
             with trace.stage("numeric"):
-                result = pooled.session.multiply(a, b, fingerprint=fp)
+                result = pooled.cache.multiply(a, b, fingerprint=fingerprint)
         finally:
             pooled.lock.release()
         with self._lock:
             self._requests += 1
-        replayed = pooled.session.stats.hits > hits_before
+        replayed = pooled.cache.stats.hits > hits_before
         trace.add(replayed=int(replayed))
         return MultiplyOutcome(
             result=result,
-            fingerprint=fp,
+            fingerprint=fingerprint,
             replayed=replayed,
             tenant=tenant,
         )
@@ -370,9 +376,9 @@ class Runtime:
 
         Loads the operands directly from :mod:`repro.datasets.loader` —
         *not* through the bench runner's context cache, which keeps each
-        dataset's operands, A's CSC and the workload vectors resident for
-        the rest of the process; the chunked executor builds its own context
-        for the one lowering and drops it before the panels run.  Returns
+        dataset's operands and workload vectors resident for the rest of
+        the process; the chunked executor builds its own context for the
+        one lowering and drops it before the panels run.  Returns
         ``(result, OocStats)``.
         """
         from repro.datasets import loader
@@ -412,7 +418,7 @@ class Runtime:
         with pooled.lock, trace.stage("numeric"):
             result = pagerank_spgemm(
                 adjacency,
-                pooled.session,
+                pooled.cache,
                 damping=damping,
                 tol=tol,
                 max_iter=max_iter,
@@ -437,7 +443,7 @@ class Runtime:
         with trace.stage("session"):
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
         with pooled.lock, trace.stage("numeric"):
-            result = k_hop_reachability(adjacency, k, pooled.session)
+            result = k_hop_reachability(adjacency, k, pooled.cache)
         with self._lock:
             self._requests += 1
         return result
@@ -467,7 +473,7 @@ class Runtime:
         with trace.stage("session"):
             pooled = self.session(algorithm, structure=fp, tenant=tenant)
         with pooled.lock, trace.stage("numeric"):
-            result = metrics[metric](adjacency, pooled.session)
+            result = metrics[metric](adjacency, pooled.cache)
         with self._lock:
             self._requests += 1
         return result
@@ -483,9 +489,9 @@ class Runtime:
         with pooled.lock:
             for _ in range(iterations):
                 start = time.perf_counter()
-                pooled.session.multiply(a, b, fingerprint=fp)
+                pooled.cache.multiply(a, b, fingerprint=fp)
                 seconds.append(time.perf_counter() - start)
-        return IterationReport(seconds=seconds, stats=pooled.session.stats)
+        return IterationReport(seconds=seconds, stats=pooled.cache.stats)
 
     # -- observability --------------------------------------------------
     @contextmanager
@@ -522,7 +528,7 @@ class Runtime:
             merged.merge(self._retired_stats)
             tenants: dict[str, int] = {}
             for (tenant, _, _), pooled in self._sessions.items():
-                merged.merge(pooled.session.stats)
+                merged.merge(pooled.cache.stats)
                 tenants[tenant] = tenants.get(tenant, 0) + 1
             return RuntimeStats(
                 sessions=len(self._sessions),

@@ -301,7 +301,9 @@ class Server:
         key = (tenant, "multiply", algorithm, fingerprint)
         outcome = await self._submit(
             key,
-            lambda: self.runtime.multiply(algorithm, a, b, tenant=tenant, trace=trace),
+            lambda: self.runtime.multiply(
+                algorithm, a, b, tenant=tenant, trace=trace, fingerprint=fingerprint
+            ),
             cost,
             trace,
         )

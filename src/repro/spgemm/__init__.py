@@ -3,7 +3,6 @@
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
 from repro.spgemm.expansion import expand_outer
 from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
-from repro.spgemm.session import IterativeSession
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.reference import reference_spgemm
 from repro.spgemm.rowproduct import RowProductSpGEMM
@@ -19,7 +18,6 @@ from repro.spgemm.semiring import (
 __all__ = [
     "MultiplyContext",
     "SpGEMMAlgorithm",
-    "IterativeSession",
     "expand_outer",
     "merge_triplets",
     "symbolic_row_nnz",

@@ -11,7 +11,6 @@ Section IV-B computes).  An algorithm then offers:
 * ``multiply(ctx)`` — the numeric plane: a thin executor over the plan.
 * ``build_trace(ctx, config)`` — the performance plane: the plan's device
   phases projected onto a :class:`~repro.gpusim.trace.KernelTrace`.
-* ``run(ctx, simulator)`` — both, conveniently.
 
 Because both planes derive from one plan, the trace describes exactly the
 work the numeric plane performs — the executor enforces it per phase.
@@ -37,11 +36,10 @@ from repro.gpusim.trace import KernelTrace
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import check_multipliable
-from repro.spgemm.expansion import expand_outer
-from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
+from repro.spgemm.merge import symbolic_row_nnz
+from repro.spgemm.reference import reference_spgemm
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; plan imports stay lazy here
-    from repro.plan.cache import PlanCache
     from repro.plan.ir import ExecutionPlan, PhaseExecution
 
 __all__ = [
@@ -69,10 +67,12 @@ def validate_operands(a: CSRMatrix | CSCMatrix, b: CSRMatrix | CSCMatrix) -> Non
                 f"operand {which} ({type(matrix).__name__}): {exc}"
             ) from None
 
-#: Target used when lowering for the numeric plane alone.  The numeric result
-#: must not depend on the simulated GPU; the only lowering decision that reads
-#: the config on the numeric side is B-Splitting's factor choice (via
-#: ``n_sms``), pinned here to the paper's primary system for determinism.
+#: Target used when lowering for the numeric plane alone (``multiply``, the
+#: plan cache's misses, chunked runs).  The result depends on the plan's
+#: expansion order and pair tie ranks only, never on the simulated GPU:
+#: lowering under any of :data:`~repro.gpusim.config.ALL_GPUS` gives
+#: bit-identical products and recipes, which is why plan-cache keys hold no
+#: GPU config.  The paper's primary system is pinned here for determinism.
 DEFAULT_LOWERING_CONFIG = TITAN_XP
 
 
@@ -82,8 +82,7 @@ class MultiplyContext:
 
     The vectors mirror the paper's precalculation step: ``pair_work`` is the
     block-wise nnz of the outer-product formulation, ``row_work`` the row-wise
-    nnz used by the merge model and B-Limiting.  Every vector reads A in CSR:
-    the CSC copy (:attr:`a_csc`) is built only for the reference product.
+    nnz used by the merge model and B-Limiting.  Every vector reads A in CSR.
     Operands are taken as given; every caller in the library validates them
     first (:func:`validate_operands`) or builds them from a catalog dataset.
     """
@@ -92,26 +91,11 @@ class MultiplyContext:
     b_csr: CSRMatrix
 
     @classmethod
-    def build(
-        cls, a: CSRMatrix, b: CSRMatrix | None = None, a_csc: CSCMatrix | None = None
-    ) -> "MultiplyContext":
-        """Build a context for ``a @ b`` (``b`` defaults to ``a``: C = A^2).
-
-        ``a_csc`` is A's CSC form when the caller already holds one (the
-        dataset loader does); otherwise :attr:`a_csc` converts on first use.
-        """
+    def build(cls, a: CSRMatrix, b: CSRMatrix | None = None) -> "MultiplyContext":
+        """Build a context for ``a @ b`` (``b`` defaults to ``a``: C = A^2)."""
         b = a if b is None else b
         check_multipliable(a.shape, b.shape)
-        ctx = cls(a_csr=a, b_csr=b)
-        if a_csc is not None:
-            ctx.a_csc = a_csc
-        return ctx
-
-    @cached_property
-    def a_csc(self) -> CSCMatrix:
-        """A in CSC, converted on first use: only :attr:`reference_c` and the
-        dataset tools read it."""
-        return self.a_csr.to_csc()
+        return cls(a_csr=a, b_csr=b)
 
     # ------------------------------------------------------------------
     # Precalculated workloads (Section IV-B)
@@ -140,13 +124,13 @@ class MultiplyContext:
 
     @cached_property
     def reference_c(self) -> CSRMatrix:
-        """The exact product via outer expansion + merge, computed lazily.
+        """The exact product (:func:`~repro.spgemm.reference.reference_spgemm`),
+        computed lazily.
 
         Only value consumers (tests, benchmark oracles) read it; the symbolic
         pass (:attr:`c_row_nnz`) and lowering never do.
         """
-        rows, cols, vals = expand_outer(self.a_csc, self.b_csr)
-        return merge_triplets(rows, cols, vals, self.out_shape)
+        return reference_spgemm(self.a_csr, self.b_csr)
 
     @cached_property
     def c_row_nnz(self) -> np.ndarray:
@@ -240,22 +224,13 @@ class SpGEMMAlgorithm(abc.ABC):
             sp.add(phases=len(plan.phases), ops=int(plan.total_ops()))
         return plan
 
-    def multiply(
-        self,
-        ctx: MultiplyContext,
-        *,
-        plan_cache: "PlanCache | None" = None,
-    ) -> CSRMatrix:
+    def multiply(self, ctx: MultiplyContext) -> CSRMatrix:
         """Compute ``A @ B`` exactly, by executing the lowered plan.
 
-        With a :class:`~repro.plan.cache.PlanCache`, a repeat multiply whose
-        operands have a previously seen sparsity structure skips lowering and
-        all symbolic work, replaying only the numeric phase (bit-identical).
-        Operands are structurally validated at this boundary (the plan
-        cache's replay fast path skips re-validation of known structures).
+        Operands are structurally validated at this boundary.  A repeat
+        multiply over one structure replays instead through a
+        :class:`~repro.plan.cache.PlanCache` bound to this scheme.
         """
-        if plan_cache is not None:
-            return plan_cache.multiply(self, ctx.a_csr, ctx.b_csr, ctx=ctx)
         validate_operands(ctx.a_csr, ctx.b_csr)
         return self.lower_traced(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
 
@@ -271,14 +246,6 @@ class SpGEMMAlgorithm(abc.ABC):
             ctx, config if config is not None else DEFAULT_LOWERING_CONFIG
         )
         return plan.execute_instrumented(ctx)
-
-    def run(
-        self, ctx: MultiplyContext, simulator: GPUSimulator
-    ) -> tuple[CSRMatrix, KernelStats]:
-        """Numeric result + simulated profile in one call."""
-        c = self.multiply(ctx)
-        stats = simulator.run(self.build_trace(ctx, simulator.config))
-        return c, stats
 
     def simulate(self, ctx: MultiplyContext, simulator: GPUSimulator) -> KernelStats:
         """Simulated profile only (benches reuse the shared numeric result)."""

@@ -59,16 +59,16 @@ class TestContext:
     def test_single_expansion_for_symbolic_and_numeric(self, square_csr, monkeypatch):
         """The symbolic pass reads structure only: ``c_row_nnz`` expands
         nothing, and the lazy ``reference_c`` expands exactly once after it."""
-        import repro.spgemm.base as base
+        import repro.spgemm.reference as reference
 
         calls = []
-        real = base.expand_outer
+        real = reference.expand_outer
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(base, "expand_outer", counting)
+        monkeypatch.setattr(reference, "expand_outer", counting)
         ctx = MultiplyContext.build(square_csr)
         ctx.c_row_nnz
         ctx.nnz_c

@@ -9,6 +9,7 @@ import pytest
 from repro.datasets.catalog import DatasetSpec, get_spec, list_names, list_specs
 from repro.datasets.loader import clear_cache, load
 from repro.errors import DatasetError
+from repro.sparse.ops import total_expansion_work
 from repro.sparse.stats import degree_stats
 
 
@@ -87,8 +88,12 @@ class TestLoader:
         assert a.a.allclose(b.a)  # still deterministic
 
     def test_csc_consistent(self):
+        """A's CSC form, converted on demand, round-trips and counts the
+        same expansion work as the loader's CSR count."""
         ds = load("poisson3da")
-        assert ds.a_csc.to_csr().allclose(ds.a)
+        a_csc = ds.a.to_csc()
+        assert a_csc.to_csr().allclose(ds.a)
+        assert ds.expansion_work == total_expansion_work(a_csc, ds.b)
 
     def test_expansion_work_positive(self):
         assert load("poisson3da").expansion_work > 0

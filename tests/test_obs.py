@@ -16,8 +16,8 @@ from repro.errors import SparseFormatError
 from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
 from repro.obs import recorder as recorder_mod
+from repro.plan.cache import PlanCache
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm.session import IterativeSession
 
 SMALL = ["poisson3da", "as_caida"]
 SCHEMES = [a.name for a in paper_algorithms()]
@@ -263,23 +263,23 @@ class TestBoundaryValidation:
 
     def test_session_names_offending_operand(self):
         a = CSRMatrix.identity(8)
-        session = IterativeSession(paper_algorithms()[0])
+        cache = PlanCache(paper_algorithms()[0])
         with pytest.raises(SparseFormatError, match=r"operand B \(CSRMatrix\)"):
-            session.multiply(a, self._bad_b())
+            cache.multiply(a, self._bad_b())
 
     def test_duplicates_caught_at_boundary(self):
         a = CSRMatrix.identity(3)
         dup = CSRMatrix(
             (3, 3), np.array([0, 2, 2, 2]), np.array([1, 1]), np.array([1.0, 2.0])
         )
-        session = IterativeSession(paper_algorithms()[0])
+        cache = PlanCache(paper_algorithms()[0])
         with pytest.raises(SparseFormatError, match="operand A.*duplicate"):
-            session.multiply(dup, a)
+            cache.multiply(dup, a)
 
     def test_replay_fast_path_skips_validation(self, monkeypatch):
-        session = IterativeSession(paper_algorithms()[0])
+        cache = PlanCache(paper_algorithms()[0])
         a = CSRMatrix.from_dense(np.eye(6) + np.diag(np.ones(5), 1))
-        session.multiply(a, a)  # cold: validates and captures the structure
+        cache.multiply(a, a)  # cold: validates and captures the structure
 
         calls = []
         orig = CSRMatrix.validate
@@ -289,5 +289,5 @@ class TestBoundaryValidation:
             return orig(self)
 
         monkeypatch.setattr(CSRMatrix, "validate", counting)
-        session.multiply(a, a)  # structure hit: replay, no validation
+        cache.multiply(a, a)  # structure hit: replay, no validation
         assert calls == []

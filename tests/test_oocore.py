@@ -49,13 +49,13 @@ from repro.oocore import (
     sweep_stale,
 )
 from repro.oocore.spill import SPILL_PREFIX
+from repro.plan.cache import PlanCache
 from repro.plan.estimate import row_flops
 from repro.runtime import Runtime, RuntimeConfig
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import power_law
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
-from repro.spgemm.session import IterativeSession
 
 
 def _random_csr(rng, n_rows=80, n_cols=80, density=0.08) -> CSRMatrix:
@@ -525,15 +525,15 @@ class TestRuntimeWiring:
 
     def test_session_multiply_chunked(self, rng, tmp_path):
         a = _random_csr(rng)
-        session = IterativeSession(RowProductSpGEMM())
-        reference = session.multiply(a, a)
-        chunked, stats = session.multiply_chunked(
-            a, a, mem_budget="4K", spill_dir=str(tmp_path)
+        cache = PlanCache(RowProductSpGEMM())
+        reference = cache.multiply(a, a)
+        chunked, stats = chunked_multiply(
+            cache.algorithm, a, a, mem_budget="4K", spill_dir=str(tmp_path)
         )
         _assert_identical(chunked, reference)
         assert stats.n_panels > 1
         # The plan cache is bypassed: chunked runs add no cached structures.
-        assert session.cache.stats.lowers == 1
+        assert (cache.stats.lowers, len(cache)) == (1, 1)
 
 
 _SPILL_SIGTERM_SCRIPT = """

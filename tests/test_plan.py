@@ -20,15 +20,20 @@ from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
 from repro.oocore import chunked_multiply
 from repro.plan.cache import PlanCache
+from repro.plan import passes
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.plan.passes import ClassifyPass, GatherPass, LimitPass, SplitPass
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm import base
+from repro.spgemm import base, outerproduct, rowproduct
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.libraries import MklSpGEMM
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 
 SCHEMES = [algo.name for algo in paper_algorithms()]
+
+#: Merge phases whose blocks each scheme's lowering defers (the others
+#: build every phase's blocks while lowering).
+DEFERRED_MERGE_PHASES = {"row-product": 1, "outer-product": 1, "block-reorganizer": 2}
 
 
 def _scheme(name):
@@ -213,7 +218,7 @@ class TestDeferredBlocks:
         monkeypatch.setattr(CSRMatrix, "to_csc", counting_to_csc)
         algo, a = _scheme(name), skewed_csr
         if path == "plan-cache":
-            c = PlanCache().multiply(algo, a, a)
+            c = PlanCache(algo).multiply(a, a)
         elif path == "multiply":
             c = algo.multiply(MultiplyContext.build(a, a))
         else:
@@ -221,6 +226,30 @@ class TestDeferredBlocks:
         assert calls == {"symbolic": int(name == "bhsparse"), "to_csc": 0}
         monkeypatch.undo()
         assert c.allclose(MultiplyContext.build(a, a).reference_c)
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_numeric_runs_build_no_merge_blocks(self, name, skewed_csr, monkeypatch):
+        """A cold plan-cache miss, ``multiply`` and ``execute()`` read no
+        phase's blocks, so the deferred merge blocks stay unbuilt; only the
+        instrumented run's records build them, once per deferred phase."""
+        calls = []
+        for module in (outerproduct, rowproduct, passes):
+            def counting(*args, _build=module.ctx_merge_blocks, **kwargs):
+                calls.append(1)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "ctx_merge_blocks", counting)
+        algo, a = _scheme(name), skewed_csr
+        PlanCache(algo).multiply(a, a)
+        algo.multiply(MultiplyContext.build(a, a))
+        ctx = MultiplyContext.build(a, a)
+        plan = algo.lower(ctx, TITAN_XP)
+        deferred = sum(callable(vars(phase)["_blocks"]) for phase in plan.phases)
+        plan.execute(ctx)
+        assert calls == []
+        plan.execute_instrumented(ctx)
+        assert len(calls) == deferred
+        assert deferred == DEFERRED_MERGE_PHASES.get(name, 0)
 
     @pytest.mark.parametrize("name", SCHEMES)
     def test_trace_after_numeric_run_equals_symbolic_trace(self, name, skewed_csr):

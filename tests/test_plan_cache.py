@@ -1,9 +1,10 @@
-"""Plan cache and IterativeSession: reuse must be invisible except in speed.
+"""Scheme-bound plan caches: reuse must be invisible except in speed.
 
 The contract under test: a structure hit replays the numeric phase
 *bit-identically* to a cold execution (same float64 summation order), a
-structure change misses, and the amortisation counters account for exactly
-the work performed.
+structure change misses, the amortisation counters account for exactly
+the work performed, and no result depends on the GPU a plan was lowered
+for (which is why the key holds none).
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ import pytest
 from repro import kernels
 from repro.apps.pagerank import pagerank, pagerank_spgemm
 from repro.apps.shortestpaths import k_hop_shortest_paths
+from repro.bench.runner import paper_algorithms
 from repro.core.adaptive import AdaptiveBlockReorganizer
 from repro.core.reorganizer import BlockReorganizer
+from repro.gpusim.config import ALL_GPUS
 from repro.plan.cache import NumericRecipe, PlanCache, structure_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
 from repro.spgemm.semiring import MIN_PLUS, OR_AND, semiring_spgemm
-from repro.spgemm.session import IterativeSession
 
 from .conftest import random_csr
 
@@ -74,30 +76,28 @@ class TestReplayBitIdentical:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_same_structure_new_values(self, scheme, rng):
         algo = scheme()
-        cache = PlanCache()
+        cache = PlanCache(algo)
         a = random_csr(rng, 50, 50, 0.12)
         b = random_csr(rng, 50, 50, 0.12)
-        cache.multiply(algo, a, b)
+        cache.multiply(a, b)
 
         a2 = _same_structure_new_values(a, rng)
         b2 = _same_structure_new_values(b, rng)
-        warm = cache.multiply(algo, a2, b2)
+        warm = cache.multiply(a2, b2)
         cold = algo.multiply(MultiplyContext.build(a2, b2))
         _assert_bit_identical(warm, cold)
         assert cache.stats.hits == 1
         assert cache.stats.lowers == 1
 
     def test_all_paper_algorithms_replay(self, rng):
-        from repro.bench.runner import paper_algorithms
-
         a = random_csr(rng, 60, 60, 0.1)
         b = random_csr(rng, 60, 60, 0.1)
         a2 = _same_structure_new_values(a, rng)
         b2 = _same_structure_new_values(b, rng)
         for algo in paper_algorithms():
-            cache = PlanCache()
-            cache.multiply(algo, a, b)
-            warm = cache.multiply(algo, a2, b2)
+            cache = PlanCache(algo)
+            cache.multiply(a, b)
+            warm = cache.multiply(a2, b2)
             assert cache.stats.hits == 1, algo.name
             cold = algo.multiply(MultiplyContext.build(a2, b2))
             _assert_bit_identical(warm, cold)
@@ -106,56 +106,72 @@ class TestReplayBitIdentical:
         # Power-law operands classify dominators, so the reorganizer's split
         # kernel (gather-composed provenance) is on the replay path.
         algo = BlockReorganizer()
-        cache = PlanCache()
+        cache = PlanCache(algo)
         a = skewed_csr
-        cache.multiply(algo, a, a)
+        cache.multiply(a)
         a2 = CSRMatrix(
             a.shape, a.indptr.copy(), a.indices.copy(),
             rng.random(a.nnz) + 0.5,
         )
-        warm = cache.multiply(algo, a2, a2)
+        warm = cache.multiply(a2)
         assert cache.stats.hits == 1
         cold = algo.multiply(MultiplyContext.build(a2, a2))
         _assert_bit_identical(warm, cold)
 
     def test_structure_change_invalidates(self, rng):
         algo = RowProductSpGEMM()
-        cache = PlanCache()
+        cache = PlanCache(algo)
         a = random_csr(rng, 40, 40, 0.1)
-        cache.multiply(algo, a, a)
+        cache.multiply(a, a)
         b = random_csr(rng, 40, 40, 0.2)
-        out = cache.multiply(algo, b, b)
+        out = cache.multiply(b, b)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
         assert cache.stats.lowers == 2
         cold = algo.multiply(MultiplyContext.build(b, b))
         _assert_bit_identical(out, cold)
 
-    def test_different_algorithms_do_not_collide(self, rng):
-        cache = PlanCache()
-        a = random_csr(rng, 40, 40, 0.1)
-        row, outer = RowProductSpGEMM(), OuterProductSpGEMM()
-        cache.multiply(row, a, a)
-        out = cache.multiply(outer, a, a)
-        assert cache.stats.hits == 0  # same structure, different scheme key
-        _assert_bit_identical(out, outer.multiply(MultiplyContext.build(a, a)))
-
     def test_empty_product_replays(self, rng):
-        algo = RowProductSpGEMM()
-        cache = PlanCache()
+        cache = PlanCache(RowProductSpGEMM())
         left = CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
         right = CSRMatrix.from_dense(np.array([[0.0, 0.0], [0.0, 0.0]]))
         # right has no stored entries at all -> empty expansion stream.
-        first = cache.multiply(algo, left, right)
-        second = cache.multiply(algo, left, right)
+        first = cache.multiply(left, right)
+        second = cache.multiply(left, right)
         assert first.nnz == 0 and second.nnz == 0
         assert cache.stats.hits == 1
+
+
+class TestLoweringTargetIndependence:
+    """No result reads the GPU a plan was lowered for — only the structure,
+    the expansion order and the pair tie ranks — which is what lets the
+    plan cache key on the structure alone."""
+
+    @pytest.mark.parametrize("name", [algo.name for algo in paper_algorithms()])
+    def test_every_gpu_lowers_to_the_cached_bits(self, name, rng, skewed_csr):
+        algo = next(a for a in paper_algorithms() if a.name == name)
+        skewed = _same_structure_new_values(skewed_csr, rng)  # signed values
+        operands = [
+            (skewed, skewed),
+            (random_csr(rng, 40, 60, 0.1), random_csr(rng, 60, 30, 0.15)),
+        ]
+        for a, b in operands:
+            a2 = _same_structure_new_values(a, rng)
+            b2 = _same_structure_new_values(b, rng)
+            cache = PlanCache(algo)
+            cold = cache.multiply(a, b)
+            replayed = cache.multiply(a2, b2)
+            assert cache.stats.hits == 1
+            for gpu in ALL_GPUS:
+                for x, y, want in ((a, b, cold), (a2, b2, replayed)):
+                    ctx = MultiplyContext.build(x, y)
+                    _assert_bit_identical(algo.lower(ctx, gpu).execute(ctx), want)
 
 
 class TestSemiringReplay:
     @pytest.mark.parametrize("semiring", [MIN_PLUS, OR_AND])
     def test_same_structure_new_values(self, semiring, rng):
-        cache = PlanCache()
+        cache = PlanCache(OuterProductSpGEMM())
         a = random_csr(rng, 40, 40, 0.15)
         b = random_csr(rng, 40, 40, 0.15)
         cache.semiring_multiply(a, b, semiring)
@@ -181,13 +197,13 @@ class TestSemiringReplay:
 
         monkeypatch.setattr(kernels, "expand_entries", counting)
         a = random_csr(rng, 30, 30, 0.2)
-        PlanCache().semiring_multiply(a, a, MIN_PLUS)
+        PlanCache(OuterProductSpGEMM()).semiring_multiply(a, a, MIN_PLUS)
         assert len(calls) == 1
 
     def test_identity_dropping_recomputed_per_replay(self, rng):
         # The kept-entry set depends on values, so replay must rebuild the
         # output structure, not reuse the fill-time one.
-        cache = PlanCache()
+        cache = PlanCache(OuterProductSpGEMM())
         a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
         cache.semiring_multiply(a, a, OR_AND)
         # Same structure, but values that make some products vanish under
@@ -216,9 +232,9 @@ class TestFillTimeVerification:
             return out
 
         monkeypatch.setattr(NumericRecipe, "replay", disagreeing)
-        cache = PlanCache()
+        cache = PlanCache(algo)
         if path == "plan":
-            run = partial(cache.multiply, algo, a, a)
+            run = partial(cache.multiply, a, a)
             cold = algo.multiply(MultiplyContext.build(a, a))
         else:
             run = partial(cache.semiring_multiply, a, a, MIN_PLUS)
@@ -231,40 +247,26 @@ class TestFillTimeVerification:
 
 
 class TestIterativeSession:
+    """One scheme-bound cache held across a loop (the runtime's warm session)."""
+
     def test_counters_and_reuse(self, rng):
-        session = IterativeSession(RowProductSpGEMM())
+        cache = PlanCache(RowProductSpGEMM())
         a = random_csr(rng, 40, 40, 0.1)
         for _ in range(5):
-            session.multiply(a, a)
-        stats = session.stats
+            cache.multiply(a, a)
+        stats = cache.stats
         assert stats.lookups == 5
         assert stats.lowers == 1
-        assert stats.symbolic_expansions == 1
-        assert stats.numeric_replays == 4
+        assert stats.hits == 4
         assert stats.hit_rate == pytest.approx(0.8)
 
     def test_wrap_passes_sessions_through(self):
-        session = IterativeSession(RowProductSpGEMM())
-        assert IterativeSession.wrap(session) is session
-        wrapped = IterativeSession.wrap(RowProductSpGEMM())
-        assert isinstance(wrapped, IterativeSession)
-
-    def test_shared_cache_across_sessions(self, rng):
-        cache = PlanCache()
-        a = random_csr(rng, 40, 40, 0.1)
-        IterativeSession(RowProductSpGEMM(), cache=cache).multiply(a, a)
-        IterativeSession(RowProductSpGEMM(), cache=cache).multiply(a, a)
-        assert cache.stats.hits == 1
-
-    def test_base_multiply_accepts_cache(self, rng):
+        cache = PlanCache(RowProductSpGEMM())
+        assert PlanCache.wrap(cache) is cache
         algo = RowProductSpGEMM()
-        cache = PlanCache()
-        a = random_csr(rng, 40, 40, 0.1)
-        ctx = MultiplyContext.build(a, a)
-        first = algo.multiply(ctx, plan_cache=cache)
-        second = algo.multiply(ctx, plan_cache=cache)
-        assert cache.stats.hits == 1
-        _assert_bit_identical(first, second)
+        wrapped = PlanCache.wrap(algo)
+        assert isinstance(wrapped, PlanCache)
+        assert wrapped.algorithm is algo
 
 
 class TestIterativeApps:
@@ -274,14 +276,13 @@ class TestIterativeApps:
         from repro.datasets.loader import load
 
         adj = load("poisson3da").a
-        session = IterativeSession(RowProductSpGEMM())
-        result = pagerank_spgemm(adj, session, max_iter=20, tol=0.0)
+        cache = PlanCache(RowProductSpGEMM())
+        result = pagerank_spgemm(adj, cache, max_iter=20, tol=0.0)
         assert result.iterations == 20
-        stats = session.stats
+        stats = cache.stats
         assert stats.lookups == 20
         assert stats.lowers == 1
-        assert stats.symbolic_expansions == 1
-        assert stats.numeric_replays == 19
+        assert stats.hits == 19
 
         reference = pagerank(adj, max_iter=20, tol=0.0)
         np.testing.assert_allclose(
@@ -299,13 +300,13 @@ class TestIterativeApps:
         weights = CSRMatrix(
             weights.shape, weights.indptr, weights.indices, weights.data + 0.1
         )
-        session = IterativeSession(RowProductSpGEMM())
-        with_session = k_hop_shortest_paths(weights, 6, session=session)
+        cache = PlanCache(RowProductSpGEMM())
+        with_cache = k_hop_shortest_paths(weights, 6, cache=cache)
         without = k_hop_shortest_paths(weights, 6)
-        _assert_bit_identical(with_session, without)
+        _assert_bit_identical(with_cache, without)
         # On a 30-node graph the distance structure converges within a few
         # relaxations; the remaining ones must be structure hits.
-        assert session.stats.hits > 0
+        assert cache.stats.hits > 0
 
     def test_adaptive_tuning_memoised_per_structure(self, rng, skewed_csr):
         algo = AdaptiveBlockReorganizer()
@@ -323,7 +324,7 @@ class TestBenchGridUnaffected:
         import json as jsonlib
 
         from repro.bench.cache import result_to_dict
-        from repro.bench.runner import get_context, paper_algorithms, run_matrix
+        from repro.bench.runner import get_context, run_matrix
 
         datasets = ["poisson3da", "as_caida"]
 
@@ -335,14 +336,14 @@ class TestBenchGridUnaffected:
             }
 
         baseline = canonical()
-        cache = PlanCache()
         for dataset in datasets:
             ctx = get_context(dataset)
             for algo in paper_algorithms():
-                cold = algo.multiply(ctx, plan_cache=cache)
-                warm = algo.multiply(ctx, plan_cache=cache)
+                cache = PlanCache(algo)
+                cold = cache.multiply(ctx.a_csr, ctx.b_csr)
+                warm = cache.multiply(ctx.a_csr, ctx.b_csr)
                 _assert_bit_identical(cold, warm)
-        assert cache.stats.hits == len(datasets) * len(paper_algorithms())
+                assert cache.stats.hits == 1
         assert canonical() == baseline
 
 
@@ -351,51 +352,50 @@ class TestBoundedCache:
 
     def _fill(self, cache, rng, n, shape=(10, 10)):
         """Run n distinct-structure multiplies through the cache."""
-        algo = RowProductSpGEMM()
         matrices = []
         for _ in range(n):
             m = random_csr(rng, *shape, 0.3)
-            cache.multiply(algo, m, m)
+            cache.multiply(m, m)
             matrices.append(m)
-        return algo, matrices
+        return matrices
 
     def test_unbounded_by_default(self, rng):
-        cache = PlanCache()
+        cache = PlanCache(RowProductSpGEMM())
         self._fill(cache, rng, 5)
         assert len(cache) == 5
         assert cache.stats.evictions == 0
 
     def test_max_entries_evicts_lru(self, rng):
-        cache = PlanCache(max_entries=3)
-        algo, matrices = self._fill(cache, rng, 5)
+        cache = PlanCache(RowProductSpGEMM(), max_entries=3)
+        matrices = self._fill(cache, rng, 5)
         assert len(cache) == 3
         assert cache.stats.evictions == 2
         # The two oldest structures were evicted: multiplying them again
         # re-lowers (miss); the three newest replay (hit).
         lowers = cache.stats.lowers
         for m in matrices[:2]:
-            cache.multiply(algo, m, m)
+            cache.multiply(m, m)
         assert cache.stats.lowers == lowers + 2
         hits = cache.stats.hits
         for m in matrices[-1:]:
-            cache.multiply(algo, m, m)
+            cache.multiply(m, m)
         assert cache.stats.hits == hits + 1
 
     def test_hit_refreshes_recency(self, rng):
-        cache = PlanCache(max_entries=2)
-        algo, matrices = self._fill(cache, rng, 2)
-        cache.multiply(algo, matrices[0], matrices[0])  # refresh oldest
+        cache = PlanCache(RowProductSpGEMM(), max_entries=2)
+        matrices = self._fill(cache, rng, 2)
+        cache.multiply(matrices[0], matrices[0])  # refresh oldest
         m3 = random_csr(rng, 10, 10, 0.3)
-        cache.multiply(algo, m3, m3)  # evicts matrices[1], not matrices[0]
+        cache.multiply(m3, m3)  # evicts matrices[1], not matrices[0]
         hits = cache.stats.hits
-        cache.multiply(algo, matrices[0], matrices[0])
+        cache.multiply(matrices[0], matrices[0])
         assert cache.stats.hits == hits + 1
         lowers = cache.stats.lowers
-        cache.multiply(algo, matrices[1], matrices[1])
+        cache.multiply(matrices[1], matrices[1])
         assert cache.stats.lowers == lowers + 1
 
     def test_byte_budget_evicts_and_counts(self, rng):
-        cache = PlanCache(max_bytes=1)  # every entry overflows the budget
+        cache = PlanCache(RowProductSpGEMM(), max_bytes=1)  # every entry overflows
         self._fill(cache, rng, 3)
         assert len(cache) <= 1
         assert cache.stats.evictions >= 2
@@ -403,19 +403,17 @@ class TestBoundedCache:
         assert cache.nbytes <= max(e.nbytes for e in cache._entries.values()) if len(cache) else True
 
     def test_results_identical_under_eviction(self, rng):
-        bounded = PlanCache(max_entries=1)
-        unbounded = PlanCache()
         algo = RowProductSpGEMM()
+        bounded = PlanCache(algo, max_entries=1)
+        unbounded = PlanCache(algo)
         matrices = [random_csr(rng, 12, 12, 0.3) for _ in range(3)]
         for _ in range(2):  # second round: bounded cache re-lowers every time
             for m in matrices:
-                _assert_bit_identical(
-                    bounded.multiply(algo, m, m), unbounded.multiply(algo, m, m)
-                )
+                _assert_bit_identical(bounded.multiply(m, m), unbounded.multiply(m, m))
         assert bounded.stats.evictions > 0
 
     def test_semiring_entries_bounded_too(self, rng):
-        cache = PlanCache(max_entries=2)
+        cache = PlanCache(OuterProductSpGEMM(), max_entries=2)
         for _ in range(4):
             m = random_csr(rng, 8, 8, 0.4)
             cache.semiring_multiply(m, m, OR_AND)
@@ -424,14 +422,14 @@ class TestBoundedCache:
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
+            PlanCache(RowProductSpGEMM(), max_entries=0)
         with pytest.raises(ValueError):
-            PlanCache(max_bytes=-1)
+            PlanCache(RowProductSpGEMM(), max_bytes=-1)
 
     def test_eviction_counters_in_dict_and_rendering(self, rng):
         from repro.obs.counters import snapshot, text_lines
 
-        cache = PlanCache(max_entries=1)
+        cache = PlanCache(RowProductSpGEMM(), max_entries=1)
         self._fill(cache, rng, 2)
         d = snapshot(cache.stats)
         assert d["evictions"] == 1

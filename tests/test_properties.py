@@ -41,7 +41,6 @@ from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
 from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spgemm
-from repro.spgemm.session import IterativeSession
 
 
 @st.composite
@@ -317,17 +316,17 @@ class TestReplayProperties:
         # tmp_path would be shared; each example gets its own spill base.
         with tempfile.TemporaryDirectory() as spill_dir:
             for algo in paper_algorithms():
-                session = IterativeSession(algo)
-                session.multiply(a, b)
-                replayed = session.multiply(a2, b2)
-                assert session.stats.numeric_replays == 1, algo.name
+                cache = PlanCache(algo)
+                cache.multiply(a, b)
+                replayed = cache.multiply(a2, b2)
+                assert cache.stats.hits == 1, algo.name
                 cold = algo.multiply(MultiplyContext.build(a2, b2))
                 _assert_identical(replayed, cold)
                 want = _scipy_product(a2, b2, _tie_rank(algo, a2, b2))
                 _assert_identical(_drop_zeros(cold), want)
 
-                session.semiring_multiply(a, b, MIN_PLUS)
-                _assert_identical(session.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
+                cache.semiring_multiply(a, b, MIN_PLUS)
+                _assert_identical(cache.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
 
                 # A one-product budget gives every row with work a panel of
                 # its own and forces spills.
@@ -354,10 +353,10 @@ class TestReplayProperties:
         want = _scipy_product(a2, b2)
         with tempfile.TemporaryDirectory() as spill_dir:
             for algo in paper_algorithms():
-                session = IterativeSession(algo)
-                session.multiply(a1, b1)
-                replayed = session.multiply(a2, b2)
-                assert session.stats.numeric_replays == 1, algo.name
+                cache = PlanCache(algo)
+                cache.multiply(a1, b1)
+                replayed = cache.multiply(a2, b2)
+                assert cache.stats.hits == 1, algo.name
                 cold = algo.multiply(MultiplyContext.build(a2, b2))
                 _assert_identical(replayed, cold)
                 chunked, _ = chunked_multiply(
@@ -389,10 +388,10 @@ class TestSemiringProperties:
         numeric = OuterProductSpGEMM().multiply(MultiplyContext.build(a2, b2))
         _assert_identical(plus_times, _drop_zeros(numeric))
         for semiring in (PLUS_TIMES, MIN_PLUS, OR_AND, MAX_TIMES):
-            cache = PlanCache()
+            cache = PlanCache(OuterProductSpGEMM())
             cache.semiring_multiply(a1, b1, semiring)
             replayed = cache.semiring_multiply(a2, b2, semiring)
-            assert cache.stats.numeric_replays == 1, semiring.name
+            assert cache.stats.hits == 1, semiring.name
             _assert_identical(replayed, semiring_spgemm(a2, b2, semiring))
 
 

@@ -19,8 +19,11 @@ import threading
 
 import pytest
 
+from repro.core.reorganizer import BlockReorganizer, ReorganizerOptions
 from repro.errors import ConfigurationError, ReproError
 from repro.runtime import Runtime, RuntimeConfig, gpu_by_name, lifecycle
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.random import power_law
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -110,6 +113,32 @@ class TestRuntimeFacade:
             warm = rt.multiply("row-product", a, b)
         assert warm.replayed
         assert len(calls) == 1
+
+    def test_scheme_instances_keep_their_own_sessions(self, rng):
+        """Two differently-configured instances of one scheme, run through
+        one runtime on one operand, each get their own warm session and
+        return their own bits, cold and replayed."""
+        a = power_law(1000, 6000, seed=0).to_csr()
+        a = CSRMatrix(a.shape, a.indptr, a.indices, rng.standard_normal(a.nnz))
+        schemes = [BlockReorganizer(), BlockReorganizer(options=ReorganizerOptions(alpha=0.9))]
+        want = [algo.multiply(MultiplyContext.build(a)) for algo in schemes]
+        assert want[0].data.tobytes() != want[1].data.tobytes()
+        with Runtime(RuntimeConfig()) as rt:
+            for replayed in (False, True):
+                for algo, expected in zip(schemes, want):
+                    outcome = rt.multiply(algo, a)
+                    assert outcome.replayed is replayed
+                    assert outcome.result.data.tobytes() == expected.data.tobytes()
+            stats = rt.stats()
+        assert (stats.sessions, stats.plan_cache.lowers) == (2, 2)
+
+    def test_scheme_name_resolves_to_the_runtime_instance(self, rng):
+        a, b = _pair(rng)
+        with Runtime(RuntimeConfig()) as rt:
+            rt.multiply("row-product", a, b)
+            assert rt.multiply(rt.algorithm("row-product"), a, b).replayed
+            assert not rt.multiply(RowProductSpGEMM(), a, b).replayed
+            assert rt.stats().sessions == 2
 
     def test_unknown_algorithm_raises(self, rng):
         a, b = _pair(rng)
@@ -224,7 +253,7 @@ class TestConcurrentSessions:
             assert (result.indices == serial_other.indices).all()
         # Two structures, one lowering each — replay served the remainder.
         assert stats.plan_cache.lowers == 2
-        assert stats.plan_cache.numeric_replays == 2 * (rounds - 1)
+        assert stats.plan_cache.hits == 2 * (rounds - 1)
 
     def test_same_structure_streams_share_one_session(self, rng):
         pair = _pair(rng, n=40)

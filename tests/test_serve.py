@@ -274,6 +274,29 @@ class TestServer:
         assert second["replayed"] is True
         assert identical(csr_from_wire(second["result"]), expected)
 
+    def test_multiply_hashes_the_structure_once(self, serve_url, rng, monkeypatch):
+        """The batching key's fingerprint is also the session pool's and the
+        plan cache's: one structure hash per served multiply, cold or warm."""
+        import repro.serve.server as server_mod
+        from repro.plan import cache
+        from repro.runtime import core
+
+        calls = []
+        fingerprint = cache.structure_fingerprint
+
+        def counting(x, y):
+            calls.append(1)
+            return fingerprint(x, y)
+
+        for module in (server_mod, core, cache):
+            monkeypatch.setattr(module, "structure_fingerprint", counting)
+        body = {"algorithm": "row-product", "a": csr_to_wire(random_csr(rng, 30, 30, 0.15))}
+        for replayed in (False, True):
+            calls.clear()
+            status, reply = _post(serve_url, "/v1/multiply", body)
+            assert (status, reply["replayed"]) == (200, replayed)
+            assert len(calls) == 1
+
     def test_concurrent_shared_structure_amortises(self, serve_url, rng):
         a = random_csr(rng, 30, 30, 0.15)
         body = {"algorithm": "row-product", "a": csr_to_wire(a)}

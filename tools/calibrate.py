@@ -27,7 +27,7 @@ speed = {k: [] for k in algos}
 print(f"{'dataset':14s} {'rowGF':>6s} " + ' '.join(f'{k:>8s}' for k in algos))
 for name in names:
     ds = load(name)
-    ctx = MultiplyContext.build(ds.a, ds.b, a_csc=ds.a_csc)
+    ctx = MultiplyContext.build(ds.a, ds.b)
     ctx.c_row_nnz  # force
     res = {k: a.simulate(ctx, sim) for k, a in algos.items()}
     base = res['row'].total_seconds

@@ -19,7 +19,7 @@ algos = {
 speed = {k: [] for k in algos}
 gfs = []
 for name in names:
-    ds = load(name); ctx = MultiplyContext.build(ds.a, ds.b, a_csc=ds.a_csc); ctx.c_row_nnz
+    ds = load(name); ctx = MultiplyContext.build(ds.a, ds.b); ctx.c_row_nnz
     r = {k: a.simulate(ctx, sim).total_seconds for k, a in algos.items()}
     for k in algos: speed[k].append(r['row']/r[k])
     gfs.append(2*ctx.total_work/r['row']/1e9)
