@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.plan.cache import PlanCache
+from repro.plan.cache import PlanCache, structure_fingerprint
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spmv
+from repro.sparse.ops import add, scale, spmv
 from repro.spgemm.base import SpGEMMAlgorithm
 
 __all__ = [
@@ -100,10 +100,11 @@ def pagerank_spgemm(
     the score row keeps *full support* (all n entries stored, zeros
     explicit).  Both operand structures are therefore identical every
     iteration, so with a plan cache (``engine`` may be one the caller holds)
-    the whole run lowers exactly once; iterations 2..N replay the numeric
-    phase.  Mathematically mirrors :func:`pagerank` (same damping, teleport
-    and dangling-mass handling); results agree to float rounding, not bit
-    for bit, because the summation order differs.
+    the whole run lowers exactly once and hashes the structure once;
+    iterations 2..N replay the numeric phase.  Mathematically mirrors
+    :func:`pagerank` (same damping, teleport and dangling-mass handling);
+    results agree to float rounding, not bit for bit, because the
+    summation order differs.
     """
     if not 0.0 < damping < 1.0:
         raise ConfigurationError(f"damping must be in (0, 1), got {damping}")
@@ -118,11 +119,12 @@ def pagerank_spgemm(
     teleport = (1.0 - damping) / n
     full_indptr = np.array([0, n], dtype=np.int64)
     full_cols = np.arange(n, dtype=np.int64)
+    fingerprint = structure_fingerprint(CSRMatrix((1, n), full_indptr, full_cols, scores), p_t)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         dangling_mass = scores[dangling].sum() / n
         score_row = CSRMatrix((1, n), full_indptr.copy(), full_cols.copy(), scores)
-        product = cache.multiply(score_row, p_t)
+        product = cache.multiply(score_row, p_t, fingerprint=fingerprint)
         propagated = np.zeros(n, dtype=np.float64)
         cols, vals = product.row(0)
         propagated[cols] = vals
@@ -160,18 +162,8 @@ def batched_personalized_pagerank(
     p_t = transition_matrix(adjacency).transpose()  # right-multiplying rows
     scores = seeds
     teleport = 1.0 - damping
-    accumulated = _scale(seeds, teleport)
+    accumulated = scale(seeds, teleport)
     for _ in range(n_steps):
-        scores = _scale(cache.multiply(scores, p_t), damping)
-        accumulated = _add(accumulated, _scale(scores, teleport))
+        scores = scale(cache.multiply(scores, p_t), damping)
+        accumulated = add(accumulated, scale(scores, teleport))
     return accumulated
-
-
-def _scale(m: CSRMatrix, s: float) -> CSRMatrix:
-    return CSRMatrix(m.shape, m.indptr.copy(), m.indices.copy(), m.data * s)
-
-
-def _add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    from repro.sparse.ops import add
-
-    return add(a, b)

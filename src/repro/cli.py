@@ -6,8 +6,8 @@ Commands:
 * ``run``               — simulate one algorithm on one dataset and print the
                           profile (optionally dump JSON); ``--iterations N``
                           additionally runs the numeric plane N times through
-                          a warm session and prints the plan cache's
-                          amortisation counters.
+                          one plan cache and prints its amortisation
+                          counters.
 * ``compare``           — all seven schemes on one dataset, speedup table.
 * ``bench``             — a (datasets × algorithms) grid through the shared
                           runner: sharded across ``--workers`` processes and
@@ -23,11 +23,12 @@ Commands:
                           wall-clock rollup; ``--out FILE`` writes a
                           Perfetto-loadable Chrome trace.
 * ``serve``             — long-lived multiply-as-a-service HTTP front-end
-                          (:mod:`repro.serve`): warm fingerprint-keyed
-                          sessions, micro-batching, admission control.
+                          (:mod:`repro.serve`): warm per-tenant plan caches
+                          keyed by structure fingerprint, micro-batching,
+                          admission control.
 
 Every command is a thin adapter over one :class:`repro.runtime.Runtime`,
-which owns sessions and caches; the CLI itself constructs neither.
+which owns the plan caches; the CLI itself constructs none.
 ``compare``, ``bench`` and ``experiment`` accept the execution flags
 ``--workers N`` (0 = all cores), ``--cache-dir PATH``, ``--no-cache``,
 ``--shard-timeout SECONDS`` (parallel no-progress window before hung shards
@@ -457,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="dump raw counters as JSON")
     p.add_argument(
         "--iterations", type=int, default=1, metavar="N",
-        help="also run the numeric plane N times through a warm session "
-             "and print plan-cache amortisation counters",
+        help="also run the numeric plane N times through one plan cache "
+             "and print its amortisation counters",
     )
     _add_trace_flag(p)
     _add_oocore_flags(p)
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
-        "serve", help="serve multiply/app requests over HTTP from warm sessions"
+        "serve", help="serve multiply/app requests over HTTP from warm plan caches"
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p.add_argument(
@@ -556,13 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--plan-cache-entries", type=int, default=None, metavar="N",
-        help="LRU bound on each warm session's plan cache (default 64)",
+        help="recipes kept warm per tenant and scheme before LRU eviction "
+             "(default 32)",
     )
-    p.add_argument(
-        "--sessions-per-tenant", type=int, default=None, metavar="N",
-        help="warm sessions pooled per tenant before LRU eviction (default 32)",
-    )
-    p.add_argument("--gpu", default=TITAN_XP.name)
     p.set_defaults(func=_cmd_serve)
     return parser
 
@@ -573,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     Builds one :class:`~repro.runtime.Runtime` from the parsed flags,
     registers it with the shutdown hooks (SIGINT/SIGTERM close it before
     the process exits), runs the command as a thin adapter over it, and
-    tears it down — every session, cache and trace recorder lives inside
+    tears it down — every plan cache and trace recorder lives inside
     the runtime, not here.
     """
     parser = build_parser()

@@ -21,4 +21,5 @@ def load_balancing_index(sm_cycles: np.ndarray) -> float:
     peak = float(sm_cycles.max())
     if peak <= 0.0:
         return 1.0
-    return float(sm_cycles.mean() / peak)
+    # The mean of equal cycle counts can round one ulp above their maximum.
+    return min(1.0, float(sm_cycles.mean() / peak))

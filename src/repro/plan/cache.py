@@ -25,9 +25,11 @@ that optimisation for our engine:
   the pair tie ranks, never on the simulated GPU, so the key holds neither
   the scheme (the cache is bound to one) nor a GPU config.  The cache is
   **bounded**: ``max_entries`` and ``max_bytes`` put an LRU limit on how
-  many recipes a long-lived process (the runtime's session pool behind
-  ``repro.serve``, say) can accumulate from an evolving-structure
-  workload; evictions are counted in :class:`PlanCacheStats`.
+  many recipes a long-lived process (the runtime's per-tenant caches
+  behind ``repro.serve``, say) can accumulate from an evolving-structure
+  workload; evictions are counted in :class:`PlanCacheStats`.  It is safe
+  to share between threads: concurrent callers of one new structure lower
+  it once and then replay, while distinct structures run in parallel.
 
 Recipes are verified at fill time: the cold result is replayed immediately
 and compared exactly, and only a recipe that reproduces it is cached.  A
@@ -41,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import operator
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,11 +59,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.spgemm.semiring import Semiring
 
 __all__ = [
+    "STRIPES",
     "structure_fingerprint",
     "NumericRecipe",
     "PlanCacheStats",
     "PlanCache",
 ]
+
+#: Lock stripes per cache: a multiply holds the stripe its fingerprint picks.
+STRIPES = 64
 
 
 def structure_fingerprint(a: CSRMatrix, b: CSRMatrix) -> str:
@@ -192,6 +199,12 @@ class PlanCache:
     (both ``None``) match the historical behaviour but grow without limit
     under an evolving-structure workload, which no long-lived process
     (``repro serve``) should tolerate.
+
+    Thread-safety: one lock guards the entries and counters, and every
+    multiply holds one of :data:`STRIPES` stripe locks, picked from its
+    fingerprint, for the whole call.  Concurrent callers of one new
+    structure therefore lower it once and then replay; distinct structures
+    run in parallel unless their fingerprints share a stripe.
     """
 
     def __init__(
@@ -211,6 +224,10 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[tuple, NumericRecipe] = OrderedDict()
         self._entry_bytes = 0
+        # Re-entrant: Runtime.close() clears caches from signal handlers,
+        # which may run on a thread that is inside this lock.
+        self._lock = threading.RLock()
+        self._stripes = tuple(threading.Lock() for _ in range(STRIPES))
 
     @classmethod
     def wrap(cls, engine: "SpGEMMAlgorithm | PlanCache") -> "PlanCache":
@@ -232,30 +249,41 @@ class PlanCache:
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; not counted as evictions)."""
-        self._entries.clear()
-        self._entry_bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self._entry_bytes = 0
 
-    def _get(self, key: tuple) -> NumericRecipe | None:
-        """Look a recipe up, refreshing its LRU recency on a hit."""
-        recipe = self._entries.get(key)
-        if recipe is not None:
-            self._entries.move_to_end(key)
-        return recipe
+    def _stripe(self, fingerprint: str) -> threading.Lock:
+        """The stripe lock a multiply over ``fingerprint`` holds."""
+        return self._stripes[int(fingerprint[:8], 16) % STRIPES]
+
+    def _lookup(self, key: tuple) -> NumericRecipe | None:
+        """Count a lookup and its hit or miss; a hit refreshes LRU recency."""
+        with self._lock:
+            self.stats.lookups += 1
+            recipe = self._entries.get(key)
+            if recipe is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+                self._entries.move_to_end(key)
+            return recipe
 
     def _insert(self, key: tuple, recipe: NumericRecipe) -> None:
         """Insert (or replace) a recipe, then evict LRU until within budget."""
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._entry_bytes -= old.nbytes
-        self._entries[key] = recipe
-        self._entry_bytes += recipe.nbytes
-        while self._over_budget():
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._entry_bytes -= evicted.nbytes
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += evicted.nbytes
-            if evicted_key == key:
-                break  # a single entry larger than the byte budget
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._entry_bytes -= old.nbytes
+            self._entries[key] = recipe
+            self._entry_bytes += recipe.nbytes
+            while self._over_budget():
+                evicted_key, evicted = self._entries.popitem(last=False)
+                self._entry_bytes -= evicted.nbytes
+                self.stats.evictions += 1
+                self.stats.evicted_bytes += evicted.nbytes
+                if evicted_key == key:
+                    break  # a single entry larger than the byte budget
 
     def _over_budget(self) -> bool:
         if not self._entries:
@@ -275,10 +303,16 @@ class PlanCache:
         and the numeric kernel's expansion walk — is skipped; only the
         recipe's gather + reduce runs.  ``fingerprint`` is
         :func:`structure_fingerprint` of ``a`` and ``b`` when the caller
-        already hashed them (the runtime's session pool does); it is
+        already hashed them (the runtime and the iterative apps do); it is
         computed when absent.  A miss lowers for
         :data:`~repro.spgemm.base.DEFAULT_LOWERING_CONFIG`.
         """
+        return self.run(a, b, fingerprint=fingerprint)[0]
+
+    def run(
+        self, a: CSRMatrix, b: CSRMatrix | None = None, *, fingerprint: str | None = None
+    ) -> tuple[CSRMatrix, bool]:
+        """:meth:`multiply`, also saying whether a cached recipe served it."""
         from repro.spgemm.base import (
             DEFAULT_LOWERING_CONFIG,
             MultiplyContext,
@@ -289,33 +323,32 @@ class PlanCache:
         if fingerprint is None:
             fingerprint = structure_fingerprint(a, b)
         key = ("plan", fingerprint)
-        self.stats.lookups += 1
-        recipe = self._get(key)
-        if recipe is not None:
-            self.stats.hits += 1
-            with obs.span("plan.cache[hit]", "plan", hits=1):
-                return recipe.replay(a.data, b.data)
+        with self._stripe(fingerprint):
+            recipe = self._lookup(key)
+            if recipe is not None:
+                with obs.span("plan.cache[hit]", "plan", hits=1):
+                    return recipe.replay(a.data, b.data), True
 
-        self.stats.misses += 1
-        with obs.span("plan.cache[miss]", "plan", misses=1) as sp:
-            validate_operands(a, b)
-            ctx = MultiplyContext.build(a, b)
-            self.stats.lowers += 1
-            sp.add(lowers=1)
-            plan = self.algorithm.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)
-            result, _, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
-            recipe = NumericRecipe(
-                shape=result.shape,
-                a_gather=a_gather,
-                b_gather=b_gather,
-                group=group,
-                n_groups=result.nnz,
-                indptr=result.indptr.copy(),
-                indices=result.indices.copy(),
-            )
-            if _identical(recipe.replay(a.data, b.data), result):
-                self._insert(key, recipe)
-        return result
+            with obs.span("plan.cache[miss]", "plan", misses=1) as sp:
+                validate_operands(a, b)
+                ctx = MultiplyContext.build(a, b)
+                with self._lock:
+                    self.stats.lowers += 1
+                sp.add(lowers=1)
+                plan = self.algorithm.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)
+                result, _, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
+                recipe = NumericRecipe(
+                    shape=result.shape,
+                    a_gather=a_gather,
+                    b_gather=b_gather,
+                    group=group,
+                    n_groups=result.nnz,
+                    indptr=result.indptr.copy(),
+                    indices=result.indices.copy(),
+                )
+                if _identical(recipe.replay(a.data, b.data), result):
+                    self._insert(key, recipe)
+            return result, False
 
     # -- semiring path --------------------------------------------------
     def semiring_multiply(
@@ -336,35 +369,34 @@ class PlanCache:
         if semiring is None:
             semiring = PLUS_TIMES
         b = a if b is None else b
-        key = ("semiring", semiring.name, structure_fingerprint(a, b))
+        fingerprint = structure_fingerprint(a, b)
+        key = ("semiring", semiring.name, fingerprint)
 
         def replay(recipe: NumericRecipe) -> CSRMatrix:
             return semiring.drop_identity(recipe.replay(a.data, b.data, **semiring.algebra))
 
-        self.stats.lookups += 1
-        recipe = self._get(key)
-        if recipe is not None:
-            self.stats.hits += 1
-            with obs.span("plan.semiring[hit]", "plan", hits=1):
-                return replay(recipe)
+        with self._stripe(fingerprint):
+            recipe = self._lookup(key)
+            if recipe is not None:
+                with obs.span("plan.semiring[hit]", "plan", hits=1):
+                    return replay(recipe)
 
-        self.stats.misses += 1
-        with obs.span("plan.semiring[miss]", "plan", misses=1):
-            validate_operands(a, b)
-            full, (a_gather, b_gather, group) = semiring_kernel(a, b, semiring, gathers=True)
-            recipe = NumericRecipe(
-                shape=full.shape,
-                a_gather=a_gather,
-                b_gather=b_gather,
-                group=group,
-                n_groups=full.nnz,
-                indptr=full.indptr,
-                indices=full.indices,
-            )
-            result = semiring.drop_identity(full)
-            if _identical(replay(recipe), result):
-                self._insert(key, recipe)
-        return result
+            with obs.span("plan.semiring[miss]", "plan", misses=1):
+                validate_operands(a, b)
+                full, (a_gather, b_gather, group) = semiring_kernel(a, b, semiring, gathers=True)
+                recipe = NumericRecipe(
+                    shape=full.shape,
+                    a_gather=a_gather,
+                    b_gather=b_gather,
+                    group=group,
+                    n_groups=full.nnz,
+                    indptr=full.indptr,
+                    indices=full.indices,
+                )
+                result = semiring.drop_identity(full)
+                if _identical(replay(recipe), result):
+                    self._insert(key, recipe)
+            return result
 
 
 def _identical(x: CSRMatrix, y: CSRMatrix) -> bool:

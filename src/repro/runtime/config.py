@@ -21,14 +21,9 @@ from repro.gpusim.config import ALL_GPUS, TITAN_XP, GPUConfig
 
 __all__ = ["RuntimeConfig", "gpu_by_name"]
 
-#: Default LRU bound for each pooled session's :class:`PlanCache` — small,
-#: because pooled sessions are keyed by structure fingerprint and therefore
-#: hold entries for a handful of structures each (plan + semiring variants).
-DEFAULT_PLAN_CACHE_ENTRIES = 64
-
-#: Default per-tenant cap on pooled warm sessions (the per-tenant plan-cache
-#: quota: evicting a session drops its cached plans and recipes).
-DEFAULT_SESSIONS_PER_TENANT = 32
+#: Default LRU bound on recipes in each tenant's :class:`PlanCache` for one
+#: scheme — the per-tenant, per-scheme quota of warm structures.
+DEFAULT_PLAN_CACHE_ENTRIES = 32
 
 
 def gpu_by_name(name: str) -> GPUConfig:
@@ -44,15 +39,16 @@ class RuntimeConfig:
     """Everything a :class:`Runtime` needs to know about how to execute.
 
     Attributes:
-        gpu: default lowering/simulation target.
+        gpu: the performance plane's simulation target (the numeric plane
+            lowers for a fixed target; see :class:`~repro.plan.cache.PlanCache`).
         workers: bench-grid process-pool width (0 = all cores).
         cache_dir: persistent result-cache directory (``None`` = default).
         use_result_cache: consult/populate the persistent bench result cache.
         shard_timeout: bench-shard no-progress window in seconds (``None``
             keeps the runner's default).
-        plan_cache_entries: LRU ``max_entries`` for each pooled session's
-            :class:`~repro.plan.cache.PlanCache` (``None`` = unbounded).
-        sessions_per_tenant: LRU cap on warm sessions pooled per tenant.
+        plan_cache_entries: LRU ``max_entries`` of each tenant's
+            :class:`~repro.plan.cache.PlanCache` for one scheme: recipes kept
+            warm per tenant and scheme (``None`` = unbounded).
         mem_budget: out-of-core memory budget in bytes (``None`` = in-memory
             execution); numeric multiplies route through
             :func:`repro.oocore.chunked_multiply` when set.
@@ -68,15 +64,14 @@ class RuntimeConfig:
     use_result_cache: bool = True
     shard_timeout: float | None = None
     plan_cache_entries: int | None = DEFAULT_PLAN_CACHE_ENTRIES
-    sessions_per_tenant: int = DEFAULT_SESSIONS_PER_TENANT
     mem_budget: int | None = None
     spill_dir: str | None = None
     full_scale: bool = False
 
     def __post_init__(self) -> None:
-        if self.sessions_per_tenant < 1:
+        if self.plan_cache_entries is not None and self.plan_cache_entries < 1:
             raise ConfigurationError(
-                f"sessions_per_tenant must be >= 1, got {self.sessions_per_tenant}"
+                f"plan_cache_entries must be >= 1, got {self.plan_cache_entries}"
             )
         if self.mem_budget is not None and self.mem_budget <= 0:
             raise ConfigurationError(
@@ -112,7 +107,6 @@ class RuntimeConfig:
             "cache_dir",
             "shard_timeout",
             "plan_cache_entries",
-            "sessions_per_tenant",
             "spill_dir",
         ):
             value = getattr(args, name, None)

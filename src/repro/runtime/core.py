@@ -1,39 +1,37 @@
-"""The :class:`Runtime` facade: one object that owns session lifecycle.
+"""The :class:`Runtime` facade: one object that owns warm state and its lifecycle.
 
 Everything a front-end needs to execute work — dataset contexts, algorithm
-instances, warm sessions (scheme-bound :class:`~repro.plan.cache.PlanCache`
-pools keyed by sparsity-structure fingerprint), bench-runner defaults and
-trace recording — is constructed, cached and *shut down* here.  The CLI
+instances, warm plan caches (one scheme-bound
+:class:`~repro.plan.cache.PlanCache` per tenant and scheme, keyed by
+sparsity-structure fingerprint), bench-runner defaults and trace
+recording — is constructed, cached and *shut down* here.  The CLI
 subcommands and the :mod:`repro.serve` front-end are thin adapters over
-this one class; neither constructs a session or cache directly.
+this one class; neither constructs a cache directly.
 
 Lifecycle::
 
     with Runtime(RuntimeConfig()) as rt:
         stats = rt.simulate("poisson3da", "block-reorganizer")
-        c, meta = rt.multiply("row-product", a, b, tenant="alice")
-    # sessions dropped, their counters folded into the retired totals
+        outcome = rt.multiply("row-product", a, b, tenant="alice")
+    # every cache's recipes dropped, its counters kept
 
-Sessions are pooled per ``(tenant, scheme instance, structure
-fingerprint)`` with a per-tenant LRU bound
-(:attr:`RuntimeConfig.sessions_per_tenant`): one tenant's structure churn
-evicts its *own* oldest warm session — dropping that session's cached
-recipes, which is exactly the per-tenant plan-cache quota — and can never
+Each ``(tenant, scheme instance)`` pair has one warm cache holding at
+most :attr:`RuntimeConfig.plan_cache_entries` recipes: one tenant's
+structure churn evicts its *own* least recently used recipe and can never
 evict another tenant's.  A registry name resolves to the runtime's one
-instance of that scheme, so named callers share warm sessions; a caller's
-own instance keys its own sessions, so two differently-configured
-instances never serve each other's recipes.  Each pooled session carries a
-lock so concurrent callers of the same structure serialise while distinct
-structures proceed in parallel.
+instance of that scheme, so named callers share warm caches; a caller's
+own instance gets its own cache, so two differently-configured instances
+never serve each other's recipes.  The cache itself serialises concurrent
+callers of one structure and lets distinct structures proceed in
+parallel.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.bench import runner
@@ -52,18 +50,9 @@ from repro.spgemm.base import SpGEMMAlgorithm
 __all__ = [
     "IterationReport",
     "MultiplyOutcome",
-    "PooledSession",
     "Runtime",
     "RuntimeStats",
 ]
-
-
-@dataclass
-class PooledSession:
-    """One warm session: a scheme-bound plan cache and the lock its callers hold."""
-
-    cache: PlanCache
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @dataclass(frozen=True)
@@ -80,9 +69,8 @@ class MultiplyOutcome:
 class RuntimeStats:
     """A point-in-time snapshot of one runtime's serving state."""
 
-    sessions: int = gauge("Warm sessions currently pooled across all tenants.")
-    sessions_evicted: int = counter("Warm sessions dropped by the per-tenant LRU quota.")
-    tenants: dict[str, int] = gauge("Warm sessions pooled per tenant.", label="tenant")
+    recipes: int = gauge("Recipes cached across all tenants and schemes.")
+    tenants: dict[str, int] = gauge("Recipes cached per tenant.", label="tenant")
     plan_cache: PlanCacheStats = section(PlanCacheStats)
     requests: int = counter("Multiplies and app calls the runtime has served.")
 
@@ -107,18 +95,16 @@ class IterationReport:
 class Runtime:
     """Owns every execution resource; front-ends stay declarative.
 
-    Thread-safety: session pooling and stats are guarded by an internal
-    lock, and each pooled session serialises its own multiplies, so one
-    runtime can serve concurrent request streams (``repro.serve`` does).
-    ``close()`` is idempotent and safe to call from signal handlers.
+    Thread-safety: the cache registry and stats are guarded by an internal
+    lock, and each :class:`PlanCache` is safe to share between threads, so
+    one runtime can serve concurrent request streams (``repro.serve``
+    does).  ``close()`` is idempotent and safe to call from signal handlers.
     """
 
     def __init__(self, config: RuntimeConfig | None = None) -> None:
         self.config = config if config is not None else RuntimeConfig()
         self._lock = threading.RLock()
-        self._sessions: OrderedDict[tuple[str, SpGEMMAlgorithm, str], PooledSession] = OrderedDict()
-        self._retired_stats = PlanCacheStats()
-        self._sessions_evicted = 0
+        self._caches: dict[tuple[str, SpGEMMAlgorithm], PlanCache] = {}
         self._requests = 0
         self._algos: dict[str, SpGEMMAlgorithm] | None = None
         self._last_ooc_stats = None
@@ -139,7 +125,7 @@ class Runtime:
         return self._closed
 
     def close(self) -> None:
-        """Drop every warm session, folding its counters into the totals.
+        """Drop every warm cache's recipes, keeping its counters.
 
         Idempotent; also invoked by the shutdown hooks
         (:mod:`repro.runtime.lifecycle`) on SIGINT/SIGTERM/exit.  Later
@@ -149,9 +135,8 @@ class Runtime:
             if self._closed:
                 return
             self._closed = True
-            for pooled in self._sessions.values():
-                self._retired_stats.merge(pooled.cache.stats)
-            self._sessions.clear()
+            for cache in self._caches.values():
+                cache.clear()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -207,7 +192,7 @@ class Runtime:
         """The seven paper schemes, resolved once and shared.
 
         One instance per name per runtime, so every caller naming a scheme
-        lands on the same warm sessions.
+        lands on the same warm caches.
         """
         with self._lock:
             if self._algos is None:
@@ -233,57 +218,34 @@ class Runtime:
         ctx = self.context(dataset)
         return algo.simulate(ctx, GPUSimulator(gpu or self.config.gpu))
 
-    # -- numeric plane: warm sessions ----------------------------------
-    def session(
-        self,
-        algorithm: str | SpGEMMAlgorithm,
-        *,
-        structure: str,
-        tenant: str = "default",
-    ) -> PooledSession:
-        """A warm session for (tenant, scheme instance, structure fingerprint).
+    # -- numeric plane: warm caches ------------------------------------
+    def cache(self, algorithm: str | SpGEMMAlgorithm, tenant: str = "default") -> PlanCache:
+        """The warm plan cache of ``(tenant, scheme instance)``.
 
         A name resolves to the runtime's one instance (:meth:`algorithm`);
-        an instance keys its own sessions.  Creating, reusing and evicting
-        sessions all happens here: a pool hit refreshes LRU recency; a miss
-        builds a fresh session whose :class:`PlanCache`, bound to the
-        scheme, is bounded by :attr:`RuntimeConfig.plan_cache_entries`; and
-        when the owning tenant exceeds
-        :attr:`RuntimeConfig.sessions_per_tenant`, that tenant's
-        least-recently-used session is dropped and its counters folded into
-        the retired totals.  Callers must hold the returned
-        :attr:`PooledSession.lock` while multiplying on it.
+        an instance gets its own cache.  Created on first use, bounded by
+        :attr:`RuntimeConfig.plan_cache_entries` recipes.
         """
         self._require_open()
         algo = (
             self.algorithm(algorithm) if isinstance(algorithm, str) else algorithm
         )
-        key = (tenant, algo, structure)
         with self._lock:
-            pooled = self._sessions.get(key)
-            if pooled is not None:
-                self._sessions.move_to_end(key)
-                return pooled
-            pooled = PooledSession(
-                PlanCache(algo, max_entries=self.config.plan_cache_entries)
-            )
-            self._sessions[key] = pooled
-            evicted = self._evict_tenant_overflow(tenant)
-        for old in evicted:
-            with old.lock:  # let an in-flight multiply finish first
-                retired = old.cache.stats
-            with self._lock:
-                self._retired_stats.merge(retired)
-        return pooled
+            cache = self._caches.get((tenant, algo))
+            if cache is None:
+                cache = PlanCache(algo, max_entries=self.config.plan_cache_entries)
+                self._caches[(tenant, algo)] = cache
+            return cache
 
-    def _evict_tenant_overflow(self, tenant: str) -> list[PooledSession]:
-        """Pop this tenant's LRU sessions beyond the quota (lock held)."""
-        held = [k for k in self._sessions if k[0] == tenant]
-        evicted = []
-        for key in held[: max(0, len(held) - self.config.sessions_per_tenant)]:
-            evicted.append(self._sessions.pop(key))
-            self._sessions_evicted += 1
-        return evicted
+    def _on_cache(self, algorithm, tenant: str, trace, work):
+        """``work(cache)`` on the tenant's warm cache, traced and counted."""
+        with trace.stage("session"):
+            cache = self.cache(algorithm, tenant)
+        with trace.stage("numeric"):
+            result = work(cache)
+        with self._lock:
+            self._requests += 1
+        return result
 
     def multiply(
         self,
@@ -295,14 +257,14 @@ class Runtime:
         trace=NULL_REQUEST_TRACE,
         fingerprint: str | None = None,
     ) -> MultiplyOutcome:
-        """``a @ b`` on a warm session pooled by structure fingerprint.
+        """``a @ b`` on the tenant's warm cache for ``algorithm``.
 
         The outcome records whether the request was served by numeric
         replay (a prior request with this structure paid the symbolic
         work) — the amortisation signal ``repro.serve`` reports per batch.
         ``trace`` (a :class:`~repro.obs.serving.RequestTrace`) receives the
-        ``session`` (pool lookup + lock wait) and ``numeric`` (multiply on
-        the warm session) stages.  ``fingerprint`` is
+        ``session`` (cache lookup) and ``numeric`` (the multiply, including
+        any wait behind a same-structure call) stages.  ``fingerprint`` is
         :func:`~repro.plan.cache.structure_fingerprint` of the operands
         when the caller already hashed them (the server does); it is
         computed when absent.
@@ -318,18 +280,9 @@ class Runtime:
             return MultiplyOutcome(
                 result=result, fingerprint=fingerprint, replayed=False, tenant=tenant
             )
-        with trace.stage("session"):
-            pooled = self.session(algorithm, structure=fingerprint, tenant=tenant)
-            pooled.lock.acquire()
-        try:
-            hits_before = pooled.cache.stats.hits
-            with trace.stage("numeric"):
-                result = pooled.cache.multiply(a, b, fingerprint=fingerprint)
-        finally:
-            pooled.lock.release()
-        with self._lock:
-            self._requests += 1
-        replayed = pooled.cache.stats.hits > hits_before
+        result, replayed = self._on_cache(
+            algorithm, tenant, trace, lambda cache: cache.run(a, b, fingerprint=fingerprint)
+        )
         trace.add(replayed=int(replayed))
         return MultiplyOutcome(
             result=result,
@@ -392,7 +345,7 @@ class Runtime:
         with self._lock:
             return self._last_ooc_stats
 
-    # -- graph apps on warm sessions -----------------------------------
+    # -- graph apps on warm caches -------------------------------------
     def pagerank(
         self,
         algorithm: str | SpGEMMAlgorithm,
@@ -404,28 +357,22 @@ class Runtime:
         tenant: str = "default",
         trace=NULL_REQUEST_TRACE,
     ):
-        """PageRank as fixed-structure spGEMM on a pooled warm session.
+        """PageRank as fixed-structure spGEMM on the tenant's warm cache.
 
-        All requests sharing one adjacency structure land on the same
-        session, so only the first pays the symbolic pass; later callers
+        All requests sharing one adjacency structure replay the same
+        recipe, so only the first pays the symbolic pass; later callers
         (and iterations 2..N within a call) replay numerically.
         """
         from repro.apps.pagerank import pagerank_spgemm
 
-        fp = "pagerank:" + structure_fingerprint(adjacency, adjacency)
-        with trace.stage("session"):
-            pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"):
-            result = pagerank_spgemm(
-                adjacency,
-                pooled.cache,
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-            )
-        with self._lock:
-            self._requests += 1
-        return result
+        return self._on_cache(
+            algorithm,
+            tenant,
+            trace,
+            lambda cache: pagerank_spgemm(
+                adjacency, cache, damping=damping, tol=tol, max_iter=max_iter
+            ),
+        )
 
     def reachability(
         self,
@@ -436,17 +383,12 @@ class Runtime:
         tenant: str = "default",
         trace=NULL_REQUEST_TRACE,
     ) -> CSRMatrix:
-        """Boolean k-hop reachability on a pooled warm session."""
+        """Boolean k-hop reachability on the tenant's warm cache."""
         from repro.apps.reachability import k_hop_reachability
 
-        fp = f"reach:{k}:" + structure_fingerprint(adjacency, adjacency)
-        with trace.stage("session"):
-            pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"):
-            result = k_hop_reachability(adjacency, k, pooled.cache)
-        with self._lock:
-            self._requests += 1
-        return result
+        return self._on_cache(
+            algorithm, tenant, trace, lambda cache: k_hop_reachability(adjacency, k, cache)
+        )
 
     def similarity(
         self,
@@ -457,7 +399,10 @@ class Runtime:
         tenant: str = "default",
         trace=NULL_REQUEST_TRACE,
     ) -> CSRMatrix:
-        """Node-similarity matrix (``common``/``cosine``/``jaccard``)."""
+        """Node-similarity matrix (``common``/``cosine``/``jaccard``).
+
+        All three metrics multiply ``A @ A^T``, so they share one recipe.
+        """
         from repro.apps import similarity as sim
 
         metrics = {
@@ -469,29 +414,27 @@ class Runtime:
             raise ReproError(
                 f"unknown similarity metric {metric!r}; known: {sorted(metrics)}"
             )
-        fp = f"sim:{metric}:" + structure_fingerprint(adjacency, adjacency)
-        with trace.stage("session"):
-            pooled = self.session(algorithm, structure=fp, tenant=tenant)
-        with pooled.lock, trace.stage("numeric"):
-            result = metrics[metric](adjacency, pooled.cache)
-        with self._lock:
-            self._requests += 1
-        return result
+        return self._on_cache(
+            algorithm, tenant, trace, lambda cache: metrics[metric](adjacency, cache)
+        )
 
     def iterate(self, dataset: str, algorithm: str, iterations: int) -> IterationReport:
-        """Run the numeric plane N times on one fixed structure (CLI demo)."""
+        """Run the numeric plane N times on one fixed structure (CLI demo).
+
+        Uses a cache scoped to the call, so the report's counters are the
+        loop's own.
+        """
         self._require_open()
         ctx = self.context(dataset)
         a, b = ctx.a_csr, ctx.b_csr
         fp = structure_fingerprint(a, b)
-        pooled = self.session(algorithm, structure=fp, tenant="default")
+        cache = PlanCache(self.algorithm(algorithm))
         seconds = []
-        with pooled.lock:
-            for _ in range(iterations):
-                start = time.perf_counter()
-                pooled.cache.multiply(a, b, fingerprint=fp)
-                seconds.append(time.perf_counter() - start)
-        return IterationReport(seconds=seconds, stats=pooled.cache.stats)
+        for _ in range(iterations):
+            start = time.perf_counter()
+            cache.multiply(a, b, fingerprint=fp)
+            seconds.append(time.perf_counter() - start)
+        return IterationReport(seconds=seconds, stats=cache.stats)
 
     # -- observability --------------------------------------------------
     @contextmanager
@@ -522,22 +465,20 @@ class Runtime:
 
     # -- stats ----------------------------------------------------------
     def stats(self) -> RuntimeStats:
-        """Aggregate serving counters across live and retired sessions."""
+        """Aggregate serving counters across every warm cache."""
         with self._lock:
             merged = PlanCacheStats()
-            merged.merge(self._retired_stats)
             tenants: dict[str, int] = {}
-            for (tenant, _, _), pooled in self._sessions.items():
-                merged.merge(pooled.cache.stats)
-                tenants[tenant] = tenants.get(tenant, 0) + 1
+            for (tenant, _), cache in self._caches.items():
+                merged.merge(cache.stats)
+                tenants[tenant] = tenants.get(tenant, 0) + len(cache)
             return RuntimeStats(
-                sessions=len(self._sessions),
-                sessions_evicted=self._sessions_evicted,
+                recipes=sum(tenants.values()),
                 tenants=tenants,
                 plan_cache=merged,
                 requests=self._requests,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._closed else f"{len(self._sessions)} sessions"
+        state = "closed" if self._closed else f"{len(self._caches)} caches"
         return f"<Runtime {state}>"

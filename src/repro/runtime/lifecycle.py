@@ -5,7 +5,7 @@ directory that can hold gigabytes of partial products.  A SIGTERM delivered
 mid-multiply would kill the process before any ``finally`` block ran,
 leaving that directory behind.  :func:`install` registers a signal-chaining
 handler plus an ``atexit`` hook that close every registered object — spill
-stores remove their directories, runtimes drop their warm sessions — before
+stores remove their directories, runtimes drop their cached recipes — before
 the process dies with the original signal's conventional exit status.
 
 Usage (the CLI and ``repro serve`` both do this)::

@@ -2,8 +2,8 @@
 
 Thin HTTP layer over :class:`repro.runtime.Runtime`: requests are
 fingerprinted by operand structure, micro-batched with their structural
-twins, and executed on warm pooled sessions so symbolic lowering is paid
-once per structure, not once per request.  See :mod:`repro.serve.server`
+twins, and executed on the tenant's warm plan cache so symbolic lowering
+is paid once per structure, not once per request.  See :mod:`repro.serve.server`
 for routes and :mod:`repro.serve.batching` for admission control.
 """
 

@@ -2,8 +2,8 @@
 
 Requests are keyed by ``(tenant, route, algorithm, structure fingerprint)``.
 Requests sharing a key within one batch window are dispatched as a single
-executor task that runs them back-to-back on the same warm session: the
-first pays any symbolic lowering, the rest replay numerically — one
+executor task that runs them back-to-back on the same warm plan cache:
+the first pays any symbolic lowering, the rest replay numerically — one
 symbolic pass amortised across callers, which is the entire point of
 serving this workload from a long-lived process.
 

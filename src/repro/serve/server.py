@@ -16,8 +16,8 @@ route                        body
 ===========================  ========================================================
 
 Matrices use the wire format of :mod:`repro.serve.protocol`; the optional
-``X-Tenant`` header scopes requests to a tenant's session pool (and hence
-its plan-cache quota).
+``X-Tenant`` header scopes requests to a tenant's plan caches (and hence
+its recipe quota).
 
 Request lifecycle (each stage is a span on the request's
 :class:`~repro.obs.serving.RequestTrace`)::
@@ -31,7 +31,8 @@ cost (:func:`repro.plan.estimate.multiply_flops`) and checks it against the
 ``--max-inflight-flops`` budget; ``batch_wait`` is the queue time until a
 micro-batch picks the request up (:mod:`repro.serve.batching` coalesces
 same-structure requests); ``session``/``numeric`` are recorded inside the
-runtime (pool lookup + lock wait, then the multiply itself);
+runtime (cache lookup, then the multiply itself, including any wait
+behind a same-structure call);
 ``serialize`` encodes the JSON response body, once, so the stage
 covers the whole encoding cost.  Responses are bit-identical to
 the batch CLI path because both route through the same

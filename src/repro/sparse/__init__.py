@@ -14,11 +14,8 @@ from repro.sparse.convert import (
 from repro.sparse.ops import (
     add,
     check_multipliable,
-    expansion_work_per_pair,
-    row_expansion_work,
     scale,
     spmv,
-    total_expansion_work,
 )
 from repro.sparse.random import banded_regular, degree_sequence_matrix, power_law, uniform_random
 from repro.sparse.rmat import RMATParams, rmat, rmat_graph500
@@ -36,11 +33,8 @@ __all__ = [
     "csc_to_coo",
     "add",
     "check_multipliable",
-    "expansion_work_per_pair",
-    "row_expansion_work",
     "scale",
     "spmv",
-    "total_expansion_work",
     "banded_regular",
     "degree_sequence_matrix",
     "power_law",

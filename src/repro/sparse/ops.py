@@ -6,14 +6,10 @@ import numpy as np
 
 from repro.errors import ShapeMismatchError
 from repro.kernels import check_key_space
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "check_multipliable",
-    "expansion_work_per_pair",
-    "total_expansion_work",
-    "row_expansion_work",
     "scale",
     "spmv",
     "add",
@@ -28,37 +24,6 @@ def check_multipliable(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> No
             f"cannot multiply {a_shape[0]}x{a_shape[1]} by {b_shape[0]}x{b_shape[1]}"
         )
     check_key_space(a_shape[0], b_shape[1])
-
-
-def expansion_work_per_pair(a_csc: CSCMatrix, b_csr: CSRMatrix) -> np.ndarray:
-    """Intermediate products generated by each column/row pair ``k``.
-
-    For the outer-product scheme, pair ``k`` multiplies column ``a_{*k}`` by row
-    ``b_{k*}`` and produces ``nnz(a_{*k}) * nnz(b_{k*})`` entries of the
-    intermediate matrix C-hat.  This is the "block-wise nnz" the paper's
-    precalculation step computes (Section IV-B).
-    """
-    check_multipliable(a_csc.shape, b_csr.shape)
-    return a_csc.col_nnz() * b_csr.row_nnz()
-
-
-def total_expansion_work(a_csc: CSCMatrix, b_csr: CSRMatrix) -> int:
-    """Total intermediate products ``nnz(C-hat)`` for ``A @ B``."""
-    return int(expansion_work_per_pair(a_csc, b_csr).sum())
-
-
-def row_expansion_work(a_csr: CSRMatrix, b_csr: CSRMatrix) -> np.ndarray:
-    """Intermediate products generated per *output row* (row-product view).
-
-    Row ``i`` of C accumulates ``sum_{j in row i of A} nnz(b_{j*})`` products.
-    This is the paper's "row-wise nnz", used both by the row-product baseline's
-    load model and by B-Limiting's merge-row classification.  Computed by
-    :func:`repro.plan.estimate.row_flops`, after a shape check.
-    """
-    from repro.plan.estimate import row_flops
-
-    check_multipliable(a_csr.shape, b_csr.shape)
-    return row_flops(a_csr, b_csr)
 
 
 def scale(m: CSRMatrix, factor: float) -> CSRMatrix:

@@ -21,6 +21,10 @@ class TestLBI:
         cycles[0] = 100.0
         assert load_balancing_index(cycles) == pytest.approx(1 / 30)
 
+    def test_equal_loads_never_round_above_one(self):
+        # The mean of these three equal values rounds one ulp above them.
+        assert load_balancing_index(np.full(3, 699051.5144476306)) == 1.0
+
     def test_idle_gpu(self):
         assert load_balancing_index(np.zeros(30)) == 1.0
 

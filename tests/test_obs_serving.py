@@ -187,7 +187,7 @@ def _sample_stats() -> ServerStats:
     metrics.shed("multiply", "alice")
     return ServerStats(
         runtime=RuntimeStats(
-            sessions=2,
+            recipes=2,
             tenants={"alice": 1, "bob": 1},
             plan_cache=PlanCacheStats(lookups=3, hits=1, misses=2, lowers=2),
             requests=3,

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeMismatchError
+from repro.plan.estimate import multiply_flops, row_flops
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import (
-    add,
-    check_multipliable,
-    expansion_work_per_pair,
-    row_expansion_work,
-    scale,
-    spmv,
-    total_expansion_work,
-)
+from repro.sparse.ops import add, check_multipliable, scale, spmv
+from repro.spgemm.base import MultiplyContext
 
 
 class TestShapeChecks:
@@ -27,8 +21,9 @@ class TestShapeChecks:
 
 class TestExpansionWork:
     def test_pair_work_matches_definition(self, square_csr):
+        """The context's pair work, counted from CSR, is the CSC definition."""
         a_csc = square_csr.to_csc()
-        work = expansion_work_per_pair(a_csc, square_csr)
+        work = MultiplyContext.build(square_csr).pair_work
         expected = a_csc.col_nnz() * square_csr.row_nnz()
         assert np.array_equal(work, expected)
 
@@ -36,18 +31,17 @@ class TestExpansionWork:
         """nnz(C-hat) must equal the number of triplets expansion generates."""
         from repro.spgemm.expansion import expand_outer
 
-        a_csc = square_csr.to_csc()
-        rows, _, _ = expand_outer(a_csc, square_csr)
-        assert total_expansion_work(a_csc, square_csr) == len(rows)
+        rows, _, _ = expand_outer(square_csr.to_csc(), square_csr)
+        assert multiply_flops(square_csr, square_csr) == len(rows)
 
     def test_row_work_sums_to_total(self, square_csr):
-        total = total_expansion_work(square_csr.to_csc(), square_csr)
-        assert row_expansion_work(square_csr, square_csr).sum() == total
+        total = multiply_flops(square_csr, square_csr)
+        assert row_flops(square_csr, square_csr).sum() == total
 
     def test_row_work_per_row(self):
         # A = [[1, 1], [0, 1]]; B rows have 2 and 1 entries.
         a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        work = row_expansion_work(a, a)
+        work = row_flops(a, a)
         # row 0 of C: uses B rows 0 (2 entries) and 1 (1 entry) -> 3.
         assert work[0] == 3
         # row 1 of C: uses B row 1 -> 1.

@@ -9,6 +9,9 @@ for (which is why the key holds none).
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -21,7 +24,7 @@ from repro.bench.runner import paper_algorithms
 from repro.core.adaptive import AdaptiveBlockReorganizer
 from repro.core.reorganizer import BlockReorganizer
 from repro.gpusim.config import ALL_GPUS
-from repro.plan.cache import NumericRecipe, PlanCache, structure_fingerprint
+from repro.plan.cache import STRIPES, NumericRecipe, PlanCache, structure_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.outerproduct import OuterProductSpGEMM
@@ -247,7 +250,7 @@ class TestFillTimeVerification:
 
 
 class TestIterativeSession:
-    """One scheme-bound cache held across a loop (the runtime's warm session)."""
+    """One scheme-bound cache held across a loop (the runtime's warm cache)."""
 
     def test_counters_and_reuse(self, rng):
         cache = PlanCache(RowProductSpGEMM())
@@ -267,6 +270,77 @@ class TestIterativeSession:
         wrapped = PlanCache.wrap(algo)
         assert isinstance(wrapped, PlanCache)
         assert wrapped.algorithm is algo
+
+
+def _run_threads(targets) -> list[BaseException]:
+    """Run each target on its own thread; return what they raised."""
+    errors: list[BaseException] = []
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    return errors
+
+
+class TestThreadSafety:
+    """One cache shared between threads, as the runtime shares each one."""
+
+    def test_concurrent_callers_of_a_new_structure_lower_once(self, rng):
+        class SlowLowering(RowProductSpGEMM):
+            def lower(self, ctx, config):
+                time.sleep(0.05)  # let the other callers reach the cache
+                return super().lower(ctx, config)
+
+        a = random_csr(rng, 60, 60, 0.1)
+        cold = RowProductSpGEMM().multiply(MultiplyContext.build(a))
+        cache = PlanCache(SlowLowering())
+        barrier = threading.Barrier(8, timeout=10)
+        results = []
+
+        def call():
+            barrier.wait()
+            results.append(cache.multiply(a))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose lost updates
+        try:
+            assert not _run_threads([call] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats
+        assert (stats.lookups, stats.hits, stats.lowers) == (8, 7, 1)
+        for result in results:
+            _assert_bit_identical(result, cold)
+
+    def test_distinct_structures_lower_concurrently(self, rng):
+        """Each lowering waits for the other at a barrier, so a cache that
+        serialised distinct structures would break it."""
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Rendezvous(RowProductSpGEMM):
+            def lower(self, ctx, config):
+                barrier.wait()
+                return super().lower(ctx, config)
+
+        def stripe(m):
+            return int(structure_fingerprint(m, m)[:8], 16) % STRIPES
+
+        a = random_csr(rng, 30, 30, 0.1)
+        b = random_csr(rng, 31, 31, 0.1)
+        while stripe(b) == stripe(a):
+            b = random_csr(rng, 31, 31, 0.1)
+        cache = PlanCache(Rendezvous())
+        assert not _run_threads([partial(cache.multiply, a), partial(cache.multiply, b)])
+        assert cache.stats.lowers == 2
 
 
 class TestIterativeApps:

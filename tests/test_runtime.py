@@ -44,28 +44,25 @@ class TestRuntimeConfig:
         config = RuntimeConfig()
         assert config.resolved_workers == 1
         assert config.resolved_exec_workers == 1
-        assert config.plan_cache_entries == 64
-        assert config.sessions_per_tenant == 32
+        assert config.plan_cache_entries == 32
 
     def test_from_args_maps_flags(self):
         args = argparse.Namespace(
-            gpu="TeslaV100", workers=3, no_cache=True,
-            plan_cache_entries=5, sessions_per_tenant=2,
+            gpu="TeslaV100", workers=3, no_cache=True, plan_cache_entries=5,
         )
         config = RuntimeConfig.from_args(args)
         assert config.gpu.name == "Tesla V100"
         assert config.workers == 3
         assert config.use_result_cache is False
         assert config.plan_cache_entries == 5
-        assert config.sessions_per_tenant == 2
 
     def test_from_args_ignores_missing_flags(self):
         config = RuntimeConfig.from_args(argparse.Namespace())
         assert config == RuntimeConfig()
 
     def test_invalid_session_quota_rejected(self):
-        with pytest.raises(ConfigurationError, match="sessions_per_tenant"):
-            RuntimeConfig(sessions_per_tenant=0)
+        with pytest.raises(ConfigurationError, match="plan_cache_entries"):
+            RuntimeConfig(plan_cache_entries=0)
 
     def test_unknown_gpu_is_repro_error(self):
         with pytest.raises(ReproError, match="unknown GPU"):
@@ -93,7 +90,7 @@ class TestRuntimeFacade:
         assert first.result.data.tobytes() == second.result.data.tobytes()
 
     def test_warm_multiply_hashes_the_structure_once(self, rng, monkeypatch):
-        """The session pool's fingerprint is also the plan cache's key."""
+        """The runtime's fingerprint is also the plan cache's key."""
         from repro.plan import cache
         from repro.runtime import core
 
@@ -116,7 +113,7 @@ class TestRuntimeFacade:
 
     def test_scheme_instances_keep_their_own_sessions(self, rng):
         """Two differently-configured instances of one scheme, run through
-        one runtime on one operand, each get their own warm session and
+        one runtime on one operand, each get their own warm cache and
         return their own bits, cold and replayed."""
         a = power_law(1000, 6000, seed=0).to_csr()
         a = CSRMatrix(a.shape, a.indptr, a.indices, rng.standard_normal(a.nnz))
@@ -130,7 +127,7 @@ class TestRuntimeFacade:
                     assert outcome.replayed is replayed
                     assert outcome.result.data.tobytes() == expected.data.tobytes()
             stats = rt.stats()
-        assert (stats.sessions, stats.plan_cache.lowers) == (2, 2)
+        assert (stats.recipes, stats.plan_cache.lowers) == (2, 2)
 
     def test_scheme_name_resolves_to_the_runtime_instance(self, rng):
         a, b = _pair(rng)
@@ -138,7 +135,7 @@ class TestRuntimeFacade:
             rt.multiply("row-product", a, b)
             assert rt.multiply(rt.algorithm("row-product"), a, b).replayed
             assert not rt.multiply(RowProductSpGEMM(), a, b).replayed
-            assert rt.stats().sessions == 2
+            assert rt.stats().recipes == 2
 
     def test_unknown_algorithm_raises(self, rng):
         a, b = _pair(rng)
@@ -155,33 +152,50 @@ class TestRuntimeFacade:
             rt.multiply("row-product", c, d, tenant="alice")
             rt.multiply("row-product", a, b, tenant="bob")
             stats = rt.stats()
-        assert stats.sessions == 3
+        assert stats.recipes == 3
         assert stats.tenants == {"alice": 2, "bob": 1}
         assert stats.requests == 4
 
     def test_per_tenant_lru_eviction(self, rng):
         pairs = [_pair(rng, n=20 + 3 * i) for i in range(3)]
-        with Runtime(RuntimeConfig(sessions_per_tenant=2)) as rt:
+        with Runtime(RuntimeConfig(plan_cache_entries=2)) as rt:
             for a, b in pairs:
                 rt.multiply("row-product", a, b, tenant="alice")
             stats = rt.stats()
-            assert stats.sessions == 2
-            assert stats.sessions_evicted == 1
-            # Evicted sessions keep counting: retired counters are folded in.
+            assert stats.recipes == 2
+            assert stats.plan_cache.evictions == 1
             assert stats.plan_cache.lowers == 3
-            # The evicted structure re-lowers on return (its plans are gone).
+            # The evicted structure re-lowers on return (its recipe is gone).
             outcome = rt.multiply("row-product", *pairs[0], tenant="alice")
             assert not outcome.replayed
-            assert rt.stats().sessions_evicted == 2
+            assert rt.stats().plan_cache.evictions == 2
 
     def test_eviction_is_scoped_to_one_tenant(self, rng):
         pairs = [_pair(rng, n=20 + 3 * i) for i in range(3)]
-        with Runtime(RuntimeConfig(sessions_per_tenant=2)) as rt:
+        with Runtime(RuntimeConfig(plan_cache_entries=2)) as rt:
             rt.multiply("row-product", *pairs[0], tenant="bob")
-            for a, b in pairs:
-                rt.multiply("row-product", a, b, tenant="alice")
-            # bob's single session survived alice's churn: replay, not lower.
+            rt.multiply("row-product", *pairs[0], tenant="alice")
+            rt.multiply("row-product", *pairs[1], tenant="alice")
+            assert rt.multiply("row-product", *pairs[0], tenant="alice").replayed
+            # alice's third structure evicts her least recently used recipe.
+            rt.multiply("row-product", *pairs[2], tenant="alice")
+            stats = rt.stats()
+            assert stats.plan_cache.evictions == 1
+            assert stats.tenants == {"bob": 1, "alice": 2}
+            assert rt.multiply("row-product", *pairs[0], tenant="alice").replayed
+            assert not rt.multiply("row-product", *pairs[1], tenant="alice").replayed
+            # bob's single recipe survived alice's churn: replay, not lower.
             assert rt.multiply("row-product", *pairs[0], tenant="bob").replayed
+
+    def test_close_drops_recipes_and_keeps_counters(self, rng):
+        a, b = _pair(rng)
+        rt = Runtime(RuntimeConfig())
+        rt.multiply("row-product", a, b)
+        rt.multiply("row-product", a, b)
+        rt.close()
+        stats = rt.stats()
+        assert stats.recipes == 0
+        assert (stats.plan_cache.lowers, stats.plan_cache.hits, stats.requests) == (1, 1, 2)
 
     def test_closed_runtime_rejects_work(self, rng):
         a, b = _pair(rng)
@@ -205,6 +219,25 @@ class TestRuntimeFacade:
         assert scores.tobytes() == pagerank_spgemm(adj, algo).scores.tobytes()
         assert reach.data.tobytes() == k_hop_reachability(adj, 3, algo).data.tobytes()
         assert sim.data.tobytes() == cosine_similarity(adj, algo).data.tobytes()
+
+    def test_similarity_metrics_share_one_recipe(self):
+        """common, cosine and jaccard all multiply A @ A^T: the first call
+        lowers, the other two replay, and each returns the direct bits."""
+        from repro.apps import similarity as sim
+
+        adj = power_law(300, 1500, seed=0).to_csr()
+        direct = {
+            "common": sim.common_neighbors,
+            "cosine": sim.cosine_similarity,
+            "jaccard": sim.jaccard_similarity,
+        }
+        with Runtime(RuntimeConfig()) as rt:
+            for metric, fn in direct.items():
+                got = rt.similarity("row-product", adj, metric)
+                assert got.data.tobytes() == fn(adj, RowProductSpGEMM()).data.tobytes()
+            stats = rt.stats()
+        assert (stats.plan_cache.lowers, stats.plan_cache.hits) == (1, 2)
+        assert stats.recipes == 1
 
     def test_unknown_similarity_metric(self, rng):
         adj = random_csr(rng, 10, 10, 0.2)
@@ -281,7 +314,7 @@ class TestConcurrentSessions:
         assert len(outputs) == 12
         for result in outputs:
             assert result.data.tobytes() == serial.data.tobytes()
-        assert stats.sessions == 1
+        assert stats.recipes == 1
         assert stats.plan_cache.lowers == 1  # 11 of 12 replayed
 
     def test_tenants_do_not_cross_contaminate(self, rng):
@@ -307,8 +340,8 @@ class TestConcurrentSessions:
                 t.join()
             assert not errors
             stats = rt.stats()
-        # Same structure, different tenants: separate sessions, separate
-        # caches — each tenant pays its own lowering (quota isolation).
+        # Same structure, different tenants: separate caches — each tenant
+        # pays its own lowering (quota isolation).
         assert stats.tenants == {"alice": 1, "bob": 1}
         assert stats.plan_cache.lowers == 2
 
@@ -329,7 +362,7 @@ dense = (rng.random((200, 200)) < 0.1) * rng.random((200, 200))
 a = CSRMatrix.from_dense(dense)
 rt = ReportingRuntime(RuntimeConfig())
 lifecycle.install(rt)
-rt.multiply("row-product", a, a)   # a warm session and plan cache
+rt.multiply("row-product", a, a)   # a warm plan cache
 print("ready", flush=True)
 import time
 time.sleep(60)

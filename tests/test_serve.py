@@ -10,6 +10,7 @@ lowerings, admission control and error mapping.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
 import logging
 import math
@@ -217,7 +218,7 @@ class TestMicroBatcher:
 @pytest.fixture
 def serve_url():
     """A live server over a fresh runtime; yields its base URL."""
-    runtime = Runtime(RuntimeConfig(plan_cache_entries=16, sessions_per_tenant=4))
+    runtime = Runtime(RuntimeConfig(plan_cache_entries=4))
     thread = ServerThread(
         runtime,
         ServeConfig(port=0, admission=AdmissionConfig(max_inflight=2, batch_window=0.01)),
@@ -275,8 +276,8 @@ class TestServer:
         assert identical(csr_from_wire(second["result"]), expected)
 
     def test_multiply_hashes_the_structure_once(self, serve_url, rng, monkeypatch):
-        """The batching key's fingerprint is also the session pool's and the
-        plan cache's: one structure hash per served multiply, cold or warm."""
+        """The batching key's fingerprint is also the plan cache's: one
+        structure hash per served multiply, cold or warm."""
         import repro.serve.server as server_mod
         from repro.plan import cache
         from repro.runtime import core
@@ -296,6 +297,37 @@ class TestServer:
             status, reply = _post(serve_url, "/v1/multiply", body)
             assert (status, reply["replayed"]) == (200, replayed)
             assert len(calls) == 1
+
+    def test_pagerank_hashes_two_structures_once(self, serve_url, rng, monkeypatch):
+        """A served PageRank hashes the adjacency once for its batching key
+        and the loop's operands once, whatever its iteration count."""
+        import repro.serve.server as server_mod
+        from repro.plan import cache
+        from repro.runtime import core
+
+        # ``repro.apps.pagerank`` is also the name of a function re-exported
+        # by ``repro.apps``; import the module itself.
+        pagerank_mod = importlib.import_module("repro.apps.pagerank")
+        calls = []
+        fingerprint = cache.structure_fingerprint
+
+        def counting(x, y):
+            calls.append(1)
+            return fingerprint(x, y)
+
+        for module in (server_mod, core, cache, pagerank_mod):
+            monkeypatch.setattr(module, "structure_fingerprint", counting)
+        adjacency = csr_to_wire(random_csr(rng, 30, 30, 0.15))
+        for max_iter in (3, 12):
+            calls.clear()
+            status, reply = _post(
+                serve_url,
+                "/v1/pagerank",
+                {"algorithm": "row-product", "adjacency": adjacency, "tol": 0.0,
+                 "max_iter": max_iter},
+            )
+            assert (status, reply["iterations"]) == (200, max_iter)
+            assert len(calls) == 2
 
     def test_concurrent_shared_structure_amortises(self, serve_url, rng):
         a = random_csr(rng, 30, 30, 0.15)

@@ -16,7 +16,8 @@ and checks each one *without executing anything*:
 * every option of the ``serve`` subparser must be mentioned in README.md
   AND in the docs/OPERATIONS.md runbook — the serving front-end is
   configured entirely through its flags, so an undocumented flag is a docs
-  bug.
+  bug — and every ``| `--flag` |`` row of the runbook's flag reference
+  must be an option of that subparser.
 * every out-of-core flag (``repro.cli.OOCORE_FLAGS``) must be registered on
   the ``run``, ``compare`` and ``bench`` subparsers and mentioned in both
   README.md and EXPERIMENTS.md (where the full-scale instructions live).
@@ -27,6 +28,10 @@ and checks each one *without executing anything*:
   declarations (:func:`repro.obs.counters.field_names` and
   :func:`~repro.obs.counters.family_names` of
   :class:`repro.serve.server.ServerStats`), the ones the server renders.
+  The other direction holds too: each glossary bullet's leading name must
+  be a declared field, and each row of the ``| family | type | `/stats`
+  field |`` table a family ``/metrics`` can emit (the renamed-families
+  table is history and is not checked).
 
 Inline spans containing ``<`` are templates (``repro experiment <name>``)
 and are skipped; fenced commands must be concrete.  Exits non-zero listing
@@ -43,6 +48,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import re
 import shlex
 import sys
@@ -178,17 +184,62 @@ def _serve_option_strings() -> list[str]:
     return _subparser_option_strings("serve")
 
 
+def _section(text: str, heading: str) -> str:
+    """The ``## heading`` section of a markdown text, up to the next one."""
+    match = re.search(rf"^## {re.escape(heading)}.*?(?=^## |\Z)", text, re.M | re.S)
+    return match.group(0) if match else ""
+
+
+def _leading_names(lines, prefix: str) -> list[str]:
+    """The backticked name opening each line that starts with ``prefix``."""
+    names = []
+    for line in lines:
+        line = line.strip()
+        if line.startswith(prefix + "`"):
+            names.append(line[len(prefix) + 1:].split("`", 1)[0])
+    return names
+
+
+def _flag_rows(text: str) -> list[str]:
+    """Flags named by the rows of OPERATIONS' flag reference tables."""
+    return _leading_names(_section(text, "Flag reference").splitlines(), "| ")
+
+
+def _glossary_names(text: str) -> list[str]:
+    """Leading names of the ``/stats`` glossary's bullets."""
+    return _leading_names(_section(text, "`/stats` field glossary").splitlines(), "- ")
+
+
+def _family_rows(text: str) -> list[str]:
+    """Families named by the ``| family | type | `/stats` field |`` table."""
+    lines = _section(text, "`/metrics`").splitlines()
+    start = next((i for i, line in enumerate(lines) if line.startswith("| family |")), None)
+    if start is None:
+        return []
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 1:])
+    return _leading_names(table, "| ")
+
+
 def check_serve_flags() -> list[tuple[str, int, str, str]]:
-    """Every serve flag must appear in README.md AND the operator runbook."""
+    """Every serve flag must appear in README.md AND the operator runbook,
+    and every flag row of the runbook must be a serve flag."""
     failures = []
+    options = _serve_option_strings()
     for doc in ("README.md", "docs/OPERATIONS.md"):
         path = ROOT / doc
         text = path.read_text(encoding="utf-8") if path.exists() else ""
         failures.extend(
             (doc, 0, f"serve flag {flag}", f"not documented in {doc}")
-            for flag in _serve_option_strings()
+            for flag in options
             if flag not in text
         )
+    runbook = ROOT / "docs/OPERATIONS.md"
+    text = runbook.read_text(encoding="utf-8") if runbook.exists() else ""
+    failures.extend(
+        ("docs/OPERATIONS.md", 0, f"serve flag {flag}", "documented but not a serve option")
+        for flag in _flag_rows(text)
+        if flag not in options
+    )
     return failures
 
 
@@ -262,6 +313,16 @@ def check_stats_glossary() -> list[tuple[str, int, str, str]]:
         for name in family_names(ServerStats)
         if name not in exported
     ]
+    failures += [
+        ("docs/OPERATIONS.md", 0, f"/stats field {name}", "in the glossary but not declared")
+        for name in _glossary_names(text)
+        if name not in field_names(ServerStats)
+    ]
+    failures += [
+        ("docs/OPERATIONS.md", 0, f"/metrics family {name}", "in the table but not emitted")
+        for name in _family_rows(text)
+        if name not in family_names(ServerStats)
+    ]
     return failures
 
 
@@ -289,6 +350,9 @@ def main() -> int:
 
     failures.extend(check_stats_glossary())
     checked += len(field_names(ServerStats)) + len(family_names(ServerStats))
+    runbook = ROOT / "docs/OPERATIONS.md"
+    text = runbook.read_text(encoding="utf-8") if runbook.exists() else ""
+    checked += sum(len(rows(text)) for rows in (_flag_rows, _glossary_names, _family_rows))
     for doc, lineno, cmd, error in failures:
         print(f"{doc}:{lineno}: {cmd!r}: {error}", file=sys.stderr)
     status = "FAILED" if failures else "ok"
