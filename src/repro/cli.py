@@ -24,8 +24,7 @@ Commands:
                           Perfetto-loadable Chrome trace.
 * ``serve``             — long-lived multiply-as-a-service HTTP front-end
                           (:mod:`repro.serve`): warm per-tenant plan caches
-                          keyed by structure fingerprint, micro-batching,
-                          admission control.
+                          keyed by structure fingerprint, admission control.
 
 Every command is a thin adapter over one :class:`repro.runtime.Runtime`,
 which owns the plan caches; the CLI itself constructs none.
@@ -408,8 +407,6 @@ def _cmd_serve(args: argparse.Namespace, runtime: Runtime) -> int:
         admission = serve.AdmissionConfig(
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
             request_timeout=args.request_timeout,
             max_inflight_flops=args.max_inflight_flops,
         )
@@ -525,15 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
         help="admitted requests waiting beyond max-inflight before 503 (default 64)",
-    )
-    p.add_argument(
-        "--batch-window", type=float, default=0.002, metavar="SECONDS",
-        help="how long a request waits for structural twins to share a "
-             "micro-batch (default 0.002)",
-    )
-    p.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="micro-batch size cap per structure fingerprint (default 16)",
     )
     p.add_argument(
         "--request-timeout", type=float, default=60.0, metavar="SECONDS",

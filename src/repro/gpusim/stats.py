@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpusim.config import GPUConfig
+from repro.metrics.lbi import load_balancing_index
 
 __all__ = ["PhaseStats", "KernelStats"]
 
@@ -41,10 +42,7 @@ class PhaseStats:
     @property
     def lbi(self) -> float:
         """Load Balancing Index (Equation 3): mean SM time / max SM time."""
-        peak = float(self.sm_busy_cycles.max()) if len(self.sm_busy_cycles) else 0.0
-        if peak <= 0:
-            return 1.0
-        return float(self.sm_busy_cycles.mean() / peak)
+        return load_balancing_index(self.sm_busy_cycles)
 
     @property
     def sync_stall_pct(self) -> float:
@@ -126,9 +124,7 @@ class KernelStats:
 
     def lbi(self, stage: str | None = None) -> float:
         """Load Balancing Index over all SMs (Equation 3)."""
-        busy = self.sm_busy_cycles(stage)
-        peak = float(busy.max()) if len(busy) else 0.0
-        return float(busy.mean() / peak) if peak > 0 else 1.0
+        return load_balancing_index(self.sm_busy_cycles(stage))
 
     def sm_utilization(self, stage: str | None = None) -> float:
         """Mean SM busy fraction over the (stage-filtered) makespan."""

@@ -8,9 +8,12 @@ read/write throughput (Figures 12 and 14).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.gpusim.stats import KernelStats
 from repro.metrics.lbi import load_balancing_index
+
+if TYPE_CHECKING:  # gpusim.stats imports repro.metrics for the LBI
+    from repro.gpusim.stats import KernelStats
 
 __all__ = ["StageProfile", "ProfileReport", "profile_report"]
 

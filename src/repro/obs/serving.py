@@ -52,11 +52,6 @@ __all__ = [
 #: (``tools/bench_serve.py`` asserts the agreement).
 BUCKET_BOUNDS: tuple[float, ...] = tuple(1e-5 * (2 ** (i / 2)) for i in range(46))
 
-#: Distinct tenants tracked individually before overflow into ``_other``
-#: (unbounded tenant cardinality would let a client grow /stats without
-#: limit; routes are a fixed set, so only tenants need the cap).
-MAX_TRACKED_TENANTS = 64
-
 
 class StreamingHistogram:
     """Latency histogram over :data:`BUCKET_BOUNDS` with O(1) observe.
@@ -158,7 +153,9 @@ class ServingMetrics:
 
     All mutation happens on the server's event-loop thread (observations are
     recorded after the awaited handler returns), so no lock is needed; the
-    batcher thread never touches this object.
+    batcher thread never touches this object.  The server caps the tenant
+    names it passes in (``MAX_TRACKED_TENANTS``, then ``_other``), so
+    ``tenants`` stays bounded.
     """
 
     routes: dict[str, RouteStats] = section(RouteStats, label="route")
@@ -171,21 +168,13 @@ class ServingMetrics:
     inflight_flops: int = gauge(
         "Estimated flops of admitted, unfinished work (the admission ledger).", unit="flops"
     )
-    coalescence_factor: float | None = gauge(
-        "Mean requests per dispatched micro-batch; null before the first batch.", default=None
-    )
-
-    def _tenant(self, tenant: str) -> RouteStats:
-        stats = self.tenants.get(tenant)
-        if stats is None:
-            if len(self.tenants) >= MAX_TRACKED_TENANTS:
-                tenant = "_other"
-            stats = self.tenants.setdefault(tenant, RouteStats())
-        return stats
 
     def observe(self, route: str, tenant: str, seconds: float, status: int) -> None:
         """Record one completed (or failed) request."""
-        for stats in (self.routes.setdefault(route, RouteStats()), self._tenant(tenant)):
+        for stats in (
+            self.routes.setdefault(route, RouteStats()),
+            self.tenants.setdefault(tenant, RouteStats()),
+        ):
             stats.requests += 1
             if status >= 400:
                 stats.errors += 1
@@ -194,7 +183,7 @@ class ServingMetrics:
     def shed(self, route: str, tenant: str) -> None:
         """Record an admission rejection (503) against route and tenant."""
         self.routes.setdefault(route, RouteStats()).sheds += 1
-        self._tenant(tenant).sheds += 1
+        self.tenants.setdefault(tenant, RouteStats()).sheds += 1
 
 
 class RequestTrace:

@@ -261,7 +261,7 @@ class Runtime:
 
         The outcome records whether the request was served by numeric
         replay (a prior request with this structure paid the symbolic
-        work) — the amortisation signal ``repro.serve`` reports per batch.
+        work) — the amortisation signal ``repro.serve`` reports per request.
         ``trace`` (a :class:`~repro.obs.serving.RequestTrace`) receives the
         ``session`` (cache lookup) and ``numeric`` (the multiply, including
         any wait behind a same-structure call) stages.  ``fingerprint`` is

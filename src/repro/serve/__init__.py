@@ -1,10 +1,11 @@
 """repro.serve — the asyncio multiply-as-a-service front-end.
 
-Thin HTTP layer over :class:`repro.runtime.Runtime`: requests are
-fingerprinted by operand structure, micro-batched with their structural
-twins, and executed on the tenant's warm plan cache so symbolic lowering
-is paid once per structure, not once per request.  See :mod:`repro.serve.server`
-for routes and :mod:`repro.serve.batching` for admission control.
+Thin HTTP layer over :class:`repro.runtime.Runtime`: each admitted request
+runs on arrival on the tenant's warm plan cache, which keys recipes by
+operand structure and lowers each structure once, however many callers
+share it, so symbolic lowering is paid once per structure, not once per
+request.  See :mod:`repro.serve.server` for routes and
+:mod:`repro.serve.batching` for admission control.
 """
 
 from repro.serve.batching import AdmissionConfig, BatchStats, MicroBatcher, Overloaded

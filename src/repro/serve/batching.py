@@ -1,11 +1,9 @@
-"""Micro-batching and admission control for the serve front-end.
+"""Admission control for the serve front-end.
 
-Requests are keyed by ``(tenant, route, algorithm, structure fingerprint)``.
-Requests sharing a key within one batch window are dispatched as a single
-executor task that runs them back-to-back on the same warm plan cache:
-the first pays any symbolic lowering, the rest replay numerically — one
-symbolic pass amortised across callers, which is the entire point of
-serving this workload from a long-lived process.
+A request that passes admission goes straight to a free thread of the
+executor.  Nothing waits for same-structure twins: the tenant's
+:class:`~repro.plan.cache.PlanCache` already lowers each structure once,
+however many callers reach it at the same time.
 
 Admission control is **cost-aware**: each request arrives with an estimated
 flop cost (:func:`repro.plan.estimate.multiply_flops`, computed by the
@@ -33,7 +31,7 @@ gives up: a client timeout (HTTP 504) does not un-spend the compute still
 running on the executor.
 
 Each caller waits at most ``request_timeout`` seconds for its result
-(HTTP 504; the batch keeps running — results land in the warm cache).
+(HTTP 504; the work keeps running — its recipe lands in the warm cache).
 """
 
 from __future__ import annotations
@@ -42,9 +40,10 @@ import asyncio
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.counters import counter, gauge
+from repro.obs.counters import counter, derived, gauge
+from repro.obs.serving import NULL_REQUEST_TRACE
 
 __all__ = [
     "RETRY_AFTER_MAX",
@@ -77,12 +76,10 @@ class Overloaded(Exception):
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Concurrency, queueing, batching and cost bounds for one server."""
+    """Concurrency, queueing and cost bounds for one server."""
 
     max_inflight: int = 4
     max_queue: int = 64
-    batch_window: float = 0.002
-    max_batch: int = 16
     request_timeout: float = 60.0
     max_inflight_flops: int = 0
 
@@ -91,10 +88,6 @@ class AdmissionConfig:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.request_timeout <= 0:
             raise ValueError(
                 f"request_timeout must be > 0, got {self.request_timeout}"
@@ -108,13 +101,14 @@ class AdmissionConfig:
 
 @dataclass
 class BatchStats:
-    """Counters the ``/stats`` route exposes for the batching layer.
+    """Counters the ``/stats`` route exposes for admission control.
 
     ``rejected`` remains the total shed count (pre-existing key);
     ``shed_queue`` + ``shed_cost`` break it down by reason.  ``completed``
     and ``drained_flops`` count *finished executor work* — the denominators
     of the drain rates behind ``retry_after_last``, the hint sent with the
-    most recent 503.
+    most recent 503.  Each dispatch carries one admitted request, so
+    ``batches`` and ``batched_requests`` both read ``admitted``.
     """
 
     admitted: int = counter("Requests past admission control.")
@@ -122,25 +116,23 @@ class BatchStats:
     shed_queue: int = counter("Sheds by the depth bound (--max-inflight + --max-queue).")
     shed_cost: int = counter("Sheds by the flop budget (--max-inflight-flops).")
     timeouts: int = counter("Requests that hit --request-timeout (504).")
-    batches: int = counter("Micro-batches dispatched.")
-    batched_requests: int = counter("Requests carried by dispatched micro-batches.")
-    largest_batch: int = gauge("Largest micro-batch dispatched so far.")
     completed: int = counter("Work items the executor finished, timed-out callers included.")
     drained_flops: int = counter("Estimated flops of completed work.", unit="flops")
     retry_after_last: int = gauge(
         "Retry-After sent with the most recent shed response.", unit="seconds"
     )
 
+    @derived(counter("Dispatches to the executor; one request each, so it equals admitted."))
+    def batches(self) -> int:
+        return self.admitted
 
-@dataclass
-class _Batch:
-    items: list = field(default_factory=list)
-    timer: object = None
-    dispatched: bool = False
+    @derived(counter("Requests carried by executor dispatches; equals admitted."))
+    def batched_requests(self) -> int:
+        return self.admitted
 
 
 class MicroBatcher:
-    """Groups same-key requests into executor tasks; enforces admission.
+    """Admits each request and hands it straight to its executor.
 
     Must be used from a single event loop; the work callables run on the
     owned :class:`ThreadPoolExecutor` (width = ``max_inflight``) and their
@@ -151,7 +143,6 @@ class MicroBatcher:
     def __init__(self, config: AdmissionConfig) -> None:
         self.config = config
         self.stats = BatchStats()
-        self._open: dict[tuple, _Batch] = {}
         self._inflight = 0
         self._inflight_flops = 0
         self._started = time.monotonic()
@@ -185,12 +176,11 @@ class MicroBatcher:
         self.stats.retry_after_last = retry_after
         raise Overloaded(message, reason=reason, retry_after=retry_after)
 
-    def admit(self, cost: int = 0) -> None:
+    def _admit(self, cost: int) -> None:
         """Check both admission bounds for a request of estimated ``cost``.
 
         Raises :class:`Overloaded` (with reason and retry hint) without
-        mutating the ledger; on success the caller proceeds to
-        :meth:`submit`, which spends the admission.
+        mutating the ledger.
         """
         elapsed = max(1e-9, time.monotonic() - self._started)
         capacity = self.config.max_inflight + self.config.max_queue
@@ -216,23 +206,28 @@ class MicroBatcher:
                 ),
             )
 
-    async def submit(self, key: tuple, work, cost: int = 0) -> object:
-        """Admit ``work`` under ``key``, await (with timeout) its result.
+    async def submit(self, work, cost: int = 0, trace=NULL_REQUEST_TRACE) -> object:
+        """Admit ``work``, run it on a free executor thread, await its result.
 
         ``cost`` is the request's estimated flop count; it is charged to
         the inflight ledger on admission and drained when the executor
-        finishes the work (a caller timeout does not refund it).  Raises
-        :class:`Overloaded` when shed and :class:`TimeoutError` after
-        ``request_timeout`` seconds.
+        finishes the work (a caller timeout does not refund it).  ``trace``
+        (a :class:`~repro.obs.serving.RequestTrace`) receives the
+        ``admission`` stage and the ``batch_wait`` stage, the wait for a
+        free executor thread.  Raises :class:`Overloaded` when shed and
+        :class:`TimeoutError` after ``request_timeout`` seconds.
         """
         loop = asyncio.get_running_loop()
-        self.admit(cost)
+        with trace.stage("admission", estimated_flops=cost):
+            self._admit(cost)
         self._inflight += 1
         self._inflight_flops += cost
         self.stats.admitted += 1
         future: asyncio.Future = loop.create_future()
         future.add_done_callback(self._release)
-        self._enqueue(loop, key, work, future, cost)
+        self._executor.submit(
+            self._run, loop, work, future, cost, trace, trace.elapsed()
+        )
         try:
             return await asyncio.wait_for(future, self.config.request_timeout)
         except asyncio.TimeoutError:
@@ -250,48 +245,19 @@ class MicroBatcher:
         self.stats.completed += 1
         self.stats.drained_flops += cost
 
-    def _enqueue(self, loop, key: tuple, work, future, cost: int) -> None:
-        batch = self._open.get(key)
-        if batch is None or batch.dispatched:
-            batch = _Batch()
-            self._open[key] = batch
-            batch.timer = loop.call_later(
-                self.config.batch_window, self._dispatch, loop, key, batch
-            )
-        batch.items.append((work, future, cost))
-        if len(batch.items) >= self.config.max_batch:
-            self._dispatch(loop, key, batch)
-
-    def _dispatch(self, loop, key: tuple, batch: _Batch) -> None:
-        if batch.dispatched:
-            return
-        batch.dispatched = True
-        if batch.timer is not None:
-            batch.timer.cancel()
-        if self._open.get(key) is batch:
-            del self._open[key]
-        self.stats.batches += 1
-        self.stats.batched_requests += len(batch.items)
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch.items))
-        self._executor.submit(self._run_batch, loop, list(batch.items))
-
-    def _run_batch(self, loop, items) -> None:
-        """Executor side: run a batch back-to-back, post results to the loop."""
-        for work, future, cost in items:
-            try:
-                result = work()
-            except BaseException as exc:  # delivered to the awaiting handler
-                loop.call_soon_threadsafe(_resolve, future, None, exc)
-            else:
-                loop.call_soon_threadsafe(_resolve, future, result, None)
-            loop.call_soon_threadsafe(self._drain, cost)
+    def _run(self, loop, work, future, cost: int, trace, queued_at: float) -> None:
+        """Executor side: run one request, post its result to the loop."""
+        trace.record("batch_wait", queued_at, trace.elapsed() - queued_at)
+        try:
+            result = work()
+        except BaseException as exc:  # delivered to the awaiting handler
+            loop.call_soon_threadsafe(_resolve, future, None, exc)
+        else:
+            loop.call_soon_threadsafe(_resolve, future, result, None)
+        loop.call_soon_threadsafe(self._drain, cost)
 
     def close(self) -> None:
         """Stop accepting work and drain the executor."""
-        for batch in self._open.values():
-            if batch.timer is not None:
-                batch.timer.cancel()
-        self._open.clear()
         self._executor.shutdown(wait=True)
 
 

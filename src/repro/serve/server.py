@@ -7,7 +7,7 @@ exposing the numeric plane to concurrent callers:
 route                        body
 ===========================  ========================================================
 ``GET /healthz``             — liveness probe
-``GET /stats``               — runtime + batching + per-route serving counters
+``GET /stats``               — runtime + admission + per-route serving counters
 ``GET /metrics``             — the same counters in Prometheus text format
 ``POST /v1/multiply``        ``{"algorithm", "a", "b"?}``
 ``POST /v1/pagerank``        ``{"algorithm", "adjacency", "damping"?, "tol"?, "max_iter"?}``
@@ -17,7 +17,8 @@ route                        body
 
 Matrices use the wire format of :mod:`repro.serve.protocol`; the optional
 ``X-Tenant`` header scopes requests to a tenant's plan caches (and hence
-its recipe quota).
+its recipe quota).  The first :data:`MAX_TRACKED_TENANTS` names a server
+sees get their own caches and histograms; later ones share ``_other``.
 
 Request lifecycle (each stage is a span on the request's
 :class:`~repro.obs.serving.RequestTrace`)::
@@ -28,11 +29,11 @@ Request lifecycle (each stage is a span on the request's
 ``parse`` decodes the JSON body; ``validate`` rebuilds and checks the CSR
 operands at the trust boundary; ``admission`` estimates the request's flop
 cost (:func:`repro.plan.estimate.multiply_flops`) and checks it against the
-``--max-inflight-flops`` budget; ``batch_wait`` is the queue time until a
-micro-batch picks the request up (:mod:`repro.serve.batching` coalesces
-same-structure requests); ``session``/``numeric`` are recorded inside the
+``--max-inflight-flops`` budget; ``batch_wait`` is the wait for a free
+executor thread (:mod:`repro.serve.batching` dispatches each admitted
+request on arrival); ``session``/``numeric`` are recorded inside the
 runtime (cache lookup, then the multiply itself, including any wait
-behind a same-structure call);
+behind a same-structure call, whose lowering the plan cache runs once);
 ``serialize`` encodes the JSON response body, once, so the stage
 covers the whole encoding cost.  Responses are bit-identical to
 the batch CLI path because both route through the same
@@ -80,6 +81,7 @@ from repro.serve.protocol import (
 __all__ = [
     "MAX_BODY_BYTES",
     "MAX_ITERATIONS",
+    "MAX_TRACKED_TENANTS",
     "ServeConfig",
     "Server",
     "ServerStats",
@@ -103,6 +105,12 @@ MAX_BODY_BYTES = 64 << 20
 #: 50x pagerank's default of 200 iterations.
 MAX_ITERATIONS = 10_000
 
+#: Distinct ``X-Tenant`` names one server keeps apart; later names share
+#: ``_other``.  Each name costs a plan cache per scheme and a ``/stats``
+#: entry in two maps, so a client must not be able to create them without
+#: limit.
+MAX_TRACKED_TENANTS = 64
+
 #: Most trace files one server writes into ``--trace-dir`` (slow requests
 #: under sustained overload must not fill the disk).
 TRACE_FILE_CAP = 128
@@ -114,7 +122,7 @@ class Unprocessable(Exception):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Where to listen, admission/batching bounds, and trace sampling.
+    """Where to listen, admission bounds, and trace sampling.
 
     ``trace_dir=None`` disables per-request trace export; otherwise any
     request slower than ``trace_slow_ms`` milliseconds writes its span tree
@@ -138,6 +146,7 @@ class Server:
         self.config = config if config is not None else ServeConfig()
         self.batcher = MicroBatcher(self.config.admission)
         self.metrics = ServingMetrics()
+        self._tenants: set[str] = set()
         self._server: asyncio.AbstractServer | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -229,7 +238,7 @@ class Server:
         route, handler = entry
         if method != "POST":
             return 405, {"error": f"{path} requires POST"}, {}
-        tenant = headers.get("x-tenant", "default") or "default"
+        tenant = self._tenant(headers.get("x-tenant", "default") or "default")
         trace = RequestTrace(route, tenant)
         extra: dict[str, str] = {}
         shed = False
@@ -262,6 +271,15 @@ class Server:
         self._maybe_export_trace(trace, status)
         return status, payload, extra
 
+    def _tenant(self, name: str) -> str:
+        """``name``, or ``_other`` once :data:`MAX_TRACKED_TENANTS` others
+        have been seen.  Runs on the loop thread, which owns the set."""
+        if name not in self._tenants:
+            if len(self._tenants) >= MAX_TRACKED_TENANTS:
+                return "_other"
+            self._tenants.add(name)
+        return name
+
     # -- request handlers ----------------------------------------------
     def _estimate_cost(self, a, b, trace) -> int:
         """Flop cost of ``a @ b`` for admission, at the trust boundary.
@@ -280,18 +298,6 @@ class Server:
         trace.add(estimated_flops=cost)
         return cost
 
-    async def _submit(self, key: tuple, work_fn, cost: int, trace):
-        """Admit + enqueue; record queue time as the ``batch_wait`` stage."""
-        queued_at = trace.elapsed()
-
-        def work():
-            trace.record("batch_wait", queued_at, trace.elapsed() - queued_at)
-            return work_fn()
-
-        with trace.stage("admission", estimated_flops=cost):
-            self.batcher.admit(cost)
-        return await self.batcher.submit(key, work, cost)
-
     async def _multiply(self, body: dict, tenant: str, trace) -> bytes:
         with trace.stage("validate"):
             algorithm = str(require(body, "algorithm"))
@@ -299,9 +305,7 @@ class Server:
             b = csr_from_wire(body["b"], "b") if body.get("b") is not None else None
             fingerprint = structure_fingerprint(a, a if b is None else b)
         cost = self._estimate_cost(a, a if b is None else b, trace)
-        key = (tenant, "multiply", algorithm, fingerprint)
-        outcome = await self._submit(
-            key,
+        outcome = await self.batcher.submit(
             lambda: self.runtime.multiply(
                 algorithm, a, b, tenant=tenant, trace=trace, fingerprint=fingerprint
             ),
@@ -324,11 +328,8 @@ class Server:
             damping = scalar(body, "damping", float, 0.85)
             tol = scalar(body, "tol", float, 1e-10)
             max_iter = _iterations(body, "max_iter", 200)
-            fingerprint = structure_fingerprint(adjacency, adjacency)
         cost = self._estimate_cost(adjacency, adjacency, trace)
-        key = (tenant, "pagerank", algorithm, fingerprint)
-        result = await self._submit(
-            key,
+        result = await self.batcher.submit(
             lambda: self.runtime.pagerank(
                 algorithm,
                 adjacency,
@@ -356,11 +357,8 @@ class Server:
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
             k = _iterations(body, "k", 2)
-            fingerprint = structure_fingerprint(adjacency, adjacency)
         cost = self._estimate_cost(adjacency, adjacency, trace)
-        key = (tenant, f"reach:{k}", algorithm, fingerprint)
-        result = await self._submit(
-            key,
+        result = await self.batcher.submit(
             lambda: self.runtime.reachability(
                 algorithm, adjacency, k, tenant=tenant, trace=trace
             ),
@@ -375,11 +373,8 @@ class Server:
             algorithm = str(require(body, "algorithm"))
             adjacency = csr_from_wire(require(body, "adjacency"), "adjacency")
             metric = str(body.get("metric", "common"))
-            fingerprint = structure_fingerprint(adjacency, adjacency)
         cost = self._estimate_cost(adjacency, adjacency, trace)
-        key = (tenant, f"sim:{metric}", algorithm, fingerprint)
-        result = await self._submit(
-            key,
+        result = await self.batcher.submit(
             lambda: self.runtime.similarity(
                 algorithm, adjacency, metric, tenant=tenant, trace=trace
             ),
@@ -423,10 +418,6 @@ class Server:
         serving = self.metrics
         serving.queue_depth = self.batcher.queue_depth
         serving.inflight_flops = self.batcher.inflight_flops
-        # How well the batch window coalesces: mean requests per dispatch.
-        serving.coalescence_factor = (
-            batching.batched_requests / batching.batches if batching.batches else None
-        )
         return ServerStats(runtime=self.runtime.stats(), batching=batching, serving=serving)
 
 

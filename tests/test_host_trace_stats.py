@@ -1,5 +1,7 @@
 """Tests for the host cost model, kernel traces and stats containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,11 @@ class TestKernelStats:
     def test_lbi_bounds(self):
         stats = self._stats()
         assert 0.0 < stats.lbi() <= 1.0
+        # Equal loads on TITAN Xp's 30 SMs whose mean rounds one ulp above them.
+        equal = np.full(TITAN_XP.n_sms, 748310.3892336814)
+        phase = dataclasses.replace(stats.phases[0], sm_busy_cycles=equal)
+        assert phase.lbi == 1.0
+        assert KernelStats(algorithm="x", config=TITAN_XP, phases=[phase]).lbi() == 1.0
 
     def test_empty_stats(self):
         stats = KernelStats(algorithm="x", config=TITAN_XP)

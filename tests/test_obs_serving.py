@@ -20,7 +20,6 @@ from repro.metrics.promtext import parse_exposition, validate_exposition
 from repro.obs.counters import exposition, snapshot
 from repro.obs.serving import (
     BUCKET_BOUNDS,
-    MAX_TRACKED_TENANTS,
     NULL_REQUEST_TRACE,
     RequestTrace,
     ServingMetrics,
@@ -113,14 +112,6 @@ class TestServingMetrics:
         assert snap["routes"]["multiply"]["sheds"] == 1
         assert snap["routes"]["multiply"]["requests"] == 0
 
-    def test_tenant_cardinality_is_capped(self):
-        m = ServingMetrics()
-        for i in range(MAX_TRACKED_TENANTS + 10):
-            m.observe("multiply", f"tenant-{i}", 0.001, 200)
-        snap = snapshot(m)
-        assert len(snap["tenants"]) == MAX_TRACKED_TENANTS + 1  # + "_other"
-        assert snap["tenants"]["_other"]["requests"] == 10
-
     def test_buckets_render_only_in_exposition(self):
         m = ServingMetrics()
         m.observe("multiply", "default", 0.001, 200)
@@ -180,7 +171,7 @@ class TestRequestTrace:
 
 
 def _sample_stats() -> ServerStats:
-    metrics = ServingMetrics(queue_depth=1, inflight_flops=12345, coalescence_factor=1.5)
+    metrics = ServingMetrics(queue_depth=1, inflight_flops=12345)
     metrics.observe("multiply", "alice", 0.004, 200)
     metrics.observe("multiply", "alice", 0.3, 200)
     metrics.observe("pagerank", "bob", 0.02, 400)
@@ -193,8 +184,8 @@ def _sample_stats() -> ServerStats:
             requests=3,
         ),
         batching=BatchStats(
-            admitted=3, rejected=1, shed_cost=1, batches=2, batched_requests=3,
-            largest_batch=2, completed=3, drained_flops=999, retry_after_last=7,
+            admitted=3, rejected=1, shed_cost=1, completed=3, drained_flops=999,
+            retry_after_last=7,
         ),
         serving=metrics,
     )
@@ -239,8 +230,8 @@ class TestPromText:
             for labels, value in samples["repro_serving_tenants_latency_seconds_sum"]
         }
         assert sums["alice"] == stats.serving.tenants["alice"].latency.total_seconds
-        stats.serving.coalescence_factor = None
-        ((_, value),) = parse_exposition(exposition(stats))["repro_serving_coalescence_factor"]
+        stats.runtime.plan_cache.lowers = 0
+        ((_, value),) = parse_exposition(exposition(stats))["repro_requests_per_lowering"]
         assert math.isnan(value)
 
     def test_malformed_line_rejected(self):

@@ -1,4 +1,4 @@
-"""Tests for repro.serve: protocol codecs, micro-batching, the HTTP server.
+"""Tests for repro.serve: protocol codecs, admission control, the HTTP server.
 
 The server tests run a real :class:`ServerThread` over a real
 :class:`Runtime` and talk HTTP through urllib — the same path a client
@@ -36,7 +36,7 @@ from repro.serve import (
     csr_from_wire,
     csr_to_wire,
 )
-from repro.serve.server import MAX_BODY_BYTES, MAX_ITERATIONS
+from repro.serve.server import MAX_BODY_BYTES, MAX_ITERATIONS, MAX_TRACKED_TENANTS
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -100,73 +100,15 @@ class TestMicroBatcher:
     def _run(self, coro):
         return asyncio.run(coro)
 
-    def test_same_key_requests_share_a_batch(self):
-        batcher = MicroBatcher(
-            AdmissionConfig(max_inflight=1, batch_window=0.05, max_batch=8)
-        )
-
-        async def scenario():
-            jobs = [
-                asyncio.create_task(batcher.submit(("k",), lambda i=i: i * 10))
-                for i in range(4)
-            ]
-            return await asyncio.gather(*jobs)
-
-        try:
-            assert self._run(scenario()) == [0, 10, 20, 30]
-            assert batcher.stats.batches == 1
-            assert batcher.stats.batched_requests == 4
-            assert batcher.stats.largest_batch == 4
-        finally:
-            batcher.close()
-
-    def test_distinct_keys_do_not_batch(self):
-        batcher = MicroBatcher(AdmissionConfig(max_inflight=2, batch_window=0.02))
-
-        async def scenario():
-            jobs = [
-                asyncio.create_task(batcher.submit((f"k{i}",), lambda i=i: i))
-                for i in range(3)
-            ]
-            return await asyncio.gather(*jobs)
-
-        try:
-            assert self._run(scenario()) == [0, 1, 2]
-            assert batcher.stats.batches == 3
-        finally:
-            batcher.close()
-
-    def test_max_batch_dispatches_immediately(self):
-        batcher = MicroBatcher(
-            AdmissionConfig(max_inflight=1, batch_window=5.0, max_batch=2)
-        )
-
-        async def scenario():
-            # window is 5s: only the size cap can dispatch these in time.
-            jobs = [
-                asyncio.create_task(batcher.submit(("k",), lambda i=i: i))
-                for i in range(2)
-            ]
-            return await asyncio.wait_for(asyncio.gather(*jobs), timeout=2.0)
-
-        try:
-            assert self._run(scenario()) == [0, 1]
-        finally:
-            batcher.close()
-
     def test_overload_rejected(self):
-        batcher = MicroBatcher(
-            AdmissionConfig(max_inflight=1, max_queue=0, batch_window=0.0)
-        )
+        batcher = MicroBatcher(AdmissionConfig(max_inflight=1, max_queue=0))
         release = threading.Event()
 
         async def scenario():
-            first = asyncio.create_task(
-                batcher.submit(("a",), lambda: release.wait(5))
-            )
+            first = asyncio.create_task(batcher.submit(lambda: release.wait(5)))
             await asyncio.sleep(0.1)  # first is admitted and running
             with pytest.raises(Overloaded):
-                await batcher.submit(("b",), lambda: None)
+                await batcher.submit(lambda: None)
             assert batcher.stats.rejected == 1
             release.set()
             assert (await first) is True
@@ -177,14 +119,12 @@ class TestMicroBatcher:
             batcher.close()
 
     def test_request_timeout(self):
-        batcher = MicroBatcher(
-            AdmissionConfig(max_inflight=1, batch_window=0.0, request_timeout=0.1)
-        )
+        batcher = MicroBatcher(AdmissionConfig(max_inflight=1, request_timeout=0.1))
         release = threading.Event()
 
         async def scenario():
             with pytest.raises(TimeoutError):
-                await batcher.submit(("a",), lambda: release.wait(5))
+                await batcher.submit(lambda: release.wait(5))
             assert batcher.stats.timeouts == 1
             release.set()
 
@@ -194,14 +134,14 @@ class TestMicroBatcher:
             batcher.close()
 
     def test_worker_exception_propagates(self):
-        batcher = MicroBatcher(AdmissionConfig(batch_window=0.0))
+        batcher = MicroBatcher(AdmissionConfig())
 
         def boom():
             raise ValueError("exploded")
 
         async def scenario():
             with pytest.raises(ValueError, match="exploded"):
-                await batcher.submit(("a",), boom)
+                await batcher.submit(boom)
 
         try:
             self._run(scenario())
@@ -221,7 +161,7 @@ def serve_url():
     runtime = Runtime(RuntimeConfig(plan_cache_entries=4))
     thread = ServerThread(
         runtime,
-        ServeConfig(port=0, admission=AdmissionConfig(max_inflight=2, batch_window=0.01)),
+        ServeConfig(port=0, admission=AdmissionConfig(max_inflight=2)),
     )
     host, port = thread.start()
     yield f"http://{host}:{port}"
@@ -276,7 +216,7 @@ class TestServer:
         assert identical(csr_from_wire(second["result"]), expected)
 
     def test_multiply_hashes_the_structure_once(self, serve_url, rng, monkeypatch):
-        """The batching key's fingerprint is also the plan cache's: one
+        """The fingerprint the server passes down is the plan cache's: one
         structure hash per served multiply, cold or warm."""
         import repro.serve.server as server_mod
         from repro.plan import cache
@@ -299,8 +239,8 @@ class TestServer:
             assert len(calls) == 1
 
     def test_pagerank_hashes_two_structures_once(self, serve_url, rng, monkeypatch):
-        """A served PageRank hashes the adjacency once for its batching key
-        and the loop's operands once, whatever its iteration count."""
+        """A served PageRank hashes only the loop's operands, once, whatever
+        its iteration count."""
         import repro.serve.server as server_mod
         from repro.plan import cache
         from repro.runtime import core
@@ -327,7 +267,7 @@ class TestServer:
                  "max_iter": max_iter},
             )
             assert (status, reply["iterations"]) == (200, max_iter)
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     def test_concurrent_shared_structure_amortises(self, serve_url, rng):
         a = random_csr(rng, 30, 30, 0.15)
@@ -356,7 +296,9 @@ class TestServer:
         # 8 same-structure requests, one symbolic lowering: amortised.
         assert stats["runtime"]["plan_cache"]["lowers"] == 1
         assert stats["requests_per_lowering"] > 1
-        assert stats["batching"]["admitted"] == 8
+        # Each request was dispatched alone.
+        batching = stats["batching"]
+        assert batching["batches"] == batching["batched_requests"] == batching["admitted"] == 8
 
     def test_pagerank_matches_runtime_path(self, serve_url, rng):
         adj = random_csr(rng, 35, 35, 0.1)
@@ -403,6 +345,20 @@ class TestServer:
         assert tenants["alice"] == 1 and tenants["bob"] == 1
         # Separate per-tenant caches: same structure lowered once per tenant.
         assert stats["runtime"]["plan_cache"]["lowers"] == 2
+
+    def test_tenant_cardinality_is_capped(self, serve_url, rng):
+        """Names past MAX_TRACKED_TENANTS run as ``_other``: a client cannot
+        grow the runtime's caches or either /stats tenant map without limit."""
+        body = {"algorithm": "row-product", "a": csr_to_wire(random_csr(rng, 20, 20, 0.2))}
+        for i in range(MAX_TRACKED_TENANTS + 6):
+            assert _post(serve_url, "/v1/multiply", body, tenant=f"tenant-{i}")[0] == 200
+        _, stats = _get(serve_url, "/stats")
+        assert len(stats["runtime"]["tenants"]) == MAX_TRACKED_TENANTS + 1  # + "_other"
+        assert stats["runtime"]["tenants"]["_other"] == 1
+        assert stats["runtime"]["plan_cache"]["lowers"] == MAX_TRACKED_TENANTS + 1
+        tenants = stats["serving"]["tenants"]
+        assert len(tenants) == MAX_TRACKED_TENANTS + 1
+        assert tenants["_other"]["requests"] == 6
 
     def test_error_mapping(self, serve_url, rng):
         a = random_csr(rng, 10, 10, 0.3)
@@ -598,9 +554,7 @@ class TestCostAdmission:
             runtime,
             ServeConfig(
                 port=0,
-                admission=AdmissionConfig(
-                    max_inflight=2, batch_window=0.0, max_inflight_flops=50
-                ),
+                admission=AdmissionConfig(max_inflight=2, max_inflight_flops=50),
             ),
         )
         host, port = thread.start()
@@ -662,26 +616,23 @@ class TestCostAdmission:
 
     def test_retry_after_monotone_under_sustained_overload(self):
         batcher = MicroBatcher(
-            AdmissionConfig(
-                max_inflight=1, max_queue=8, batch_window=0.0,
-                max_inflight_flops=100,
-            )
+            AdmissionConfig(max_inflight=1, max_queue=8, max_inflight_flops=100)
         )
         release = threading.Event()
 
         async def scenario():
             # Prime the drain-rate estimate with one quick completed job...
-            await batcher.submit(("warm",), lambda: None, 10)
+            await batcher.submit(lambda: None, 10)
             await asyncio.sleep(0.05)  # let its drain callback land
             # ...then wedge the budget with work that never finishes.
             blocked = asyncio.get_running_loop().create_task(
-                batcher.submit(("big",), lambda: release.wait(10), 95)
+                batcher.submit(lambda: release.wait(10), 95)
             )
             await asyncio.sleep(0.05)
             hints = []
             for _ in range(4):
                 with pytest.raises(Overloaded) as excinfo:
-                    await batcher.submit(("more",), lambda: None, 50)
+                    await batcher.submit(lambda: None, 50)
                 assert excinfo.value.reason == "cost"
                 hints.append(excinfo.value.retry_after)
                 await asyncio.sleep(0.05)
@@ -699,18 +650,16 @@ class TestCostAdmission:
             batcher.close()
 
     def test_ledger_drains_after_completion(self):
-        batcher = MicroBatcher(
-            AdmissionConfig(max_inflight=1, batch_window=0.0, max_inflight_flops=100)
-        )
+        batcher = MicroBatcher(AdmissionConfig(max_inflight=1, max_inflight_flops=100))
 
         async def scenario():
-            await batcher.submit(("a",), lambda: None, 60)
+            await batcher.submit(lambda: None, 60)
             await asyncio.sleep(0.05)  # let the drain callback land
             assert batcher.inflight_flops == 0
             assert batcher.stats.drained_flops == 60
             assert batcher.stats.completed == 1
             # Budget is free again: the next 60-flop request is admitted.
-            await batcher.submit(("b",), lambda: None, 60)
+            await batcher.submit(lambda: None, 60)
 
         try:
             asyncio.run(scenario())
@@ -732,7 +681,6 @@ class TestServingObservability:
         assert latency["count"] == 3
         assert latency["p50"] is not None and latency["p99"] >= latency["p50"]
         assert stats["serving"]["tenants"]["alice"]["requests"] == 3
-        assert stats["serving"]["coalescence_factor"] >= 1.0
         assert stats["serving"]["queue_depth"] == 0
         assert stats["serving"]["inflight_flops"] == 0
 
@@ -795,7 +743,7 @@ class TestServingObservability:
         or tenant's count and total."""
         from repro.metrics.promtext import validate_exposition
 
-        admission = AdmissionConfig(batch_window=0.0, max_inflight_flops=50)
+        admission = AdmissionConfig(max_inflight_flops=50)
         thread = ServerThread(Runtime(RuntimeConfig()), ServeConfig(port=0, admission=admission))
         host, port = thread.start()
         base = f"http://{host}:{port}"
@@ -920,37 +868,29 @@ class TestServingObservability:
         assert serialize["dur"] >= 50_000  # microseconds: the encode ran in the stage
 
     def test_histograms_deterministic_across_dispatch_modes(self, rng):
-        """Immediate vs windowed micro-batch dispatch: same requests, same
-        counts, and the served results stay bit-identical to the batch path."""
+        """Every request is dispatched on arrival, the one dispatch mode: four
+        requests give four requests and four latency samples, no errors or
+        sheds, and the served results stay bit-identical to the batch path."""
         a = random_csr(rng, 30, 30, 0.15)
         b = random_csr(rng, 30, 30, 0.15)
         expected = RowProductSpGEMM().multiply(MultiplyContext.build(a, b))
         body = {"algorithm": "row-product", "a": csr_to_wire(a), "b": csr_to_wire(b)}
-        counts = {}
-        for label, max_batch in (("immediate", 1), ("windowed", 16)):
-            admission = AdmissionConfig(batch_window=0.002, max_batch=max_batch)
-            thread = ServerThread(
-                Runtime(RuntimeConfig()), ServeConfig(port=0, admission=admission)
-            )
-            host, port = thread.start()
-            try:
-                base = f"http://{host}:{port}"
-                for _ in range(4):
-                    status, reply = _post(base, "/v1/multiply", body)
-                    assert status == 200
-                    assert identical(csr_from_wire(reply["result"]), expected)
-                _, stats = _get(base, "/stats")
-                route = stats["serving"]["routes"]["multiply"]
-                counts[label] = (
-                    route["requests"], route["errors"], route["sheds"],
-                    route["latency_ms"]["count"],
-                )
-                if max_batch == 1:
-                    # Every request was dispatched on arrival, alone.
-                    assert stats["batching"]["largest_batch"] == 1
-            finally:
-                thread.stop()
-        assert counts["immediate"] == counts["windowed"] == (4, 0, 0, 4)
+        thread = ServerThread(Runtime(RuntimeConfig()), ServeConfig(port=0))
+        host, port = thread.start()
+        try:
+            base = f"http://{host}:{port}"
+            for _ in range(4):
+                status, reply = _post(base, "/v1/multiply", body)
+                assert status == 200
+                assert identical(csr_from_wire(reply["result"]), expected)
+            _, stats = _get(base, "/stats")
+        finally:
+            thread.stop()
+        route = stats["serving"]["routes"]["multiply"]
+        counts = (
+            route["requests"], route["errors"], route["sheds"], route["latency_ms"]["count"]
+        )
+        assert counts == (4, 0, 0, 4)
 
 
 class TestServeShutdown:

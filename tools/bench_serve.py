@@ -4,8 +4,9 @@ Starts the server as a subprocess (exactly as a user would: ``python -m
 repro serve``), then drives it with N concurrent clients in two phases:
 
 * **shared structure** — every client multiplies the same sparsity
-  structure, so after the first request each one is a numeric replay and
-  micro-batching amortises the single symbolic lowering across callers;
+  structure, so after the first request each one is a numeric replay: the
+  server's plan cache lowers the structure once, however many clients
+  reach it at the same time, and amortises that lowering across callers;
 * **distinct structures** — every client brings its own structure, the
   worst case for amortisation (one lowering per client).
 
@@ -104,7 +105,6 @@ def start_server(args) -> tuple[subprocess.Popen, str]:
         sys.executable, "-m", "repro", "serve",
         "--port", "0",
         "--max-inflight", str(args.max_inflight),
-        "--batch-window", str(args.batch_window),
     ]
     if args.trace_dir:
         cmd += ["--trace-dir", args.trace_dir, "--trace-slow-ms", "0"]
@@ -276,7 +276,6 @@ def main() -> int:
     parser.add_argument("--density", type=float, default=0.02)
     parser.add_argument("--algorithm", default="row-product")
     parser.add_argument("--max-inflight", type=int, default=4)
-    parser.add_argument("--batch-window", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--smoke", action="store_true",
                         help="small workload + hard assertions (CI)")
@@ -381,10 +380,7 @@ def main() -> int:
         "platform": platform.platform(),
         "host_cpu_count": os.cpu_count(),
         "operands": {"n": args.size, "density": args.density, "seed": args.seed},
-        "server": {
-            "max_inflight": args.max_inflight,
-            "batch_window": args.batch_window,
-        },
+        "server": {"max_inflight": args.max_inflight},
         "shared_structure": shared_phase,
         "distinct_structures": distinct_phase,
         "server_latency_ms": server_latency,
@@ -393,8 +389,8 @@ def main() -> int:
         "batching": final_stats["batching"],
         "serving": {
             key: final_stats["serving"][key]
-            for key in ("queue_depth", "inflight_flops", "coalescence_factor",
-                        "estimate_fallbacks", "traces_written")
+            for key in ("queue_depth", "inflight_flops", "estimate_fallbacks",
+                        "traces_written")
         },
         "metrics_families": metrics_families,
         "traces_exported": traces_exported,
