@@ -29,8 +29,13 @@ numbers the output entries of each block — Gustavson's dense accumulator,
 binned by rows as in Liu & Vinter's framework, with a stable sort for blocks
 too sparse for one — then reduces the whole stream with one
 :func:`numpy.ufunc.at`, which applies repeated indices in stream order.  A
-recipe replay gathers the products in that same order, so it reduces exactly
+recipe replay forms the products in that same order, so it reduces exactly
 as the cold kernel did.
+
+Each stored entry of A emits its row of B as one contiguous run of
+products, so the gathers the kernel hands a recipe keep A's side per entry
+(the walk and each entry's product count), not per product; only B's
+stored entry and the output entry are kept per product.
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ BLOCK_CELLS = 1 << 16
 #: A block is dense when its products number at least this share of its
 #: cells; sparser (typically wide) blocks sort their keys.
 DENSE_MIN_FILL = 1 / 64
-#: Products a recipe replay gathers and reduces at a time.  Temporaries of
-#: 512 KiB come back from the allocator's free lists; whole-stream ones
-#: faulted in fresh pages on some replays (hundreds of faults, +5-8 ms).
+#: Most products a recipe replay forms and reduces at a time (an entry of A
+#: with more is replayed alone).  Temporaries of 512 KiB come back from the
+#: allocator's free lists; whole-stream ones faulted in fresh pages on some
+#: replays (hundreds of faults, +5-8 ms).
 REPLAY_PRODUCTS = 1 << 16
 
 
@@ -117,9 +123,10 @@ def row_blocks(
     """Cut the rows into contiguous blocks by cumulative work.
 
     ``ends[r]`` is the number of products in rows ``0..r`` (the prefix sums
-    of :func:`repro.plan.estimate.row_flops`).  Each block is the longest run
-    of rows from where the last one stopped whose products fit
-    ``max_products`` (default :data:`BLOCK_PRODUCTS`), and at least one row.
+    of :func:`repro.plan.estimate.row_flops`; :func:`gather_reduce` cuts A's
+    entries by theirs).  Each block is the longest run of rows from where
+    the last one stopped whose products fit ``max_products`` (default
+    :data:`BLOCK_PRODUCTS`), and at least one row.
     Given ``n_cols``, a block is cut shorter to fit :data:`BLOCK_CELLS`
     cells and marked dense when its products then fill at least
     :data:`DENSE_MIN_FILL` of them.
@@ -165,15 +172,17 @@ class Expansion(NamedTuple):
 
     ``keys`` is each product's flat coordinate ``row * n_cols + col`` and
     ``blocks`` the :class:`RowBlock` cut the stream is grouped by: block
-    ``i``'s products are ``keys[lo:hi]``.  ``a_idx``/``b_idx`` (only when
-    gathers were asked for) are the stored entries of ``A``/``B`` in CSR
-    order that formed each product.
+    ``i``'s products are ``keys[lo:hi]``.  ``gathers`` (None unless asked
+    for) is ``(a_entries, counts, b_gather)``: A's stored entries (CSR
+    positions) in walk order with the number of products each emits, and
+    the stored entry of B behind each product.  Entry ``e``'s products are
+    the ``counts[e]`` that follow its predecessors', so
+    ``np.repeat(a_entries, counts)`` is the A entry behind each product.
     """
 
     keys: np.ndarray
     vals: np.ndarray
-    a_idx: np.ndarray | None
-    b_idx: np.ndarray | None
+    gathers: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     blocks: list[RowBlock]
 
 
@@ -225,11 +234,10 @@ def expand(
     keys = np.repeat(rows * np.int64(n_cols), counts)
     keys += b.indices[b_idx]
     vals = combine(np.repeat(a_vals, counts), b.data[b_idx])
+    captured = None
     if gathers:
-        a_idx = np.repeat(np.arange(len(ks)) if walk is None else walk, counts)
-    else:
-        a_idx = b_idx = None
-    return Expansion(keys, vals, a_idx, b_idx, blocks)
+        captured = (np.arange(len(ks)) if walk is None else walk, counts, b_idx)
+    return Expansion(keys, vals, captured, blocks)
 
 
 def merge(expansion: Expansion, shape: tuple[int, int], *, reduce=np.add, identity: float = 0.0):
@@ -242,12 +250,13 @@ def merge(expansion: Expansion, shape: tuple[int, int], *, reduce=np.add, identi
     entry from ``identity`` in ascending (tie rank, stream position), as the
     expansion laid the products out.  Entries that reduce to the identity
     (sums that cancel to zero) are kept.  Returns ``(indptr, indices, data,
-    gathers)`` where ``gathers`` is ``(a_gather, b_gather, group)`` in stream
-    order — the arrays of a :class:`~repro.plan.cache.NumericRecipe` — or
-    None when the expansion carries no entry positions.
+    gathers)`` where ``gathers`` is the expansion's ``(a_entries, counts,
+    b_gather)`` followed by ``group``, each product's output entry, in
+    stream order — the arrays of a :class:`~repro.plan.cache.NumericRecipe`
+    and of :func:`gather_reduce` — or None when the expansion carries none.
     """
     n_rows, n_cols = shape
-    keys, vals, a_idx, b_idx, blocks = expansion
+    keys, vals, captured, blocks = expansion
     group = np.empty(len(keys), dtype=np.int64)
     coords = []
     n_out = 0
@@ -284,7 +293,7 @@ def merge(expansion: Expansion, shape: tuple[int, int], *, reduce=np.add, identi
     coords -= rows
     data = np.full(n_out, identity, dtype=np.float64)
     reduce.at(data, group, vals)
-    gathers = None if a_idx is None else (a_idx, b_idx, group)
+    gathers = None if captured is None else (*captured, group)
     return indptr, coords, data, gathers
 
 
@@ -325,7 +334,7 @@ def coalesce(
     check_key_space(*shape)
     keys = rows.astype(np.int64, copy=False) * np.int64(shape[1]) + cols
     # Triplets arrive in any order: one block, sorted.
-    stream = Expansion(keys, vals, None, None, [RowBlock(0, shape[0], 0, len(keys), False)])
+    stream = Expansion(keys, vals, None, [RowBlock(0, shape[0], 0, len(keys), False)])
     indptr, indices, data, _ = merge(stream, shape, reduce=reduce, identity=identity)
     return indptr, indices, data
 
@@ -333,7 +342,8 @@ def coalesce(
 def gather_reduce(
     a_data: np.ndarray,
     b_data: np.ndarray,
-    a_gather: np.ndarray,
+    a_entries: np.ndarray,
+    counts: np.ndarray,
     b_gather: np.ndarray,
     group: np.ndarray,
     n_groups: int,
@@ -342,11 +352,23 @@ def gather_reduce(
     reduce=np.add,
     identity: float = 0.0,
 ) -> np.ndarray:
-    """Recipe replay: gather both operands, combine, and reduce by ``group``
-    in stream order from ``identity`` — the merge step's arithmetic, over
-    :data:`REPLAY_PRODUCTS` products at a time."""
+    """Recipe replay: the merge step's arithmetic on fresh operand values.
+
+    The arguments are :func:`merge`'s gathers.  Entries ``e0:e1``, whose
+    products are ``p0:p1`` of the stream, replay as one chunk::
+
+        vals = combine(np.repeat(a_data[a_entries[e0:e1]], counts[e0:e1]),
+                       b_data[b_gather[p0:p1]])
+        reduce.at(out, group[p0:p1], vals)
+
+    so each output entry reduces from ``identity`` in stream order, as the
+    cold kernel did.  :func:`row_blocks` cuts the entries by their product
+    counts into chunks of at most :data:`REPLAY_PRODUCTS` products (an
+    entry with more is a chunk by itself).
+    """
     out = np.full(n_groups, identity, dtype=np.float64)
-    for lo in range(0, len(group), REPLAY_PRODUCTS):
-        hi = lo + REPLAY_PRODUCTS
-        reduce.at(out, group[lo:hi], combine(a_data[a_gather[lo:hi]], b_data[b_gather[lo:hi]]))
+    for e0, e1, p0, p1, _ in row_blocks(np.cumsum(counts), max_products=REPLAY_PRODUCTS):
+        if p1 > p0:
+            a_vals = np.repeat(a_data[a_entries[e0:e1]], counts[e0:e1])
+            reduce.at(out, group[p0:p1], combine(a_vals, b_data[b_gather[p0:p1]]))
     return out

@@ -10,10 +10,14 @@ the split by running the symbolic phase once per structure.  This module is
 that optimisation for our engine:
 
 * :func:`structure_fingerprint` — content hash of the operands' sparsity
-  structure (shapes + indptr + indices, values excluded).
+  structure (shapes + indptr + indices, values excluded): sha256 over one
+  digest per operand, so ``A·A`` hashes A once.
 * :class:`NumericRecipe` — everything needed to re-run *only* the numeric
-  phase of a plan execution: the numeric kernel's gather arrays in stream
-  order (:func:`repro.kernels.merge`), plus the output structure.
+  phase of a plan execution: the numeric kernel's gathers in stream order
+  (:func:`repro.kernels.merge`), plus the output structure.  A's side is
+  kept per stored entry (the walk and each entry's product count), since
+  every entry emits its row of B as one contiguous run of products; B's
+  stored entry and the output entry are kept per product.
   :meth:`NumericRecipe.replay` is bit-identical to the cold execution by
   construction (same multiplication pairs, same float64 summation order).
   Semiring products keep one too, captured from their one kernel call; a
@@ -75,46 +79,74 @@ def structure_fingerprint(a: CSRMatrix, b: CSRMatrix) -> str:
 
     Two multiplies with equal fingerprints expand to the same coordinate
     stream over the same row blocks and number the same output entries, so
-    a cached :class:`NumericRecipe` replays exactly.
+    a cached :class:`NumericRecipe` replays exactly.  The fingerprint is
+    sha256 over one digest per operand; ``A·A`` (``b is a``) hashes A once,
+    and a structural copy of A digests as A does.
     """
-    h = hashlib.sha256()
-    for m in (a, b):
-        h.update(np.int64(m.shape[0]).tobytes())
-        h.update(np.int64(m.shape[1]).tobytes())
-        h.update(np.ascontiguousarray(m.indptr, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(m.indices, dtype=np.int64).tobytes())
-    return h.hexdigest()
+    digest_a = _structure_digest(a)
+    digest_b = digest_a if b is a else _structure_digest(b)
+    return hashlib.sha256(digest_a + digest_b).hexdigest()
+
+
+def _structure_digest(m: CSRMatrix) -> bytes:
+    """sha256 of one operand's shape, ``indptr`` and ``indices`` as int64."""
+    h = hashlib.sha256(np.array(m.shape, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(m.indptr, dtype=np.int64))
+    h.update(np.ascontiguousarray(m.indices, dtype=np.int64))
+    return h.digest()
 
 
 @dataclass(frozen=True)
 class NumericRecipe:
     """Numeric-only replay of one plan execution on a fixed structure.
 
-    ``a_gather``/``b_gather`` index the operands' stored entries (CSR order)
-    in *stream* order — the kernel's expansion order, in which it sums each
-    entry's products — and ``group`` maps each product to its output entry.
-    Replay is one gather, one combine and one in-order reduce by ``group`` —
-    the same float64 operations in the same order as the cold path's merge,
-    under the algebra the cold product ran (default: multiply, then add from
-    +0.0).
+    The kernel's walk visits A's stored entries in ``a_entries`` order, and
+    entry ``a_entries[e]`` emits the next ``counts[e]`` products of the
+    *stream* — the kernel's expansion order, in which it sums each output
+    entry's products.  ``b_gather`` indexes B's stored entry and ``group``
+    the output entry of each product.  Replay
+    (:func:`repro.kernels.gather_reduce`) is, chunk by chunk of whole
+    entries, ``reduce.at(out, group, combine(np.repeat(A.data[a_entries],
+    counts), B.data[b_gather]))`` — the same float64 operations in the same
+    order as the cold path's merge, under the algebra the cold product ran
+    (default: multiply, then add from +0.0).
 
     Attributes:
         shape: output matrix shape.
-        a_gather: stored-entry index into ``A.data`` per product, stream order.
+        a_entries: A's stored entries (CSR positions), in walk order.
+        counts: products each of those entries emits.
         b_gather: stored-entry index into ``B.data`` per product, stream order.
         group: output-entry id per product (summation target), stream order.
         n_groups: number of output entries.
         indptr: output CSR row pointers.
-        indices: output CSR column indices.
+        indices: output CSR column indices, int32 when the columns fit.
     """
 
     shape: tuple[int, int]
-    a_gather: np.ndarray
+    a_entries: np.ndarray
+    counts: np.ndarray
     b_gather: np.ndarray
     group: np.ndarray
     n_groups: int
     indptr: np.ndarray
     indices: np.ndarray
+
+    @classmethod
+    def capture(cls, c: CSRMatrix, gathers: tuple) -> "NumericRecipe":
+        """The recipe of a kernel run that returned ``c`` and ``gathers``
+        (:func:`repro.kernels.merge`'s); copies ``c``'s structure."""
+        a_entries, counts, b_gather, group = gathers
+        index_dtype = np.int32 if c.n_cols <= 2**31 else np.int64
+        return cls(
+            shape=c.shape,
+            a_entries=a_entries,
+            counts=counts,
+            b_gather=b_gather,
+            group=group,
+            n_groups=c.nnz,
+            indptr=c.indptr.copy(),
+            indices=c.indices.astype(index_dtype),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -135,7 +167,8 @@ class NumericRecipe:
         data = kernels.gather_reduce(
             a_data,
             b_data,
-            self.a_gather,
+            self.a_entries,
+            self.counts,
             self.b_gather,
             self.group,
             self.n_groups,
@@ -143,7 +176,7 @@ class NumericRecipe:
             reduce=reduce,
             identity=identity,
         )
-        return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(), data)
+        return CSRMatrix(self.shape, self.indptr.copy(), self.indices.astype(np.int64), data)
 
 
 @dataclass
@@ -336,16 +369,8 @@ class PlanCache:
                     self.stats.lowers += 1
                 sp.add(lowers=1)
                 plan = self.algorithm.lower_traced(ctx, DEFAULT_LOWERING_CONFIG)
-                result, _, _, (a_gather, b_gather, group) = plan.run(ctx, gathers=True)
-                recipe = NumericRecipe(
-                    shape=result.shape,
-                    a_gather=a_gather,
-                    b_gather=b_gather,
-                    group=group,
-                    n_groups=result.nnz,
-                    indptr=result.indptr.copy(),
-                    indices=result.indices.copy(),
-                )
+                result, _, _, gathers = plan.run(ctx, gathers=True)
+                recipe = NumericRecipe.capture(result, gathers)
                 if _identical(recipe.replay(a.data, b.data), result):
                     self._insert(key, recipe)
             return result, False
@@ -383,16 +408,8 @@ class PlanCache:
 
             with obs.span("plan.semiring[miss]", "plan", misses=1):
                 validate_operands(a, b)
-                full, (a_gather, b_gather, group) = semiring_kernel(a, b, semiring, gathers=True)
-                recipe = NumericRecipe(
-                    shape=full.shape,
-                    a_gather=a_gather,
-                    b_gather=b_gather,
-                    group=group,
-                    n_groups=full.nnz,
-                    indptr=full.indptr,
-                    indices=full.indices,
-                )
+                full, gathers = semiring_kernel(a, b, semiring, gathers=True)
+                recipe = NumericRecipe.capture(full, gathers)
                 result = semiring.drop_identity(full)
                 if _identical(replay(recipe), result):
                     self._insert(key, recipe)

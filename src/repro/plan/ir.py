@@ -344,9 +344,10 @@ class ExecutionPlan:
 
         Returns ``(C, ops, seconds, recipe)``: the products each phase
         covers (:meth:`phase_ops`), each stage's measured step time, and,
-        with ``gathers``, the ``(a_gather, b_gather, group)`` arrays of a
-        replay recipe (:mod:`repro.plan.cache`), else None.  It reads no
-        phase's blocks, so a merge phase's deferred blocks stay unbuilt.
+        with ``gathers``, the ``(a_entries, counts, b_gather, group)``
+        arrays of a replay recipe (:mod:`repro.plan.cache`), else None.  It
+        reads no phase's blocks, so a merge phase's deferred blocks stay
+        unbuilt.
 
         The merge counts C's row entries, so a context whose
         :attr:`~repro.spgemm.base.MultiplyContext.c_row_nnz` nothing has

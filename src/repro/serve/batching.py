@@ -26,9 +26,10 @@ cost sheds, requests for queue sheds).  ``excess / rate``, clamped to
 estimate decays, and the hint grows monotonically, which is exactly the
 back-off a well-behaved client should apply.
 
-The flop ledger decrements when the *work completes*, not when the caller
-gives up: a client timeout (HTTP 504) does not un-spend the compute still
-running on the executor.
+Both bounds release when the *work completes*, not when the caller gives
+up: a client timeout (HTTP 504) neither frees its depth slot nor un-spends
+the compute still running or queued on the executor, so repeated timeouts
+cannot pile up work past ``max_inflight + max_queue``.
 
 Each caller waits at most ``request_timeout`` seconds for its result
 (HTTP 504; the work keeps running — its recipe lands in the warm cache).
@@ -209,10 +210,10 @@ class MicroBatcher:
     async def submit(self, work, cost: int = 0, trace=NULL_REQUEST_TRACE) -> object:
         """Admit ``work``, run it on a free executor thread, await its result.
 
-        ``cost`` is the request's estimated flop count; it is charged to
-        the inflight ledger on admission and drained when the executor
-        finishes the work (a caller timeout does not refund it).  ``trace``
-        (a :class:`~repro.obs.serving.RequestTrace`) receives the
+        ``cost`` is the request's estimated flop count; it and the
+        request's depth slot are charged on admission and released when
+        the executor finishes the work (a caller timeout refunds neither).
+        ``trace`` (a :class:`~repro.obs.serving.RequestTrace`) receives the
         ``admission`` stage and the ``batch_wait`` stage, the wait for a
         free executor thread.  Raises :class:`Overloaded` when shed and
         :class:`TimeoutError` after ``request_timeout`` seconds.
@@ -224,7 +225,6 @@ class MicroBatcher:
         self._inflight_flops += cost
         self.stats.admitted += 1
         future: asyncio.Future = loop.create_future()
-        future.add_done_callback(self._release)
         self._executor.submit(
             self._run, loop, work, future, cost, trace, trace.elapsed()
         )
@@ -236,11 +236,9 @@ class MicroBatcher:
                 f"request exceeded {self.config.request_timeout}s"
             ) from None
 
-    def _release(self, future) -> None:
-        self._inflight -= 1
-
     def _drain(self, cost: int) -> None:
         """Loop-thread ledger update for one *finished* piece of work."""
+        self._inflight -= 1
         self._inflight_flops -= cost
         self.stats.completed += 1
         self.stats.drained_flops += cost

@@ -18,7 +18,9 @@ route                        body
 Matrices use the wire format of :mod:`repro.serve.protocol`; the optional
 ``X-Tenant`` header scopes requests to a tenant's plan caches (and hence
 its recipe quota).  The first :data:`MAX_TRACKED_TENANTS` names a server
-sees get their own caches and histograms; later ones share ``_other``.
+sees get their own caches and histograms; later ones share ``_other``.  A
+name longer than :data:`MAX_TENANT_NAME` characters gets 400 and is
+recorded nowhere.
 
 Request lifecycle (each stage is a span on the request's
 :class:`~repro.obs.serving.RequestTrace`)::
@@ -81,6 +83,7 @@ from repro.serve.protocol import (
 __all__ = [
     "MAX_BODY_BYTES",
     "MAX_ITERATIONS",
+    "MAX_TENANT_NAME",
     "MAX_TRACKED_TENANTS",
     "ServeConfig",
     "Server",
@@ -110,6 +113,11 @@ MAX_ITERATIONS = 10_000
 #: entry in two maps, so a client must not be able to create them without
 #: limit.
 MAX_TRACKED_TENANTS = 64
+
+#: Longest ``X-Tenant`` name a server accepts (400 above it).  Each name is
+#: repeated in two ``/stats`` maps and on every tenant histogram line of
+#: ``/metrics``, so its length must be bounded as well as its count.
+MAX_TENANT_NAME = 128
 
 #: Most trace files one server writes into ``--trace-dir`` (slow requests
 #: under sustained overload must not fill the disk).
@@ -238,7 +246,10 @@ class Server:
         route, handler = entry
         if method != "POST":
             return 405, {"error": f"{path} requires POST"}, {}
-        tenant = self._tenant(headers.get("x-tenant", "default") or "default")
+        name = headers.get("x-tenant", "default") or "default"
+        if len(name) > MAX_TENANT_NAME:
+            return 400, {"error": f"X-Tenant exceeds {MAX_TENANT_NAME} characters"}, {}
+        tenant = self._tenant(name)
         trace = RequestTrace(route, tenant)
         extra: dict[str, str] = {}
         shed = False

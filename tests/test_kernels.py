@@ -15,6 +15,7 @@ from repro.errors import ShapeMismatchError
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.merge import merge_triplets
+from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND
 
 from .conftest import random_csr
 
@@ -80,17 +81,20 @@ class TestNumpyBackendParity:
             )
             indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
             assert _identical(CSRMatrix(shape, indptr, indices, data), want)
-            a_gather, b_gather, group = gathers
+            a_entries, counts, b_gather, group = gathers
+            # A's side is one position and one product count per entry.
+            assert len(a_entries) == len(counts) == a.nnz
+            np.testing.assert_array_equal(np.sort(a_entries), np.arange(a.nnz))
+            np.testing.assert_array_equal(counts, b.row_nnz()[a.indices[a_entries]])
+            assert len(b_gather) == len(group) == counts.sum()
             for chunk in (default_chunk, 7):
                 monkeypatch.setattr(kernels, "REPLAY_PRODUCTS", chunk)
-                replayed = kernels.gather_reduce(
-                    a.data, b.data, a_gather, b_gather, group, len(indices)
-                )
+                replayed = kernels.gather_reduce(a.data, b.data, *gathers, len(indices))
                 assert replayed.tobytes() == data.tobytes()
 
     def test_empty_stream_merge(self):
         block = kernels.RowBlock(start=0, stop=3, lo=0, hi=1, dense=False)
-        one = kernels.Expansion(np.zeros(1, dtype=np.int64), np.ones(1), None, None, [block])
+        one = kernels.Expansion(np.zeros(1, dtype=np.int64), np.ones(1), None, [block])
         indptr, indices, data, gathers = kernels.merge(one, (3, 3))
         assert len(indices) == 1 and gathers is None
         np.testing.assert_array_equal(indptr, [0, 1, 1, 1])
@@ -101,6 +105,63 @@ class TestNumpyBackendParity:
         np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
         assert len(indices) == len(data) == 0
         assert all(len(g) == 0 for g in gathers)
+
+
+def _replay_matches_kernel(a, b, order, **algebra):
+    """The kernel's gathers replay, on A's and B's values, to its own bits."""
+    indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True, **algebra)
+    replayed = kernels.gather_reduce(a.data, b.data, *gathers, len(indices), **algebra)
+    assert replayed.tobytes() == data.tobytes()
+    return data
+
+
+class TestCompactReplay:
+    """Replay keeps A's side per stored entry and chunks whole entries."""
+
+    @pytest.mark.parametrize("order", [kernels.PAIR_ORDER, kernels.ROW_ORDER])
+    def test_b_row_longer_than_a_chunk(self, order, monkeypatch):
+        """An entry emitting more products than a chunk holds is a chunk by
+        itself, between chunks of short entries."""
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(kernels, "REPLAY_PRODUCTS", 7)
+        b = random_csr(rng, 12, 30, 0.2)
+        dense = b.to_dense()
+        dense[4] = rng.standard_normal(30)  # 30 products per entry of column 4
+        b = CSRMatrix.from_dense(dense)
+        a = random_csr(rng, 9, 12, 0.4)
+        a_dense = a.to_dense()
+        a_dense[:, 4] = rng.standard_normal(9)
+        a = CSRMatrix.from_dense(a_dense)
+        assert b.row_nnz().max() > kernels.REPLAY_PRODUCTS
+        _replay_matches_kernel(a, b, order)
+
+    @pytest.mark.parametrize("order", [kernels.PAIR_ORDER, kernels.ROW_ORDER])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_entries_pointing_at_empty_b_rows(self, order, chunk, monkeypatch):
+        """Entries that emit no products (first, last and in between) keep
+        their place in the walk and replay nothing."""
+        monkeypatch.setattr(kernels, "REPLAY_PRODUCTS", chunk)
+        a = CSRMatrix((3, 4), [0, 3, 5, 7], [0, 1, 3, 1, 2, 0, 3], np.arange(1.0, 8.0))
+        # B's rows 0 and 3 are empty.
+        b = CSRMatrix((4, 3), [0, 0, 2, 5, 5], [0, 2, 0, 1, 2], [2.0, -3.0, 5.0, 7.0, -1.0])
+        indptr, indices, _, (_, counts, _, _) = kernels.spgemm(a, b, order, gathers=True)
+        assert (counts == 0).sum() == 4
+        data = _replay_matches_kernel(a, b, order)
+        c = CSRMatrix((3, 3), indptr, indices, data)
+        np.testing.assert_array_equal(c.to_dense(), a.to_dense() @ b.to_dense())
+        empty = CSRMatrix.empty((4, 3))
+        indptr, indices, data, gathers = kernels.spgemm(a, empty, order, gathers=True)
+        assert len(data) == 0 and (gathers[1] == 0).all() and len(gathers[0]) == a.nnz
+        assert kernels.gather_reduce(a.data, empty.data, *gathers, 0).shape == (0,)
+
+    @pytest.mark.parametrize("semiring", [MIN_PLUS, MAX_TIMES, OR_AND], ids=lambda s: s.name)
+    def test_semiring_replay(self, semiring, matrices, monkeypatch):
+        """Another algebra replays through the same gathers, also a few
+        entries at a time."""
+        a, b = matrices
+        for chunk in (kernels.REPLAY_PRODUCTS, 7):
+            monkeypatch.setattr(kernels, "REPLAY_PRODUCTS", chunk)
+            _replay_matches_kernel(a, b, kernels.PAIR_ORDER, **semiring.algebra)
 
 
 class TestSummationOrder:

@@ -67,6 +67,22 @@ class TestStructureFingerprint:
         b = random_csr(rng, 30, 30, 0.15)
         assert structure_fingerprint(a, b) != structure_fingerprint(b, a)
 
+    def test_square_hashes_its_operand_once(self, rng, monkeypatch):
+        """``A·A`` digests A once, and a structural copy of A (another
+        object) still fingerprints as A does."""
+        from repro.plan import cache as cache_mod
+
+        a = random_csr(rng, 30, 30, 0.1)
+        calls = []
+        digest = cache_mod._structure_digest
+        monkeypatch.setattr(
+            cache_mod, "_structure_digest", lambda m: calls.append(m) or digest(m)
+        )
+        square = structure_fingerprint(a, a)
+        assert calls == [a]
+        assert structure_fingerprint(a, _same_structure_new_values(a, rng)) == square
+        assert len(calls) == 3
+
 
 ALL_SCHEMES = [
     RowProductSpGEMM,
@@ -143,6 +159,31 @@ class TestReplayBitIdentical:
         second = cache.multiply(left, right)
         assert first.nnz == 0 and second.nnz == 0
         assert cache.stats.hits == 1
+
+
+class TestRecipeLayout:
+    """A recipe keeps A's side per stored entry and C's columns as int32."""
+
+    def test_recipe_bytes_bound(self, skewed_csr):
+        """16 B per product (``b_gather``, ``group``), 16 per stored entry
+        of A (``a_entries``, ``counts``), 4 per output entry and C's row
+        pointers, for every scheme and a semiring recipe."""
+        a = skewed_csr
+        products = int(np.diff(a.indptr)[a.indices].sum())
+
+        def bound(recipe: NumericRecipe) -> int:
+            nnz_c = len(recipe.indices)
+            return 16 * products + 16 * a.nnz + 4 * nnz_c + 8 * (a.n_rows + 1)
+
+        for algo in paper_algorithms():
+            cache = PlanCache(algo)
+            assert cache.multiply(a).nnz > 0
+            (recipe,) = cache._entries.values()
+            assert recipe.nbytes <= bound(recipe), algo.name
+            assert recipe.indices.dtype == np.int32, algo.name
+        cache.semiring_multiply(a, a, MIN_PLUS)
+        (_, semiring_recipe) = cache._entries.values()
+        assert semiring_recipe.nbytes <= bound(semiring_recipe)
 
 
 class TestLoweringTargetIndependence:

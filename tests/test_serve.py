@@ -36,7 +36,12 @@ from repro.serve import (
     csr_from_wire,
     csr_to_wire,
 )
-from repro.serve.server import MAX_BODY_BYTES, MAX_ITERATIONS, MAX_TRACKED_TENANTS
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    MAX_ITERATIONS,
+    MAX_TENANT_NAME,
+    MAX_TRACKED_TENANTS,
+)
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
@@ -131,6 +136,40 @@ class TestMicroBatcher:
         try:
             self._run(scenario())
         finally:
+            batcher.close()
+
+    @pytest.mark.parametrize("max_queue", [0, 1])
+    def test_timed_out_request_holds_its_slot_until_its_work_finishes(self, max_queue):
+        """A 504 does not free the depth slot of work still running or
+        queued: the next request past the bound is shed, and the slot frees
+        only when the executor finishes that work."""
+        batcher = MicroBatcher(
+            AdmissionConfig(max_inflight=1, max_queue=max_queue, request_timeout=0.05)
+        )
+        release = threading.Event()
+
+        async def scenario():
+            for queued in range(max_queue + 1):
+                with pytest.raises(TimeoutError):
+                    await batcher.submit(lambda: release.wait(5))
+                assert batcher.queue_depth == queued
+            with pytest.raises(Overloaded) as shed:
+                await batcher.submit(lambda: None)
+            assert shed.value.reason == "queue"
+            assert not release.is_set() and batcher.queue_depth == max_queue
+            release.set()
+            deadline = time.monotonic() + 5
+            while batcher.stats.completed < max_queue + 1 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert batcher.queue_depth == 0
+            assert (await batcher.submit(lambda: 42)) == 42
+            assert batcher.stats.timeouts == max_queue + 1
+            assert batcher.stats.shed_queue == 1
+
+        try:
+            self._run(scenario())
+        finally:
+            release.set()
             batcher.close()
 
     def test_worker_exception_propagates(self):
@@ -359,6 +398,17 @@ class TestServer:
         tenants = stats["serving"]["tenants"]
         assert len(tenants) == MAX_TRACKED_TENANTS + 1
         assert tenants["_other"]["requests"] == 6
+
+    def test_tenant_name_longer_than_the_limit_is_400(self, serve_url, rng):
+        """An over-long ``X-Tenant`` is refused before the body is parsed and
+        leaves no tenant entry in /stats."""
+        body = {"algorithm": "row-product", "a": csr_to_wire(random_csr(rng, 8, 8, 0.3))}
+        status, reply = _post(serve_url, "/v1/multiply", body, tenant="t" * (MAX_TENANT_NAME + 1))
+        assert status == 400 and "X-Tenant" in reply["error"]
+        assert _post(serve_url, "/v1/multiply", body, tenant="t" * MAX_TENANT_NAME)[0] == 200
+        _, stats = _get(serve_url, "/stats")
+        assert list(stats["runtime"]["tenants"]) == ["t" * MAX_TENANT_NAME]
+        assert list(stats["serving"]["tenants"]) == ["t" * MAX_TENANT_NAME]
 
     def test_error_mapping(self, serve_url, rng):
         a = random_csr(rng, 10, 10, 0.3)
