@@ -545,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--plan-cache-entries", type=int, default=None, metavar="N",
-        help="recipes kept warm per tenant and scheme before LRU eviction "
-             "(default 32)",
+        help="structures remembered, and so most recipes kept warm, per "
+             "tenant and scheme (default 32)",
     )
     p.set_defaults(func=_cmd_serve)
     return parser

@@ -28,12 +28,16 @@ that optimisation for our engine:
   amortisation.  A recipe depends on the structure, the expansion order and
   the pair tie ranks, never on the simulated GPU, so the key holds neither
   the scheme (the cache is bound to one) nor a GPU config.  The cache is
-  **bounded**: ``max_entries`` and ``max_bytes`` put an LRU limit on how
-  many recipes a long-lived process (the runtime's per-tenant caches
-  behind ``repro.serve``, say) can accumulate from an evolving-structure
-  workload; evictions are counted in :class:`PlanCacheStats`.  It is safe
-  to share between threads: concurrent callers of one new structure lower
-  it once and then replay, while distinct structures run in parallel.
+  **bounded** by the working set it measures: with ``max_entries`` it
+  remembers that many structures in LRU order, learns how deep the
+  workload's reuses reach (the LRU stack distance of each reuse, counted
+  over the structures looked up again) and keeps the recipes of only that
+  many reused structures, so a long-lived process (the runtime's
+  per-tenant caches behind ``repro.serve``, say) drops the recipes of
+  structures it has finished with; ``max_bytes`` caps the recipes' bytes.
+  Evictions are counted in :class:`PlanCacheStats`.  It is safe to share
+  between threads: concurrent callers of one new structure lower it once
+  and then replay, while distinct structures run in parallel.
 
 Recipes are verified at fill time: the cold result is replayed immediately
 and compared exactly, and only a recipe that reproduces it is cached.  A
@@ -187,18 +191,19 @@ class PlanCacheStats:
     ``lowers`` counts the plan-path misses, each of which lowered the
     scheme (a semiring miss lowers nothing).  An N-iteration
     fixed-structure loop should show ``lowers == 1`` and
-    ``hits == N - 1``.  ``evictions`` /
-    ``evicted_bytes`` count entries dropped by the LRU bound — non-zero means
-    the workload's structure churn exceeds the configured budget and some
-    lookups that could have replayed will re-lower instead.
+    ``hits == N - 1``.  ``evictions`` / ``evicted_bytes`` count recipes
+    dropped by the cache's bounds (see :class:`PlanCache`): those of
+    structures the workload reused and then left behind, and those of
+    structures churned past ``max_entries`` or ``max_bytes``.  A lookup
+    that finds its recipe dropped re-lowers.
     """
 
     lookups: int = counter("Plan-cache lookups (hits + misses).")
     hits: int = counter("Lookups served by numeric replay of a cached recipe.")
     misses: int = counter("Lookups that ran the cold path.")
     lowers: int = counter("Symbolic lowerings paid.")
-    evictions: int = counter("Entries dropped by the LRU bound.")
-    evicted_bytes: int = counter("Recipe bytes dropped by the LRU bound.", unit="bytes")
+    evictions: int = counter("Recipes dropped by the reuse-depth, entry or byte bound.")
+    evicted_bytes: int = counter("Recipe bytes dropped by those bounds.", unit="bytes")
 
     @derived(gauge("Fraction of lookups served by replay; 0 before the first lookup."))
     def hit_rate(self) -> float:
@@ -226,12 +231,28 @@ class PlanCache:
     Every freshly captured recipe is replayed against the cold result and
     cached only if the two are exactly equal.
 
-    ``max_entries`` and ``max_bytes`` bound the cache with LRU eviction —
-    a lookup hit refreshes its entry's recency, an insert evicts the
-    least-recently-used entries until both budgets hold.  Unbounded caches
-    (both ``None``) match the historical behaviour but grow without limit
-    under an evolving-structure workload, which no long-lived process
-    (``repro serve``) should tolerate.
+    ``max_entries`` bounds the cache by what the workload reuses.  The
+    cache remembers the last ``max_entries`` structure keys in LRU order
+    (a hit or a miss makes a key most recent) and marks a key *reused* once
+    it is looked up again.  Each lookup of a remembered key measures its
+    reuse depth, the number of other reused keys used since its previous
+    use (an LRU stack distance over the reused keys), and the cache keeps
+    D, the deepest seen.  Each insert then keeps the recipes of the D + 1
+    most recent reused keys and drops those of older reused keys, which
+    are structures the workload has finished with; a recipe that was
+    never looked up again keeps the plain LRU bound.  A dropped key stays
+    remembered, so its next lookup misses, re-lowers and raises D: a reuse
+    deeper than any seen before costs one extra lowering.  D never falls
+    until :meth:`clear`, so after one deep reuse the cache keeps that many
+    reused recipes for good.  Keys beyond ``max_entries`` are forgotten
+    with their recipes, and ``max_bytes`` then drops the least recently
+    used recipes until their bytes fit.  A hit drops nothing.  Measuring
+    a reuse walks the keys used since the key's previous use and an
+    insert walks every remembered key, both under the cache's one lock,
+    so each costs up to ``max_entries`` steps.  Unbounded caches (both ``None``, as
+    :meth:`wrap` makes) keep every recipe, but grow without limit under
+    an evolving-structure workload, which no long-lived process (``repro
+    serve``) should tolerate.
 
     Thread-safety: one lock guards the entries and counters, and every
     multiply holds one of :data:`STRIPES` stripe locks, picked from its
@@ -255,8 +276,14 @@ class PlanCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = PlanCacheStats()
-        self._entries: OrderedDict[tuple, NumericRecipe] = OrderedDict()
+        # Structure keys in LRU order, each mapped to its recipe.  With
+        # max_entries, a key whose recipe the depth rule or max_bytes dropped
+        # stays remembered (mapped to None), _reused holds the keys looked
+        # up again and _depth the deepest reuse seen (D).
+        self._entries: OrderedDict[tuple, NumericRecipe | None] = OrderedDict()
         self._entry_bytes = 0
+        self._reused: set[tuple] = set()
+        self._depth = 0
         # Re-entrant: Runtime.close() clears caches from signal handlers,
         # which may run on a thread that is inside this lock.
         self._lock = threading.RLock()
@@ -273,7 +300,9 @@ class PlanCache:
         return engine if isinstance(engine, cls) else cls(engine)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Recipes held (remembered keys whose recipe was dropped excluded)."""
+        with self._lock:
+            return sum(recipe is not None for recipe in self._entries.values())
 
     @property
     def nbytes(self) -> int:
@@ -281,49 +310,75 @@ class PlanCache:
         return self._entry_bytes
 
     def clear(self) -> None:
-        """Drop all entries (counters are kept; not counted as evictions)."""
+        """Drop all entries and the reuse history (counters are kept; not
+        counted as evictions)."""
         with self._lock:
             self._entries.clear()
             self._entry_bytes = 0
+            self._reused.clear()
+            self._depth = 0
 
     def _stripe(self, fingerprint: str) -> threading.Lock:
         """The stripe lock a multiply over ``fingerprint`` holds."""
         return self._stripes[int(fingerprint[:8], 16) % STRIPES]
 
     def _lookup(self, key: tuple) -> NumericRecipe | None:
-        """Count a lookup and its hit or miss; a hit refreshes LRU recency."""
+        """Count a lookup and its hit or miss; measure the reuse of a
+        remembered key and make it most recent."""
         with self._lock:
             self.stats.lookups += 1
-            recipe = self._entries.get(key)
+            recipe = None
+            if key in self._entries:
+                if self.max_entries is not None:
+                    depth = 0
+                    for other in reversed(self._entries):
+                        if other == key:
+                            break
+                        depth += other in self._reused
+                    self._depth = max(self._depth, depth)
+                    self._reused.add(key)
+                self._entries.move_to_end(key)
+                recipe = self._entries[key]
             if recipe is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-                self._entries.move_to_end(key)
             return recipe
 
     def _insert(self, key: tuple, recipe: NumericRecipe) -> None:
-        """Insert (or replace) a recipe, then evict LRU until within budget."""
+        """Insert (or replace) a recipe as most recent, then apply the
+        bounds: the reuse depth, the remembered keys, the bytes."""
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._entry_bytes -= old.nbytes
             self._entries[key] = recipe
             self._entry_bytes += recipe.nbytes
-            while self._over_budget():
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self._entry_bytes -= evicted.nbytes
-                self.stats.evictions += 1
-                self.stats.evicted_bytes += evicted.nbytes
-                if evicted_key == key:
-                    break  # a single entry larger than the byte budget
+            if self.max_entries is not None:
+                reused = [other for other in reversed(self._entries) if other in self._reused]
+                for other in reused[self._depth + 1 :]:
+                    self._drop(other)
+                while len(self._entries) > self.max_entries:
+                    self._drop(next(iter(self._entries)), forget=True)
+            if self.max_bytes is not None:
+                for other in list(self._entries):
+                    if self._entry_bytes <= self.max_bytes:
+                        break
+                    self._drop(other)
 
-    def _over_budget(self) -> bool:
-        if not self._entries:
-            return False
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            return True
-        return self.max_bytes is not None and self._entry_bytes > self.max_bytes
+    def _drop(self, key: tuple, *, forget: bool = False) -> None:
+        """Evict ``key``'s recipe, if one is held.  A cache with
+        ``max_entries`` keeps remembering the key unless ``forget``; one
+        without forgets it."""
+        if forget or self.max_entries is None:
+            recipe = self._entries.pop(key)
+            self._reused.discard(key)
+        else:
+            recipe, self._entries[key] = self._entries[key], None
+        if recipe is not None:
+            self._entry_bytes -= recipe.nbytes
+            self.stats.evictions += 1
+            self.stats.evicted_bytes += recipe.nbytes
 
     # -- plan path ------------------------------------------------------
     def multiply(

@@ -3,9 +3,10 @@
 The CLI subcommands and the :mod:`repro.serve` server are both thin
 adapters over one :class:`Runtime`: a facade owning dataset contexts, warm
 plan caches (one scheme-bound :class:`~repro.plan.cache.PlanCache` per
-tenant and scheme instance, keyed by structure fingerprint), bench-runner
-defaults and trace wiring, with deterministic startup/shutdown (see
-:mod:`repro.runtime.lifecycle` for the signal-safe teardown path).
+tenant and scheme instance, keyed by structure fingerprint and sized by
+the reuse depth it measures), bench-runner defaults and trace wiring,
+with deterministic startup/shutdown (see :mod:`repro.runtime.lifecycle`
+for the signal-safe teardown path).
 """
 
 from repro.runtime.config import (

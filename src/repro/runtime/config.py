@@ -46,9 +46,10 @@ class RuntimeConfig:
         use_result_cache: consult/populate the persistent bench result cache.
         shard_timeout: bench-shard no-progress window in seconds (``None``
             keeps the runner's default).
-        plan_cache_entries: LRU ``max_entries`` of each tenant's
-            :class:`~repro.plan.cache.PlanCache` for one scheme: recipes kept
-            warm per tenant and scheme (``None`` = unbounded).
+        plan_cache_entries: ``max_entries`` of each tenant's
+            :class:`~repro.plan.cache.PlanCache` for one scheme: the
+            structures it remembers, and so the most recipes it keeps warm,
+            per tenant and scheme (``None`` = unbounded).
         mem_budget: out-of-core memory budget in bytes (``None`` = in-memory
             execution); numeric multiplies route through
             :func:`repro.oocore.chunked_multiply` when set.

@@ -15,10 +15,14 @@ Lifecycle::
         outcome = rt.multiply("row-product", a, b, tenant="alice")
     # every cache's recipes dropped, its counters kept
 
-Each ``(tenant, scheme instance)`` pair has one warm cache holding at
-most :attr:`RuntimeConfig.plan_cache_entries` recipes: one tenant's
-structure churn evicts its *own* least recently used recipe and can never
-evict another tenant's.  A registry name resolves to the runtime's one
+Each ``(tenant, scheme instance)`` pair has one warm cache remembering
+at most :attr:`RuntimeConfig.plan_cache_entries` structures.  It keeps
+the recipes of as many reused structures as its tenant's measured reuse
+depth needs, so structures the tenant has finished with lose their
+recipes (see :class:`~repro.plan.cache.PlanCache`); one tenant's
+structure churn evicts its *own* recipes and can never evict another
+tenant's.  :meth:`Runtime.stats` reports the recipes' bytes as
+``recipe_bytes``.  A registry name resolves to the runtime's one
 instance of that scheme, so named callers share warm caches; a caller's
 own instance gets its own cache, so two differently-configured instances
 never serve each other's recipes.  The cache itself serialises concurrent
@@ -70,6 +74,9 @@ class RuntimeStats:
     """A point-in-time snapshot of one runtime's serving state."""
 
     recipes: int = gauge("Recipes cached across all tenants and schemes.")
+    recipe_bytes: int = gauge(
+        "Bytes retained by cached recipes across all tenants and schemes.", unit="bytes"
+    )
     tenants: dict[str, int] = gauge("Recipes cached per tenant.", label="tenant")
     plan_cache: PlanCacheStats = section(PlanCacheStats)
     requests: int = counter("Multiplies and app calls the runtime has served.")
@@ -223,8 +230,8 @@ class Runtime:
         """The warm plan cache of ``(tenant, scheme instance)``.
 
         A name resolves to the runtime's one instance (:meth:`algorithm`);
-        an instance gets its own cache.  Created on first use, bounded by
-        :attr:`RuntimeConfig.plan_cache_entries` recipes.
+        an instance gets its own cache.  Created on first use, remembering
+        at most :attr:`RuntimeConfig.plan_cache_entries` structures.
         """
         self._require_open()
         algo = (
@@ -474,6 +481,7 @@ class Runtime:
                 tenants[tenant] = tenants.get(tenant, 0) + len(cache)
             return RuntimeStats(
                 recipes=sum(tenants.values()),
+                recipe_bytes=sum(cache.nbytes for cache in self._caches.values()),
                 tenants=tenants,
                 plan_cache=merged,
                 requests=self._requests,

@@ -12,10 +12,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from functools import partial
+from collections import OrderedDict
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.apps.pagerank import pagerank, pagerank_spgemm
@@ -550,3 +552,180 @@ class TestBoundedCache:
         assert d["evictions"] == 1
         assert d["evicted_bytes"] > 0
         assert dict(line.split() for line in text_lines(cache.stats))["evictions"] == "1"
+
+
+def _lru_lookup(model: OrderedDict, key, max_entries: int) -> bool:
+    """One lookup in a plain LRU of ``max_entries`` keys; True on a hit."""
+    hit = key in model
+    model[key] = None
+    model.move_to_end(key)
+    while len(model) > max_entries:
+        model.popitem(last=False)
+    return hit
+
+
+@lru_cache(maxsize=1)
+def _retention_structures() -> tuple:
+    """Eight small structures of distinct shapes, each with two value sets
+    and their cold plan and MIN_PLUS products."""
+    rng = np.random.default_rng(2024)
+    algo = RowProductSpGEMM()
+    structures = []
+    for i in range(8):
+        a = random_csr(rng, 4 + i, 4 + i, 0.4)
+        variants = [a, _same_structure_new_values(a, rng)]
+        cold = {
+            ("plan", v): algo.multiply(MultiplyContext.build(x, x)) for v, x in enumerate(variants)
+        }
+        cold.update(
+            {("semiring", v): semiring_spgemm(x, x, MIN_PLUS) for v, x in enumerate(variants)}
+        )
+        keys = {
+            "plan": ("plan", structure_fingerprint(a, a)),
+            "semiring": ("semiring", MIN_PLUS.name, structure_fingerprint(a, a)),
+        }
+        structures.append((variants, cold, keys))
+    return tuple(structures)
+
+
+class TestWorkingSetRetention:
+    """A bounded cache keeps the recipes of the structures a workload still
+    reuses: as many reused structures as its deepest measured reuse needs,
+    within the plain LRU bound of ``max_entries`` structures."""
+
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from(["plan", "semiring"]), st.integers(0, 1)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_lookups_stay_within_the_lru_bound(self, max_entries, lookups):
+        """Every result equals a cold product, the structures holding a
+        recipe are among those an LRU of ``max_entries`` keys holds, and the
+        cache's size and bytes account for exactly its recipes."""
+        structures = _retention_structures()
+        cache = PlanCache(RowProductSpGEMM(), max_entries=max_entries)
+        model: OrderedDict = OrderedDict()
+        for index, path, variant in lookups:
+            variants, cold, keys = structures[index]
+            x = variants[variant]
+            if path == "plan":
+                out = cache.multiply(x, x)
+            else:
+                out = cache.semiring_multiply(x, x, MIN_PLUS)
+            _assert_bit_identical(out, cold[path, variant])
+            _lru_lookup(model, keys[path], max_entries)
+            held = {key: r for key, r in cache._entries.items() if r is not None}
+            assert set(held) <= set(model)
+            assert len(cache) == len(held) <= max_entries
+            assert cache.nbytes == sum(r.nbytes for r in held.values())
+
+    def test_concurrent_lookups_keep_the_books(self):
+        """Eight threads (more than cores) share one small bounded cache while
+        reading its size: every result equals a cold product, and the
+        counters, size and bytes account for every lookup and recipe."""
+        structures = _retention_structures()
+        cache = PlanCache(RowProductSpGEMM(), max_entries=3)
+
+        def caller(seed):
+            order = np.random.default_rng(seed)
+            for _ in range(60):
+                variants, cold, _ = structures[order.integers(8)]
+                variant = int(order.integers(2))
+                x = variants[variant]
+                if order.random() < 0.5:
+                    _assert_bit_identical(cache.multiply(x, x), cold["plan", variant])
+                else:
+                    out = cache.semiring_multiply(x, x, MIN_PLUS)
+                    _assert_bit_identical(out, cold["semiring", variant])
+                assert len(cache) <= 3
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose lost updates
+        try:
+            assert not _run_threads([partial(caller, seed) for seed in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats
+        assert stats.lookups == stats.hits + stats.misses == 480
+        held = [r for r in cache._entries.values() if r is not None]
+        assert len(cache) == len(held) <= 3
+        assert cache.nbytes == sum(r.nbytes for r in held)
+
+    def test_finished_structures_drop_their_recipes(self, rng):
+        """Each structure once cold, then 7 replays, never again: only the
+        current structure and the one before it keep a recipe, where an
+        unbounded cache keeps all 40."""
+        bounded = PlanCache(RowProductSpGEMM(), max_entries=32)
+        unbounded = PlanCache(RowProductSpGEMM())
+        for _ in range(40):
+            a = random_csr(rng, 10, 10, 0.3)
+            for _ in range(8):
+                _assert_bit_identical(bounded.multiply(a, a), unbounded.multiply(a, a))
+                assert len(bounded) <= 2
+        assert (bounded.stats.lowers, bounded.stats.hits) == (40, 280)
+        assert bounded.stats.evictions == 38
+        assert len(unbounded) == 40
+
+    @pytest.mark.parametrize("max_entries", [8, 32])
+    def test_pool_with_one_off_structures_hits_like_lru(self, rng, max_entries):
+        """Six structures round-robin, a new one every 8th lookup: every
+        lookup hits or misses exactly as in an LRU of ``max_entries``."""
+        pool = [random_csr(rng, 10, 10, 0.3) for _ in range(6)]
+        cache = PlanCache(RowProductSpGEMM(), max_entries=max_entries)
+        model: OrderedDict = OrderedDict()
+        turn = 0
+        for i in range(160):
+            if i % 8 == 7:
+                a, key = random_csr(rng, 10, 10, 0.3), ("new", i)
+            else:
+                a, key = pool[turn % 6], ("pool", turn % 6)
+                turn += 1
+            _, replayed = cache.run(a, a)
+            assert replayed == _lru_lookup(model, key, max_entries), i
+        # 140 pool lookups, of which the first six lower.
+        assert (cache.stats.hits, cache.stats.lowers) == (134, 26)
+
+    def test_looped_then_cycled_structures_hit_from_the_second_cycle(self, rng):
+        """Four structures each looped, then cycled: the first cycle reuses
+        deeper than the loops did, so the two structures dropped meanwhile
+        lower once more; from the second cycle on every lookup hits."""
+        structures = [random_csr(rng, 10, 10, 0.3) for _ in range(4)]
+        cache = PlanCache(RowProductSpGEMM(), max_entries=32)
+        for a in structures:
+            for _ in range(3):
+                cache.multiply(a, a)
+        assert len(cache) == 2
+        for a in structures:
+            cache.multiply(a, a)
+        assert cache.stats.lowers == 6
+        for _ in range(3):
+            for a in structures:
+                assert cache.run(a, a)[1]
+        cache.clear()
+        assert (len(cache._entries), cache.nbytes, len(cache._reused), cache._depth) == (0, 0, 0, 0)
+
+    def test_one_deep_reuse_keeps_its_depth(self, rng):
+        """D never falls: after one reuse 3 reused structures deep, a stream
+        of finished structures keeps the recipes of the 4 most recent
+        reused ones plus the current one, where it kept 2 before."""
+        cache = PlanCache(RowProductSpGEMM(), max_entries=32)
+
+        def stream(n):
+            for _ in range(n):
+                a = random_csr(rng, 10, 10, 0.3)
+                for _ in range(2):
+                    cache.multiply(a, a)
+            return a
+
+        first = stream(1)
+        stream(3)
+        assert (cache._depth, len(cache)) == (0, 2)
+        lowers = cache.stats.lowers
+        cache.multiply(first, first)
+        assert (cache._depth, cache.stats.lowers) == (3, lowers + 1)
+        stream(10)
+        assert (cache._depth, len(cache)) == (3, 5)

@@ -197,6 +197,25 @@ class TestRuntimeFacade:
         assert stats.recipes == 0
         assert (stats.plan_cache.lowers, stats.plan_cache.hits, stats.requests) == (1, 1, 2)
 
+    def test_recipe_bytes_sums_every_cache(self, rng):
+        """``recipe_bytes`` is the bytes every tenant's and scheme's cache
+        retains, in the JSON and CLI views too, and 0 once closed."""
+        from repro.obs.counters import snapshot, text_lines
+
+        a, b = _pair(rng)
+        c, d = _pair(rng, n=23)
+        with Runtime(RuntimeConfig()) as rt:
+            rt.multiply("row-product", a, b, tenant="alice")
+            rt.multiply("outer-product", c, d, tenant="bob")
+            caches = [rt.cache("row-product", "alice"), rt.cache("outer-product", "bob")]
+            stats = rt.stats()
+            assert stats.recipe_bytes == sum(cache.nbytes for cache in caches)
+            assert min(cache.nbytes for cache in caches) > 0
+            assert snapshot(stats)["recipe_bytes"] == stats.recipe_bytes
+            lines = dict(line.split() for line in text_lines(stats))
+            assert lines["recipe_bytes"] == str(stats.recipe_bytes)
+        assert rt.stats().recipe_bytes == 0
+
     def test_closed_runtime_rejects_work(self, rng):
         a, b = _pair(rng)
         rt = Runtime(RuntimeConfig())
