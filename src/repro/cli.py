@@ -36,8 +36,9 @@ write a Chrome trace); ``run`` accepts ``--trace`` too.  Caching defaults
 to on, under ``~/.cache/repro``.
 
 ``run``, ``compare`` and ``bench`` additionally accept the out-of-core
-flags (:mod:`repro.oocore`): ``--mem-budget BYTES`` runs the numeric plane
-chunked into row panels with disk spilling (bit-identical to in-memory),
+flags (:mod:`repro.oocore`): ``--mem-budget BYTES`` runs the numeric
+kernel on row blocks the budget holds and spills finished row blocks of C
+to disk (bit-identical to in-memory),
 ``--spill-dir DIR`` places the crash-safe spill store, and ``--full-scale``
 resolves datasets at the paper's published dimensions instead of the
 stand-in scale.
@@ -111,9 +112,9 @@ def _add_oocore_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mem-budget", default=None, metavar="BYTES",
         help="run the numeric plane out of core under this memory budget "
-             "(e.g. 4G, 512M): A is cut into row panels sized by the "
-             "precalculated workload sums and partials spill to disk; "
-             "results are bit-identical to the in-memory path",
+             "(e.g. 4G, 512M): the kernel runs on row blocks whose "
+             "products fit the budget and finished row blocks of C spill "
+             "to disk; results are bit-identical to the in-memory path",
     )
     parser.add_argument(
         "--full-scale", action="store_true",
@@ -259,7 +260,7 @@ def _compare_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
             ooc.spill_count,
         ])
     print(format_table(
-        ["algorithm", "bit-identical", "panels", "spills"], rows,
+        ["algorithm", "bit-identical", "blocks", "spills"], rows,
         title=f"{args.dataset}: out-of-core ({args.mem_budget}) vs in-memory",
     ))
     if mismatches:
@@ -308,7 +309,7 @@ def _bench_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
     """``bench --mem-budget``: the numeric grid through the chunked executor.
 
     No simulator and no result cache — the interesting numbers here are
-    wall-clock and the memory envelope (panels, spills, peak RSS), which are
+    wall-clock and the memory envelope (blocks, spills, peak RSS), which are
     host-dependent and therefore never memoised.  ``--out`` records each
     cell's full ooc stats.
     """
@@ -336,7 +337,7 @@ def _bench_out_of_core(args: argparse.Namespace, runtime: Runtime) -> int:
                 "oocore": counters.snapshot(ooc),
             })
     print(format_table(
-        ["dataset", "algorithm", "time ms", "panels", "spills", "peak RSS MiB"],
+        ["dataset", "algorithm", "time ms", "blocks", "spills", "peak RSS MiB"],
         rows,
         title=f"out-of-core bench grid (budget {args.mem_budget})",
     ))

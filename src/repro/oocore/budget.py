@@ -1,11 +1,11 @@
 """Memory budgets for the out-of-core executor.
 
 A budget is a byte count — given on the CLI as ``--mem-budget 4G`` — that
-caps both the intermediate expansion a single row panel may produce and the
-partial results the executor keeps resident before spilling.  The panel
-planner converts bytes to *products* with :data:`BYTES_PER_PRODUCT`, the
-peak working-set cost of one intermediate product through the expansion +
-merge pipeline (see the constant).
+caps both the working set of one row block of the streaming kernel and the
+partial results the executor keeps resident before spilling.  The executor
+converts bytes to *products* with :data:`BYTES_PER_PRODUCT`, the peak
+working-set cost of one intermediate product while a block is expanded and
+merged (see the constant).
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from repro.errors import OutOfCoreError
 
 __all__ = ["BYTES_PER_PRODUCT", "parse_mem_budget", "products_for_budget"]
 
-#: Peak bytes one intermediate product costs while a panel is expanded and
-#: merged.  Expansion: B's stored-entry index, flat key and value (24) plus
-#: the two operand-value temporaries the product is formed from (16).
-#: Merge: flat key, value and group id (24) plus one row block's scratch,
-#: at most 2**18 products.  48 bytes per product covers both.
+#: Peak bytes one intermediate product costs while its row block is
+#: expanded and merged, which bounds one block's working set (the kernel
+#: holds one block's products at a time).  Expansion: B's stored-entry
+#: index, cell and value (24) plus the two operand-value temporaries the
+#: product is formed from (16).  Merge: the same three (24) plus a sparse
+#: block's sort order, sorted cells and output entries (24).  48 bytes per
+#: product covers either step.
 BYTES_PER_PRODUCT = 48
 
 _UNITS = {

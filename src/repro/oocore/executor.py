@@ -1,32 +1,31 @@
-"""The chunked out-of-core executor: panel multiplies + in-place assembly.
+"""The chunked out-of-core executor: the streaming kernel plus a spill sink.
 
-:func:`chunked_multiply` computes ``C = A·B`` under a memory budget that the
-full intermediate expansion would blow through.  It lowers the scheme once
-on the whole operand, cuts A into row panels sized by the paper's
-precalculated workload sums (:mod:`repro.oocore.panels`), runs the one
-numeric kernel (:func:`repro.kernels.spgemm`) on each panel with the global
-plan's expansion order and per-pair tie ranks, and keeps each panel's
-result as its CSR row slice of C: the row counts in memory, the column
-indices and values resident or spilled to disk through a crash-safe
-:class:`~repro.oocore.spill.SpillStore` while the resident partials exceed
-the budget.  After the last panel it builds C's ``indptr`` from the row
-counts and copies every partial into place at its offset.
+:func:`chunked_multiply` computes ``C = A·B`` under a memory budget that
+the in-memory path's resident result would blow through.  It lowers the
+scheme once on the whole operand and runs the one numeric kernel
+(:func:`repro.kernels.stream`) on the whole operands with the global plan's
+expansion order and per-pair tie ranks, its row blocks capped at the
+products the budget holds (:func:`~repro.oocore.budget.products_for_budget`).
+The kernel hands each finished block's CSR row slice of C to a sink, which
+keeps the row counts in memory and the column indices and values resident
+or spilled to disk through a crash-safe
+:class:`~repro.oocore.spill.SpillStore`, oldest first, while the resident
+partials exceed the budget.  After the last block it builds C's ``indptr``
+from the row counts and copies every partial into place at its offset.
 
-Bit-identity: row panels of A produce disjoint, ascending row slices of C.
-Within a panel, the product stream is the full stream's restriction to
-those rows in the same relative order (in pair order, a column of the
-panel lists its entries in row order, as the whole column does), and the
-tie ranks are the global plan's, so every output entry is the same
-sequence of float64 additions as the in-memory path; assembly only places
-entries, never adds them.  ``chunked_multiply`` is therefore bit-identical
-to ``algo.multiply`` for every scheme, the Block Reorganizer included; the
-oocore CI leg and ``repro compare --mem-budget`` assert exactly that.
+Bit-identity: the same walk, the same blocks.  Every output entry's
+products lie in one row block and the kernel sums them in ascending (tie
+rank, expansion position) whatever the cut, with the global plan's tie
+ranks, so every output entry is the same sequence of float64 additions as
+the in-memory path; assembly only places entries, never adds them.
+``chunked_multiply`` is therefore bit-identical to ``algo.multiply`` for
+every scheme, the Block Reorganizer included; the oocore CI leg and
+``repro compare --mem-budget`` assert exactly that.
 
-Lowering records one ``plan.lower[...]`` span, per-panel work an
-``oocore.panel[i]`` span each, assembly an ``oocore.assemble`` span, and
-the returned :class:`OocStats` carries the panel, spill and peak-RSS
-counters that ``repro run --mem-budget`` prints through
-:mod:`repro.obs.counters`.
+Lowering records one ``plan.lower[...]`` span, the kernel and its sink an
+``oocore.kernel`` span, assembly an ``oocore.assemble`` span, and the
+returned :class:`OocStats` carries the block, spill and peak-RSS counters
+that ``repro run --mem-budget`` prints through :mod:`repro.obs.counters`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 from repro import kernels, obs
 from repro.obs.counters import counter, derived, gauge
 from repro.oocore.budget import parse_mem_budget, products_for_budget
-from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore
 from repro.runtime import lifecycle
 from repro.sparse.csr import CSRMatrix
@@ -63,30 +61,30 @@ class OocStats:
     """Counters from one chunked multiply (all deterministic except RSS).
 
     ``merge_rounds`` (always 0; read only by ``perfbench/worker.py``) and
-    the raw ``panels`` list carry no declaration, so no output shows them;
-    ``panel_rows`` is their rendered summary.
+    the raw ``panels`` list of row blocks carry no declaration, so no
+    output shows them; ``panel_rows`` is their rendered summary.
     """
 
     budget_bytes: int = gauge("Memory budget of the run.", unit="bytes")
-    max_products: int = gauge("Products one panel may expand under the budget.")
-    n_panels: int = counter("Row panels A was cut into.")
-    n_oversized: int = counter("Single-row panels whose expansion alone exceeds the budget.")
-    total_products: int = counter("Products expanded over all panels.")
-    spill_count: int = counter("Panel partials spilled to disk.")
+    max_products: int = gauge("Products one row block may expand under the budget.")
+    n_panels: int = counter("Row blocks the kernel handed to the spill sink.")
+    n_oversized: int = counter("Single-row blocks whose expansion alone exceeds the budget.")
+    total_products: int = counter("Products expanded over all blocks.")
+    spill_count: int = counter("Block partials spilled to disk.")
     bytes_spilled: int = counter("Bytes written by spills.", unit="bytes")
     merge_rounds: int = 0
-    resident_peak_bytes: int = gauge("Peak bytes of resident panel partials.", unit="bytes")
+    resident_peak_bytes: int = gauge("Peak bytes of resident block partials.", unit="bytes")
     peak_rss_bytes: int = gauge("Lifetime peak resident set of the process.", unit="bytes")
-    panels: list[Panel] = field(default_factory=list)
+    panels: list[kernels.RowBlock] = field(default_factory=list)
 
-    @derived(gauge("Row range [start, stop) of each panel."))
+    @derived(gauge("Row range [start, stop) of each row block."))
     def panel_rows(self) -> list[list[int]]:
-        """Each panel's ``[row_start, row_stop)``, in panel order."""
-        return [[p.row_start, p.row_stop] for p in self.panels]
+        """Each block's ``[start, stop)``, in row order."""
+        return [[blk.start, blk.stop] for blk in self.panels]
 
 
 class _Partial:
-    """One panel's column indices and values, resident or spilled."""
+    """One row block's column indices and values, resident or spilled."""
 
     __slots__ = ("indices", "data", "ticket", "nbytes")
 
@@ -122,7 +120,7 @@ def _global_plan(
 ) -> tuple[str, np.ndarray | None]:
     """Lower ``algo`` once on the whole operand and check its invariant.
 
-    Returns what each panel needs: the expansion order and the per-pair tie
+    Returns what the kernel needs: the expansion order and the per-pair tie
     ranks.  Nothing reads the merge phases' blocks, which lowering defers,
     so no symbolic pass runs (bhSPARSE's row bins still count C's rows).
     The whole-operand context dies with this frame.
@@ -146,9 +144,8 @@ def chunked_multiply(
     Returns the product (bit-identical to ``algo.multiply`` on the same
     operands) and the run's :class:`OocStats`.
     ``spill_dir`` hosts the crash-safe spill store (``$TMPDIR`` by default).
-    Deliberately does *not* take a plan cache: caching one recipe per panel
-    would retain budget-sized gather arrays per LRU entry, defeating the
-    budget.
+    Deliberately does *not* take a plan cache: a recipe holds gathers over
+    every product, which the budget exists to avoid.
     """
     b = a if b is None else b
     validate_operands(a, b)
@@ -160,60 +157,46 @@ def chunked_multiply(
     store: SpillStore | None = None
     try:
         with obs.span(f"oocore.chunked[{algo.name}]", "oocore") as root:
-            with obs.span("oocore.plan_panels", "oocore") as sp:
-                panels = plan_panels(a, b, max_products)
-                stats.panels = panels
-                stats.n_panels = len(panels)
-                stats.n_oversized = sum(p.oversized for p in panels)
-                stats.total_products = sum(p.products for p in panels)
-                sp.add(
-                    panels=stats.n_panels,
-                    oversized=stats.n_oversized,
-                    products=stats.total_products,
-                )
             order, rank = _global_plan(algo, a, b)
-
+            blocks = kernels.row_cut(a, b, max_products=min(kernels.BLOCK_PRODUCTS, max_products))
             row_nnz = np.zeros(n_rows, dtype=np.int64)
             partials: list[_Partial] = []
             resident_bytes = 0
-            for panel in panels:
-                with obs.span(f"oocore.panel[{panel.index}]", "oocore") as sp:
-                    a_panel = slice_rows(a, panel.row_start, panel.row_stop)
-                    panel_indptr, panel_indices, panel_data, _ = kernels.spgemm(
-                        a_panel, b, order, rank
-                    )
-                    row_nnz[panel.row_start : panel.row_stop] = np.diff(panel_indptr)
-                    part = _Partial(panel_indices, panel_data)
+            with obs.span("oocore.kernel", "oocore") as sp:
+                for blk, blk_nnz, indices, data in kernels.stream(a, b, order, rank, blocks):
+                    row_nnz[blk.start : blk.stop] = blk_nnz
+                    part = _Partial(indices, data)
                     partials.append(part)
                     resident_bytes += part.nbytes
                     stats.resident_peak_bytes = max(stats.resident_peak_bytes, resident_bytes)
-                    sp.add(
-                        rows=panel.n_rows,
-                        products=panel.products,
-                        nnz=len(panel_indices),
-                        spilled=0,
-                    )
                     # Over budget: spill oldest-first until resident again (the
                     # newest partial may itself go if it alone overshoots).
                     while resident_bytes > budget_bytes:
-                        victim = next((p for p in partials if p.resident), None)
-                        if victim is None:  # pragma: no cover - defensive
-                            break
+                        victim = next(p for p in partials if p.resident)
                         if store is None:
                             store = SpillStore(spill_dir)
                         victim.spill_to(store)
                         resident_bytes -= victim.nbytes
-                        sp.add(spilled=1)
+                stats.panels = blocks
+                stats.n_panels = len(blocks)
+                stats.n_oversized = sum(blk.hi - blk.lo > max_products for blk in blocks)
+                stats.total_products = blocks[-1].hi if blocks else 0
+                sp.add(
+                    blocks=stats.n_panels,
+                    oversized=stats.n_oversized,
+                    products=stats.total_products,
+                    nnz=int(row_nnz.sum()),
+                )
 
             with obs.span("oocore.assemble", "oocore") as sp:
-                # Panels are contiguous, ascending row ranges, so each
+                # Blocks are contiguous, ascending row ranges, so each
                 # partial's entries land in one slice of C's arrays.
                 indptr = np.zeros(n_rows + 1, dtype=np.int64)
                 np.cumsum(row_nnz, out=indptr[1:])
                 indices = np.empty(indptr[-1], dtype=np.int64)
                 data = np.empty(indptr[-1], dtype=np.float64)
-                for panel, part in zip(panels, partials):
-                    lo, hi = indptr[panel.row_start], indptr[panel.row_stop]
+                for blk, part in zip(blocks, partials):
+                    lo, hi = indptr[blk.start], indptr[blk.stop]
                     indices[lo:hi], data[lo:hi] = part.take(store)
                 sp.add(nnz=int(indptr[-1]))
 

@@ -1,7 +1,7 @@
 """Disk spill store for out-of-core partial products.
 
 When the chunked executor's resident partials exceed the memory budget, the
-oldest partial (one row panel's column indices and values, its CSR row
+oldest partial (one row block's column indices and values, its CSR row
 slice of C) is written to disk and its arrays dropped until assembly reads
 it back.  The store owns one private directory per process —
 ``<base>/repro-oocore-<pid>-<token>/`` — so concurrent runs sharing a

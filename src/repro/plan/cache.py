@@ -14,7 +14,7 @@ that optimisation for our engine:
   digest per operand, so ``A·A`` hashes A once.
 * :class:`NumericRecipe` — everything needed to re-run *only* the numeric
   phase of a plan execution: the numeric kernel's gathers in stream order
-  (:func:`repro.kernels.merge`), plus the output structure.  A's side is
+  (:func:`repro.kernels.stream`), plus the output structure.  A's side is
   kept per stored entry (the walk and each entry's product count), since
   every entry emits its row of B as one contiguous run of products; B's
   stored entry and the output entry are kept per product.
@@ -34,10 +34,10 @@ that optimisation for our engine:
   over the structures looked up again) and keeps the recipes of only that
   many reused structures, so a long-lived process (the runtime's
   per-tenant caches behind ``repro.serve``, say) drops the recipes of
-  structures it has finished with; ``max_bytes`` caps the recipes' bytes.
-  Evictions are counted in :class:`PlanCacheStats`.  It is safe to share
-  between threads: concurrent callers of one new structure lower it once
-  and then replay, while distinct structures run in parallel.
+  structures it has finished with.  Evictions are counted in
+  :class:`PlanCacheStats`.  It is safe to share between threads:
+  concurrent callers of one new structure lower it once and then replay,
+  while distinct structures run in parallel.
 
 Recipes are verified at fill time: the cold result is replayed immediately
 and compared exactly, and only a recipe that reproduces it is cached.  A
@@ -138,7 +138,7 @@ class NumericRecipe:
     @classmethod
     def capture(cls, c: CSRMatrix, gathers: tuple) -> "NumericRecipe":
         """The recipe of a kernel run that returned ``c`` and ``gathers``
-        (:func:`repro.kernels.merge`'s); copies ``c``'s structure."""
+        (:func:`repro.kernels.spgemm`'s); copies ``c``'s structure."""
         a_entries, counts, b_gather, group = gathers
         index_dtype = np.int32 if c.n_cols <= 2**31 else np.int64
         return cls(
@@ -154,8 +154,8 @@ class NumericRecipe:
 
     @property
     def nbytes(self) -> int:
-        """Retained size: the bytes of the recipe's index arrays, which the
-        cache's byte budget counts."""
+        """Retained size: the bytes of the recipe's index arrays (the
+        cache's ``nbytes`` and ``evicted_bytes`` count them)."""
         return sum(f.nbytes for f in vars(self).values() if isinstance(f, np.ndarray))
 
     def replay(
@@ -194,15 +194,15 @@ class PlanCacheStats:
     ``hits == N - 1``.  ``evictions`` / ``evicted_bytes`` count recipes
     dropped by the cache's bounds (see :class:`PlanCache`): those of
     structures the workload reused and then left behind, and those of
-    structures churned past ``max_entries`` or ``max_bytes``.  A lookup
-    that finds its recipe dropped re-lowers.
+    structures churned past ``max_entries``.  A lookup that finds its
+    recipe dropped re-lowers.
     """
 
     lookups: int = counter("Plan-cache lookups (hits + misses).")
     hits: int = counter("Lookups served by numeric replay of a cached recipe.")
     misses: int = counter("Lookups that ran the cold path.")
     lowers: int = counter("Symbolic lowerings paid.")
-    evictions: int = counter("Recipes dropped by the reuse-depth, entry or byte bound.")
+    evictions: int = counter("Recipes dropped by the reuse-depth or entry bound.")
     evicted_bytes: int = counter("Recipe bytes dropped by those bounds.", unit="bytes")
 
     @derived(gauge("Fraction of lookups served by replay; 0 before the first lookup."))
@@ -245,14 +245,13 @@ class PlanCache:
     deeper than any seen before costs one extra lowering.  D never falls
     until :meth:`clear`, so after one deep reuse the cache keeps that many
     reused recipes for good.  Keys beyond ``max_entries`` are forgotten
-    with their recipes, and ``max_bytes`` then drops the least recently
-    used recipes until their bytes fit.  A hit drops nothing.  Measuring
-    a reuse walks the keys used since the key's previous use and an
-    insert walks every remembered key, both under the cache's one lock,
-    so each costs up to ``max_entries`` steps.  Unbounded caches (both ``None``, as
-    :meth:`wrap` makes) keep every recipe, but grow without limit under
-    an evolving-structure workload, which no long-lived process (``repro
-    serve``) should tolerate.
+    with their recipes.  A hit drops nothing.  Measuring a reuse walks the
+    keys used since the key's previous use and an insert walks every
+    remembered key, both under the cache's one lock, so each costs up to
+    ``max_entries`` steps.  Unbounded caches
+    (``max_entries=None``, as :meth:`wrap` makes) keep every recipe, but
+    grow without limit under an evolving-structure workload, which no
+    long-lived process (``repro serve``) should tolerate.
 
     Thread-safety: one lock guards the entries and counters, and every
     multiply holds one of :data:`STRIPES` stripe locks, picked from its
@@ -261,25 +260,16 @@ class PlanCache:
     run in parallel unless their fingerprints share a stripe.
     """
 
-    def __init__(
-        self,
-        algorithm: SpGEMMAlgorithm,
-        *,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, algorithm: SpGEMMAlgorithm, *, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.algorithm = algorithm
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.stats = PlanCacheStats()
         # Structure keys in LRU order, each mapped to its recipe.  With
-        # max_entries, a key whose recipe the depth rule or max_bytes dropped
-        # stays remembered (mapped to None), _reused holds the keys looked
-        # up again and _depth the deepest reuse seen (D).
+        # max_entries, a key whose recipe the depth rule dropped stays
+        # remembered (mapped to None), _reused holds the keys looked up
+        # again and _depth the deepest reuse seen (D).
         self._entries: OrderedDict[tuple, NumericRecipe | None] = OrderedDict()
         self._entry_bytes = 0
         self._reused: set[tuple] = set()
@@ -347,7 +337,7 @@ class PlanCache:
 
     def _insert(self, key: tuple, recipe: NumericRecipe) -> None:
         """Insert (or replace) a recipe as most recent, then apply the
-        bounds: the reuse depth, the remembered keys, the bytes."""
+        bounds: the reuse depth, then the remembered keys."""
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -360,17 +350,11 @@ class PlanCache:
                     self._drop(other)
                 while len(self._entries) > self.max_entries:
                     self._drop(next(iter(self._entries)), forget=True)
-            if self.max_bytes is not None:
-                for other in list(self._entries):
-                    if self._entry_bytes <= self.max_bytes:
-                        break
-                    self._drop(other)
 
     def _drop(self, key: tuple, *, forget: bool = False) -> None:
-        """Evict ``key``'s recipe, if one is held.  A cache with
-        ``max_entries`` keeps remembering the key unless ``forget``; one
-        without forgets it."""
-        if forget or self.max_entries is None:
+        """Evict ``key``'s recipe, if one is held; the key stays remembered
+        unless ``forget``."""
+        if forget:
             recipe = self._entries.pop(key)
             self._reused.discard(key)
         else:

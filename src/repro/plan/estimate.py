@@ -4,7 +4,7 @@ The paper's precalculation step sums, for every stored entry ``A[i, j]``,
 the stored entries of row ``j`` of ``B``: the multiply's scalar-product
 count.  :func:`multiply_flops` is that total (the quantity cost-aware
 serving admission budgets against) and :func:`row_flops` its per-output-row
-resolution (what the out-of-core panel planner sizes row panels from).
+resolution (what the symbolic pass cuts its row blocks by).
 Neither needs a :class:`~repro.spgemm.base.MultiplyContext` or a CSC copy.
 """
 
@@ -60,8 +60,7 @@ def row_flops(a, b) -> np.ndarray:
     The per-row resolution of :func:`multiply_flops` (its sum equals that
     total) and the same quantity as :attr:`MultiplyContext.row_work`, but
     computed from the operands' index structure alone — no context, no CSC
-    conversion — so the out-of-core panel planner can size row panels of A
-    against a memory budget before anything is expanded.
+    conversion — so work can be sized before anything is expanded.
     """
     if a.shape[1] != b.shape[0]:
         return np.zeros(a.shape[0], dtype=np.int64)

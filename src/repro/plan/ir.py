@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -340,14 +339,15 @@ class ExecutionPlan:
     def run(
         self, ctx: MultiplyContext, *, gathers: bool = False
     ) -> tuple[CSRMatrix, list[int], dict[str, float], tuple | None]:
-        """Check the invariant, then run the kernel as two timed steps.
+        """Check the invariant, then run the kernel.
 
         Returns ``(C, ops, seconds, recipe)``: the products each phase
-        covers (:meth:`phase_ops`), each stage's measured step time, and,
-        with ``gathers``, the ``(a_entries, counts, b_gather, group)``
-        arrays of a replay recipe (:mod:`repro.plan.cache`), else None.  It
-        reads no phase's blocks, so a merge phase's deferred blocks stay
-        unbuilt.
+        covers (:meth:`phase_ops`), each stage's measured step time (the
+        kernel's expansion and merge steps, each summed over its row
+        blocks), and, with ``gathers``, the ``(a_entries, counts, b_gather,
+        group)`` arrays of a replay recipe (:mod:`repro.plan.cache`), else
+        None.  It reads no phase's blocks, so a merge phase's deferred
+        blocks stay unbuilt.
 
         The merge counts C's row entries, so a context whose
         :attr:`~repro.spgemm.base.MultiplyContext.c_row_nnz` nothing has
@@ -356,17 +356,12 @@ class ExecutionPlan:
         """
         ops = self.phase_ops(ctx)
         rank = self.tie_rank(len(ctx.pair_work))
-        seconds = {}
-        with obs.span("numeric.expand", PHASE_EXPANSION) as sp:
-            start = time.perf_counter()
-            stream = kernels.expand(ctx.a_csr, ctx.b_csr, self.order, rank, gathers=gathers)
-            seconds[PHASE_EXPANSION] = time.perf_counter() - start
-            sp.add(ops=len(stream.keys))
-        with obs.span("numeric.merge", PHASE_MERGE) as sp:
-            start = time.perf_counter()
-            indptr, indices, data, captured = kernels.merge(stream, ctx.out_shape)
-            seconds[PHASE_MERGE] = time.perf_counter() - start
-            sp.add(nnz=len(indices))
+        seconds = {PHASE_EXPANSION: 0.0, PHASE_MERGE: 0.0}
+        with obs.span("numeric.spgemm", "numeric") as sp:
+            indptr, indices, data, captured = kernels.spgemm(
+                ctx.a_csr, ctx.b_csr, self.order, rank, gathers=gathers, steps=seconds
+            )
+            sp.add(ops=ctx.total_work, nnz=len(indices))
         if "c_row_nnz" not in vars(ctx):
             ctx.c_row_nnz = np.diff(indptr)
         return CSRMatrix(ctx.out_shape, indptr, indices, data), ops, seconds, captured

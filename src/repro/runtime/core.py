@@ -338,7 +338,7 @@ class Runtime:
         *not* through the bench runner's context cache, which keeps each
         dataset's operands and workload vectors resident for the rest of
         the process; the chunked executor builds its own context for the
-        one lowering and drops it before the panels run.  Returns
+        one lowering and drops it before the kernel runs.  Returns
         ``(result, OocStats)``.
         """
         from repro.datasets import loader

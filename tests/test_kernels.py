@@ -1,8 +1,10 @@
 """The numeric primitives in :mod:`repro.kernels`.
 
 Checks that the numeric kernel equals the merge of either expansion and
-replays bit for bit from its own gathers, that the tie rank and the
-expansion order decide the summation order, and the merge's edge cases.
+replays bit for bit from its own gathers, that its row blocks join to its
+result, that the row cut is the greedy loop over rows, that the tie rank
+and the expansion order decide the summation order, and the merge's edge
+cases.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import pytest
 
 from repro import kernels
 from repro.errors import ShapeMismatchError
+from repro.plan.estimate import row_flops
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.random import power_law
 from repro.spgemm.merge import merge_triplets
 from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND
 
@@ -93,18 +97,74 @@ class TestNumpyBackendParity:
                 assert replayed.tobytes() == data.tobytes()
 
     def test_empty_stream_merge(self):
-        block = kernels.RowBlock(start=0, stop=3, lo=0, hi=1, dense=False)
-        one = kernels.Expansion(np.zeros(1, dtype=np.int64), np.ones(1), None, [block])
-        indptr, indices, data, gathers = kernels.merge(one, (3, 3))
-        assert len(indices) == 1 and gathers is None
+        zero = np.zeros(1, dtype=np.int64)
+        indptr, indices, data = kernels.coalesce(zero, zero, np.ones(1), (3, 3))
+        assert len(indices) == 1
         np.testing.assert_array_equal(indptr, [0, 1, 1, 1])
         a = CSRMatrix.empty((3, 4))
+        assert kernels.spgemm(a, CSRMatrix.empty((4, 2)), kernels.ROW_ORDER)[3] is None
         indptr, indices, data, gathers = kernels.spgemm(
             a, CSRMatrix.empty((4, 2)), kernels.PAIR_ORDER, gathers=True
         )
         np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
         assert len(indices) == len(data) == 0
         assert all(len(g) == 0 for g in gathers)
+
+
+class TestStream:
+    """The kernel handles one row block at a time."""
+
+    @pytest.mark.parametrize("order", [kernels.PAIR_ORDER, kernels.ROW_ORDER])
+    def test_blocks_join_to_spgemm_and_time_both_steps(self, matrices, order, monkeypatch):
+        """Under a small cut the stream yields ascending, contiguous blocks
+        whose rows join to the kernel's result, and each step's time is
+        summed over the blocks."""
+        a, b = matrices
+        monkeypatch.setattr(kernels, "BLOCK_PRODUCTS", 40)
+        rank = np.arange(a.n_cols) % 3
+        indptr, indices, data, _ = kernels.spgemm(a, b, order, rank)
+        steps = {}
+        parts = list(kernels.stream(a, b, order, rank, steps=steps))
+        assert len(parts) > 1 and set(steps) == {"expansion", "merge"}
+        assert all(seconds > 0 for seconds in steps.values())
+        assert [blk.start for blk, *_ in parts] == [0] + [blk.stop for blk, *_ in parts[:-1]]
+        assert parts[-1][0].stop == a.n_rows
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), np.diff(indptr))
+        assert np.concatenate([p[2] for p in parts]).tobytes() == indices.tobytes()
+        assert np.concatenate([p[3] for p in parts]).tobytes() == data.tobytes()
+
+
+    @pytest.mark.parametrize("order", [kernels.PAIR_ORDER, kernels.ROW_ORDER])
+    def test_b_without_columns(self, order):
+        """A zero-column B gives an empty C of the right shape, and the
+        symbolic pass counts no entries."""
+        a = CSRMatrix((3, 2), [0, 1, 2, 2], [0, 1], [1.0, 2.0])
+        b = CSRMatrix.empty((2, 0))
+        indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
+        np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
+        assert len(indices) == len(data) == len(gathers[2]) == 0
+        np.testing.assert_array_equal(kernels.row_nnz(a, b), [0, 0, 0])
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("divisor", [1, 3, 7, 50, 10**9])
+    def test_cut_equals_the_greedy_row_loop(self, divisor):
+        """Without ``n_cols``, each block takes rows while its work fits,
+        and at least one row: the greedy loop over rows, kept here as the
+        reference."""
+        a = power_law(n=300, nnz=1500, seed=divisor % 97).to_csr()
+        work = row_flops(a, a)
+        budget = max(1, int(work.sum()) // divisor)
+        want, lo, acc = [], 0, 0
+        for i, w in enumerate(work.tolist()):
+            if i > lo and acc + w > budget:
+                want.append((lo, i, acc, acc > budget))
+                lo, acc = i, 0
+            acc += w
+        want.append((lo, a.n_rows, acc, acc > budget))
+        blocks = kernels.row_blocks(np.cumsum(work), max_products=budget)
+        got = [(b.start, b.stop, b.hi - b.lo, b.hi - b.lo > budget) for b in blocks]
+        assert got == want
 
 
 def _replay_matches_kernel(a, b, order, **algebra):

@@ -1,17 +1,17 @@
-"""Out-of-core chunked executor: budgets, panels, spills, bit-identity.
+"""Out-of-core chunked executor: budgets, row blocks, spills, bit-identity.
 
 The load-bearing guarantee is that :func:`repro.oocore.chunked_multiply`
-is *bit-identical* to the in-memory path — row panels of A produce disjoint
-row slices of C, each panel's product stream is the full stream's
-restriction in the same relative order, the tie ranks come from one global
-lowering, and assembly only places each panel's entries at its rows'
-offsets.  These tests assert that end to end (tiny budgets forcing real
-panel splits and real disk spills), for every scheme including the Block
-Reorganizer on power-law operands and with a single lowering per run, plus
-the supporting pieces: budget parsing, the greedy panel planner, the
-crash-safe spill store (including the SIGTERM-mid-spill leak check and the
-full-disk and corrupt-file faults), the ``@full`` catalog derivation and
-the runtime/CLI wiring.
+is *bit-identical* to the in-memory path — it runs the same streaming
+kernel with the same walk, on row blocks capped by the budget, with the
+tie ranks of one global lowering, and assembly only places each block's
+entries at its rows' offsets.  These tests assert that end to end (tiny
+budgets forcing many blocks and real disk spills), for every scheme
+including the Block Reorganizer on power-law operands and with a single
+lowering per run, plus the supporting pieces: budget parsing, the
+oversized-row and empty-operand edge cases, the crash-safe spill store
+(including the SIGTERM-mid-spill leak check and the full-disk and
+corrupt-file faults), the ``@full`` catalog derivation and the
+runtime/CLI wiring.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from repro.oocore import (
     SpillStore,
     chunked_multiply,
     parse_mem_budget,
-    plan_panels,
     products_for_budget,
-    slice_rows,
     sweep_stale,
 )
 from repro.oocore.spill import SPILL_PREFIX
@@ -129,89 +127,6 @@ class TestParseMemBudget:
         assert products_for_budget(BYTES_PER_PRODUCT) == 1
         assert products_for_budget(10 * BYTES_PER_PRODUCT) == 10
         assert products_for_budget(1) == 1  # floor of one product
-
-
-class TestPlanPanels:
-    def test_unbounded_budget_gives_one_panel(self, rng):
-        a = _random_csr(rng)
-        panels = plan_panels(a, a, max_products=1 << 60)
-        assert len(panels) == 1
-        assert (panels[0].row_start, panels[0].row_stop) == (0, a.n_rows)
-        assert not panels[0].oversized
-        assert panels[0].products == int(row_flops(a, a).sum())
-
-    def test_panels_partition_rows_in_order(self, rng):
-        a = _random_csr(rng)
-        work = row_flops(a, a)
-        panels = plan_panels(a, a, max_products=int(work.sum()) // 7 + 1)
-        assert len(panels) > 1
-        assert panels[0].row_start == 0
-        assert panels[-1].row_stop == a.n_rows
-        for prev, cur in zip(panels, panels[1:]):
-            assert prev.row_stop == cur.row_start  # contiguous, no gaps
-        assert [p.index for p in panels] == list(range(len(panels)))
-        assert sum(p.products for p in panels) == int(work.sum())
-
-    def test_oversized_rows_become_flagged_singletons(self, rng):
-        a = _random_csr(rng)
-        panels = plan_panels(a, a, max_products=1)
-        work = row_flops(a, a)
-        for p in panels:
-            if p.oversized:
-                assert p.n_rows == 1  # never splits a row, flags it instead
-                assert p.products > 1
-        assert sum(p.oversized for p in panels) == int((work > 1).sum())
-
-    @pytest.mark.parametrize("divisor", [1, 3, 7, 50, 10**9])
-    def test_cut_equals_the_greedy_row_loop(self, rng, divisor):
-        """Each panel takes rows while its work fits, and at least one row:
-        the greedy loop over rows, kept here as the reference."""
-        a = power_law(n=300, nnz=1500, seed=divisor % 97).to_csr()
-        work = row_flops(a, a)
-        budget = max(1, int(work.sum()) // divisor)
-        want, lo, acc = [], 0, 0
-        for i, w in enumerate(work.tolist()):
-            if i > lo and acc + w > budget:
-                want.append((lo, i, acc, acc > budget))
-                lo, acc = i, 0
-            acc += w
-        want.append((lo, a.n_rows, acc, acc > budget))
-        panels = plan_panels(a, a, max_products=budget)
-        assert [(p.row_start, p.row_stop, p.products, p.oversized) for p in panels] == want
-
-    def test_empty_matrix_yields_one_empty_panel(self):
-        a = CSRMatrix(
-            (0, 5),
-            np.zeros(1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-        )
-        b = CSRMatrix(
-            (5, 5),
-            np.zeros(6, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-        )
-        panels = plan_panels(a, b, max_products=10)
-        assert len(panels) == 1
-        assert panels[0].n_rows == 0
-        assert panels[0].products == 0
-
-    def test_bad_budget_raises(self, rng):
-        a = _random_csr(rng)
-        with pytest.raises(ValueError, match="max_products"):
-            plan_panels(a, a, max_products=0)
-
-    def test_slice_rows_matches_dense_slice(self, rng):
-        a = _random_csr(rng, n_rows=20, n_cols=13)
-        dense = a.to_dense()
-        panel = slice_rows(a, 5, 12)
-        assert panel.shape == (7, 13)
-        assert np.array_equal(panel.to_dense(), dense[5:12])
-        # Copied arrays: mutating the slice must not alias the parent.
-        if panel.data.size:
-            panel.data[0] += 1.0
-            assert np.array_equal(a.to_dense(), dense)
 
 
 class TestSpillStore:
@@ -320,8 +235,9 @@ class TestChunkedMultiply:
         _assert_identical(chunked, reference)
 
     def test_lowers_once_outside_the_panels(self, tmp_path):
-        """One ``plan.lower[...]`` span per chunked run, none under a panel:
-        the panels run the global plan's kernel, not their own lowering."""
+        """One ``plan.lower[...]`` span per chunked run, none under the
+        kernel's span: the row blocks run the global plan's kernel, not
+        their own lowering."""
         a = power_law(n=1000, nnz=6000, seed=1).to_csr()
         budget = int(row_flops(a, a).sum()) * BYTES_PER_PRODUCT // 8
         recorder = obs.install()
@@ -333,16 +249,16 @@ class TestChunkedMultiply:
             obs.uninstall()
         assert stats.n_panels > 1
 
-        def walk(spans, inside_panel):
+        def walk(spans, inside_kernel):
             for span in spans:
-                panel = inside_panel or span.name.startswith("oocore.panel[")
-                yield span, inside_panel
-                yield from walk(span.children, panel)
+                kernel = inside_kernel or span.name == "oocore.kernel"
+                yield span, inside_kernel
+                yield from walk(span.children, kernel)
 
+        spans = list(walk(recorder.roots, False))
+        assert [span.name for span, _ in spans].count("oocore.kernel") == 1
         lowerings = [
-            (span, in_panel)
-            for span, in_panel in walk(recorder.roots, False)
-            if span.name.startswith("plan.lower[")
+            (span, in_kernel) for span, in_kernel in spans if span.name.startswith("plan.lower[")
         ]
         assert [span.name for span, _ in lowerings] == ["plan.lower[block-reorganizer]"]
         assert not lowerings[0][1]
@@ -388,6 +304,45 @@ class TestChunkedMultiply:
         )
         _assert_identical(chunked, reference)
         assert stats.n_panels > 1
+
+    def test_oversized_rows_counted(self, rng, tmp_path):
+        """A one-product budget leaves every row with more than one product
+        alone in an oversized block: the budget is overrun, never a row
+        split, and the result is still the in-memory one."""
+        a = _random_csr(rng)
+        algo = RowProductSpGEMM()
+        reference = algo.multiply(MultiplyContext.build(a, a))
+        chunked, stats = chunked_multiply(
+            algo, a, mem_budget=BYTES_PER_PRODUCT, spill_dir=str(tmp_path)
+        )
+        _assert_identical(chunked, reference)
+        work = row_flops(a, a)
+        assert stats.max_products == 1
+        assert stats.n_oversized == int((work > 1).sum()) > 0
+        oversized = [blk for blk in stats.panels if blk.hi - blk.lo > stats.max_products]
+        assert len(oversized) == stats.n_oversized
+        assert all(blk.stop - blk.start == 1 for blk in oversized)
+
+    def test_zero_row_a_gives_empty_c_and_no_spill_store(self, tmp_path):
+        a = CSRMatrix(
+            (0, 5),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.float64),
+        )
+        b = CSRMatrix(
+            (5, 5),
+            np.zeros(6, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.float64),
+        )
+        chunked, stats = chunked_multiply(
+            RowProductSpGEMM(), a, b, mem_budget=BYTES_PER_PRODUCT, spill_dir=str(tmp_path)
+        )
+        assert chunked.shape == (0, 5) and chunked.nnz == 0
+        assert np.array_equal(chunked.indptr, [0])
+        assert (stats.n_panels, stats.total_products, stats.spill_count) == (0, 0, 0)
+        assert list(tmp_path.iterdir()) == []  # store never created
 
     def test_all_zero_matrix(self):
         a = CSRMatrix(

@@ -39,7 +39,6 @@ from repro.sparse.random import power_law
 from repro.spgemm.base import DEFAULT_LOWERING_CONFIG, MultiplyContext
 from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
-from repro.spgemm.rowproduct import RowProductSpGEMM
 from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spgemm
 
 
@@ -139,21 +138,25 @@ class TestSpGEMMProperties:
     @given(sparse_matrices())
     @settings(max_examples=40, deadline=None)
     def test_all_schemes_match_dense(self, coo):
+        """Every scheme's product is scipy's (permuted by the plan's tie
+        rank), bit for bit modulo exact zeros."""
         a = coo.to_csr()
-        dense = a.to_dense() @ a.to_dense()
         ctx = MultiplyContext.build(a)
-        for algo in (RowProductSpGEMM(), OuterProductSpGEMM(), BlockReorganizer()):
-            assert np.allclose(algo.multiply(ctx).to_dense(), dense, atol=1e-9)
+        for algo in paper_algorithms():
+            want = _scipy_product(a, a, _tie_rank(algo, a, a))
+            _assert_identical(_drop_zeros(algo.multiply(ctx)), want)
 
     @given(sparse_matrices(), st.integers(1, 64))
     @settings(max_examples=30, deadline=None)
     def test_reorganizer_invariant_to_splitting_factor(self, coo, factor):
+        """Whatever the splitting factor, the Block Reorganizer's product is
+        scipy's permuted by its plan's tie rank, bit for bit modulo exact
+        zeros."""
         a = coo.to_csr()
         ctx = MultiplyContext.build(a)
-        opts = ReorganizerOptions(splitting_factor=factor, alpha=1.0)
-        c = BlockReorganizer(options=opts).multiply(ctx)
-        dense = a.to_dense() @ a.to_dense()
-        assert np.allclose(c.to_dense(), dense, atol=1e-9)
+        algo = BlockReorganizer(options=ReorganizerOptions(splitting_factor=factor, alpha=1.0))
+        want = _scipy_product(a, a, _tie_rank(algo, a, a))
+        _assert_identical(_drop_zeros(algo.multiply(ctx)), want)
 
     @given(sparse_matrices())
     @settings(max_examples=30, deadline=None)
@@ -298,20 +301,22 @@ def _tie_rank(algo, a: CSRMatrix, b: CSRMatrix) -> np.ndarray | None:
 
 
 class TestReplayProperties:
-    @given(multiply_operands(), st.integers(0, 2**32 - 1))
+    @given(multiply_operands(), st.integers(0, 2**32 - 1), st.sampled_from(["int64", "int32"]))
     @settings(max_examples=25, deadline=None)
-    def test_replay_semiring_and_chunked_match_cold(self, operands, seed):
+    def test_replay_semiring_and_chunked_match_cold(self, operands, seed, form):
         """For every scheme: a plan-cache replay with fresh values equals a
         cold multiply on them, a MIN_PLUS replay equals the cold semiring
         product, and the product equals scipy's, bit for bit modulo exact
         zeros (permuted by the plan's tie rank for the Block Reorganizer).
-        Split into row panels (with spills) the product equals the
-        in-memory one."""
+        Run out of core in one-product row blocks (with spills) the product
+        equals the in-memory one.  Also on int32 index arrays."""
         rng = np.random.default_rng(seed)
         a, b = operands
         a2, b2 = _with_values(a, rng), _with_values(b, rng)
+        if form == "int32":
+            a, b, a2, b2 = (_int32(m) for m in (a, b, a2, b2))
         semiring_cold = semiring_spgemm(a2, b2, MIN_PLUS)
-        panelled = np.count_nonzero(row_flops(a2, b2)) >= 2
+        split = np.count_nonzero(row_flops(a2, b2)) >= 2
         # hypothesis runs examples inside one test call, so a function-scoped
         # tmp_path would be shared; each example gets its own spill base.
         with tempfile.TemporaryDirectory() as spill_dir:
@@ -328,12 +333,12 @@ class TestReplayProperties:
                 cache.semiring_multiply(a, b, MIN_PLUS)
                 _assert_identical(cache.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
 
-                # A one-product budget gives every row with work a panel of
+                # A one-product budget gives every row with work a block of
                 # its own and forces spills.
                 chunked, stats = chunked_multiply(
                     algo, a2, b2, mem_budget=BYTES_PER_PRODUCT, spill_dir=spill_dir
                 )
-                if panelled:
+                if split:
                     assert stats.n_panels >= 2, algo.name
                 assert stats.spill_count <= stats.n_panels, algo.name
                 _assert_identical(chunked, cold)

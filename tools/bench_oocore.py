@@ -2,10 +2,11 @@
 
 For each dataset, measures the numeric multiply two ways:
 
-* **in-memory** — ``algo.multiply(ctx)``, the full expansion resident;
+* **in-memory** — ``algo.multiply(ctx)``: the streaming kernel at its
+  default cut, all of C resident;
 * **chunked** — :func:`repro.oocore.chunked_multiply` under each
-  ``--budgets`` entry: row panels sized from the workload sums, partials
-  spilling to disk through the crash-safe store.
+  ``--budgets`` entry: the same kernel on row blocks the budget holds,
+  finished blocks of C spilling to disk through the crash-safe store.
 
 Every cell runs in its **own subprocess** (``--cell``): peak RSS comes from
 ``getrusage(RUSAGE_SELF).ru_maxrss``, which is a lifetime high-water mark,
@@ -13,7 +14,10 @@ so cells sharing a process would all report the largest cell's peak.  Each
 cell prints a JSON record including a SHA-256 digest of the result arrays;
 the driver asserts every chunked digest equals the in-memory digest before
 any timing is reported — the artifact can never contain timings for wrong
-results.
+results — and, for every chunked cell without an oversized row, that the
+resident partials stayed within the budget plus one block's entries
+(``resident_peak_bytes <= budget_bytes + 16 * max_products``), the bound
+spilling exists to keep.
 
 ``--smoke`` shrinks the grid to one dataset and one tiny budget but widens
 it across **all seven schemes** — the CI leg that proves the chunked path
@@ -21,13 +25,14 @@ is bit-identical everywhere, actually spills (``--assert-spill``) and keeps
 its memory envelope: every chunked cell's peak RSS must be below its
 in-memory cell's.
 
-Writes the measurements as JSON: ``BENCH_pr10.json`` at the repo root
-records this PR's numbers (schema_version 1: budgets are keyed by their CLI
-spelling, memory in bytes).
+Writes the measurements as JSON (schema_version 1: budgets are keyed by
+their CLI spelling, memory in bytes).  ``BENCH_pr10.json`` at the repo root
+records the default grid under the row-panel executor, ``BENCH_pr26.json``
+under the streaming kernel and its spill sink.
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_oocore.py --out BENCH_pr10.json
+    PYTHONPATH=src python tools/bench_oocore.py --out BENCH_pr26.json
     PYTHONPATH=src python tools/bench_oocore.py --smoke --assert-spill \
         --out oocore-smoke.json
 """
@@ -48,14 +53,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from repro.oocore.budget import BYTES_PER_PRODUCT  # noqa: E402
 
 #: Trade-off grid defaults: mid-sized stand-ins whose expansions comfortably
-#: exceed the smallest budget, so every budget level actually panels+spills.
+#: exceed the smallest budget, so every budget level cuts finer and spills.
 DATASETS = ["harbor", "protein", "slashdot"]
 BUDGETS = ["64M", "16M", "4M", "1M"]
 SMOKE_DATASET = "harbor"
 SMOKE_BUDGET = "8M"
+#: Bytes one entry of C holds in a resident partial (int64 column, float64
+#: value).
+BYTES_PER_ENTRY = 16
 
 
 def _available_cpus() -> int:
@@ -66,10 +76,13 @@ def _available_cpus() -> int:
 
 
 def _digest(c) -> str:
+    """SHA-256 of the result, hashed from the arrays' own buffers: a
+    ``tobytes()`` copy of C's arrays, taken after the multiply, could set
+    the cell's peak RSS instead of the multiply itself."""
     h = hashlib.sha256()
     h.update(repr(c.shape).encode())
     for arr in (c.indptr, c.indices, c.data):
-        h.update(arr.tobytes())
+        h.update(np.ascontiguousarray(arr))
     return h.hexdigest()
 
 
@@ -126,7 +139,7 @@ def main() -> int:
                              "schemes (the CI bit-identity and peak-RSS leg)")
     parser.add_argument("--assert-spill", action="store_true",
                         help="fail unless at least one partial spilled to disk")
-    parser.add_argument("--out", default="BENCH_pr10.json")
+    parser.add_argument("--out", default="BENCH_pr26.json")
     parser.add_argument("--cell", nargs=2, metavar=("DATASET", "ALGO"),
                         default=None, help=argparse.SUPPRESS)
     parser.add_argument("--cell-budget", default=None, help=argparse.SUPPRESS)
@@ -182,6 +195,13 @@ def main() -> int:
                         f"in-memory {baseline['peak_rss_bytes'] >> 20} MiB"
                     )
                 ooc = cell["oocore"]
+                bound = ooc["budget_bytes"] + BYTES_PER_ENTRY * ooc["max_products"]
+                if ooc["n_oversized"] == 0 and ooc["resident_peak_bytes"] > bound:
+                    failures.append(
+                        f"{dataset}/{algorithm} @ {budget}: resident partials peaked "
+                        f"at {ooc['resident_peak_bytes']} bytes, above the budget "
+                        f"plus one block's entries ({bound})"
+                    )
                 total_spills += ooc["spill_count"]
                 record["budgets"][budget] = {
                     "seconds": cell["seconds"],
@@ -197,7 +217,7 @@ def main() -> int:
                     f"{dataset:12s} {algorithm:18s} {budget:>9s} "
                     f"{cell['seconds'] * 1e3:8.1f} ms  "
                     f"rss {cell['peak_rss_bytes'] >> 20:5d} MiB  "
-                    f"panels {ooc['n_panels']:4d}  spills {ooc['spill_count']:4d}  "
+                    f"blocks {ooc['n_panels']:4d}  spills {ooc['spill_count']:4d}  "
                     f"{'ok' if identical else 'DIFFERS'}"
                 )
             results.append(record)
@@ -207,10 +227,10 @@ def main() -> int:
                         "(budgets too large to exercise the spill path)")
 
     payload = {
-        "description": "repro.oocore panel-chunked multiply: peak-RSS vs "
-                       "wall-clock across memory budgets, every cell in its "
-                       "own process (bit-identity vs in-memory asserted "
-                       "per cell)",
+        "description": "repro.oocore streaming-kernel multiply with a spill "
+                       "sink: peak-RSS vs wall-clock across memory budgets, "
+                       "every cell in its own process (bit-identity vs "
+                       "in-memory and the resident bound asserted per cell)",
         "schema_version": 1,
         "python": platform.python_version(),
         "platform": platform.platform(),
