@@ -236,23 +236,25 @@ class MicroBatcher:
                 f"request exceeded {self.config.request_timeout}s"
             ) from None
 
-    def _drain(self, cost: int) -> None:
-        """Loop-thread ledger update for one *finished* piece of work."""
+    def _complete(self, future, result, exc, cost: int) -> None:
+        """Loop-thread end of one *finished* piece of work: release its
+        ledger charge, then hand the caller its outcome.  One callback does
+        both, so no reply leaves while ``/stats`` still counts the work."""
         self._inflight -= 1
         self._inflight_flops -= cost
         self.stats.completed += 1
         self.stats.drained_flops += cost
+        _resolve(future, result, exc)
 
     def _run(self, loop, work, future, cost: int, trace, queued_at: float) -> None:
-        """Executor side: run one request, post its result to the loop."""
+        """Executor side: run one request, post its outcome to the loop."""
         trace.record("batch_wait", queued_at, trace.elapsed() - queued_at)
+        result = exc = None
         try:
             result = work()
-        except BaseException as exc:  # delivered to the awaiting handler
-            loop.call_soon_threadsafe(_resolve, future, None, exc)
-        else:
-            loop.call_soon_threadsafe(_resolve, future, result, None)
-        loop.call_soon_threadsafe(self._drain, cost)
+        except BaseException as error:  # delivered to the awaiting handler
+            exc = error
+        loop.call_soon_threadsafe(self._complete, future, result, exc, cost)
 
     def close(self) -> None:
         """Stop accepting work and drain the executor."""

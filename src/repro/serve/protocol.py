@@ -67,10 +67,15 @@ def csr_to_wire(m: CSRMatrix) -> dict:
 def csr_from_wire(obj: Any, field: str = "matrix") -> CSRMatrix:
     """Decode and validate a wire-format matrix.
 
-    Structural invariants (monotone ``indptr``, index bounds, array
-    lengths) are enforced by the :class:`CSRMatrix` constructor; this
-    wrapper translates both shape errors and constructor rejections into
-    :class:`BadRequest` so the server answers 400, not 500.
+    Nothing is coerced: ``indptr`` and ``indices`` must hold JSON integers
+    and ``data`` JSON numbers (an empty array passes), so ``0.7``, ``"2"``,
+    ``null`` or ``true`` is a 400, not an index or value the client did not
+    send.  Each array is decoded without a dtype and rejected unless NumPy
+    infers an integer dtype (a number dtype for ``data``) and no element is
+    a boolean.  Structural invariants
+    (monotone ``indptr``, index bounds, array lengths) are checked here,
+    since the :class:`CSRMatrix` constructor trusts its inputs; every
+    rejection raises :class:`BadRequest` so the server answers 400, not 500.
     """
     if not isinstance(obj, dict):
         raise BadRequest(f"{field!r} must be a JSON object with shape/indptr/indices/data")
@@ -81,20 +86,32 @@ def csr_from_wire(obj: Any, field: str = "matrix") -> CSRMatrix:
     if (
         not isinstance(shape, (list, tuple))
         or len(shape) != 2
-        or not all(isinstance(s, int) and s >= 0 for s in shape)
+        or not all(type(s) is int and s >= 0 for s in shape)
     ):
         raise BadRequest(f"{field}.shape must be [rows, cols] of non-negative ints")
-    try:
-        indptr = np.asarray(obj["indptr"], dtype=np.int64)
-        indices = np.asarray(obj["indices"], dtype=np.int64)
-        data = np.asarray(obj["data"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadRequest(f"{field!r} arrays are not numeric: {exc}") from None
-    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
-        raise BadRequest(f"{field!r} arrays must be one-dimensional")
+    arrays = []
+    for key, kinds, what in (
+        ("indptr", "iu", "integers"),
+        ("indices", "iu", "integers"),
+        ("data", "iuf", "numbers"),
+    ):
+        try:
+            array = np.asarray(obj[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadRequest(f"{field}.{key} is not a numeric array: {exc}") from None
+        if array.ndim != 1:
+            raise BadRequest(f"{field}.{key} must be one-dimensional")
+        # NumPy reads a JSON true mixed into numbers as 1.
+        if array.size and (array.dtype.kind not in kinds or bool in map(type, obj[key])):
+            raise BadRequest(f"{field}.{key} must hold JSON {what} only")
+        arrays.append(array)
+    indptr, indices, data = (
+        array.astype(dtype, copy=False)
+        for array, dtype in zip(arrays, (np.int64, np.int64, np.float64))
+    )
     if not np.all(np.isfinite(data)):
         raise BadRequest(f"{field}.data must be finite (no NaN or Infinity)")
-    rows, cols = int(shape[0]), int(shape[1])
+    rows, cols = shape
     # The CSRMatrix constructor trusts its inputs (internal fast path), so
     # the trust boundary is here: reject inconsistent structure with a 400
     # instead of letting it corrupt a multiply downstream.
@@ -121,7 +138,8 @@ def require(body: dict, key: str) -> Any:
 
 
 def scalar(body: dict, key: str, kind: type, default: Any) -> Any:
-    """Fetch an optional finite numeric field (bool is not a number)."""
+    """Fetch an optional finite numeric field (bool is not a number); an
+    ``int`` field must hold an integral value."""
     if key not in body or body[key] is None:
         return default
     value = body[key]
@@ -129,6 +147,8 @@ def scalar(body: dict, key: str, kind: type, default: Any) -> Any:
         raise BadRequest(f"{key!r} must be a number")
     if isinstance(value, float) and not np.isfinite(value):
         raise BadRequest(f"{key!r} must be finite")
+    if kind is int and value % 1:
+        raise BadRequest(f"{key!r} must be an integer")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

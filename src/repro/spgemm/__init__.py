@@ -1,10 +1,7 @@
 """spGEMM schemes: numeric engine, baselines and library comparators."""
 
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm
-from repro.spgemm.expansion import expand_outer
-from repro.spgemm.merge import merge_triplets, symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
-from repro.spgemm.reference import reference_spgemm
 from repro.spgemm.rowproduct import RowProductSpGEMM
 from repro.spgemm.semiring import (
     MAX_TIMES,
@@ -18,12 +15,8 @@ from repro.spgemm.semiring import (
 __all__ = [
     "MultiplyContext",
     "SpGEMMAlgorithm",
-    "expand_outer",
-    "merge_triplets",
-    "symbolic_row_nnz",
     "OuterProductSpGEMM",
     "RowProductSpGEMM",
-    "reference_spgemm",
     "Semiring",
     "semiring_spgemm",
     "PLUS_TIMES",

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.errors import FingerprintError, SparseFormatError
 from repro.gpusim.config import TITAN_XP, GPUConfig
 from repro.gpusim.costs import DEFAULT_COSTS, CostModel
@@ -36,8 +36,6 @@ from repro.gpusim.trace import KernelTrace
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import check_multipliable
-from repro.spgemm.merge import symbolic_row_nnz
-from repro.spgemm.reference import reference_spgemm
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; plan imports stay lazy here
     from repro.plan.ir import ExecutionPlan, PhaseExecution
@@ -124,13 +122,15 @@ class MultiplyContext:
 
     @cached_property
     def reference_c(self) -> CSRMatrix:
-        """The exact product (:func:`~repro.spgemm.reference.reference_spgemm`),
-        computed lazily.
+        """The exact product, computed lazily: the numeric kernel in pair
+        order (:func:`repro.kernels.spgemm`), explicit zeros kept.
 
-        Only value consumers (tests, benchmark oracles) read it; the symbolic
-        pass (:attr:`c_row_nnz`) and lowering never do.
+        Only the benchmark's oracle reads it (tests compare with scipy
+        directly); the symbolic pass (:attr:`c_row_nnz`) and lowering never
+        do.
         """
-        return reference_spgemm(self.a_csr, self.b_csr)
+        indptr, indices, data, _ = kernels.spgemm(self.a_csr, self.b_csr, kernels.PAIR_ORDER)
+        return CSRMatrix(self.out_shape, indptr, indices, data)
 
     @cached_property
     def c_row_nnz(self) -> np.ndarray:
@@ -142,12 +142,12 @@ class MultiplyContext:
         :meth:`~repro.plan.ir.ExecutionPlan.run` stores the merged result's
         row counts here when nothing has read it yet — so a cold multiply
         never counts C twice.  Read before that, it runs the structure-only
-        symbolic pass, :func:`~repro.spgemm.merge.symbolic_row_nnz`: no
-        values, no expansion, no merge.  Both give ``reference_c.row_nnz()``:
-        the merge keeps explicit zeros, so stored entries are unique
-        coordinates.
+        symbolic pass, :func:`repro.kernels.row_nnz`, over the kernel's row
+        cut of :attr:`row_work`: no values, no expansion, no merge.  Both
+        count the product's stored entries, explicit zeros included, as the
+        merge keeps them.
         """
-        return symbolic_row_nnz(self.a_csr, self.b_csr, self.row_work)
+        return kernels.row_nnz(self.a_csr, self.b_csr, np.cumsum(self.row_work))
 
     @property
     def out_shape(self) -> tuple[int, int]:

@@ -4,14 +4,17 @@ spGEMM scheme (baselines, libraries, Block Reorganizer)."""
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.reorganizer import BlockReorganizer
 from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
+from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.libraries import BhSparseSpGEMM, CuspSpGEMM, CuSparseSpGEMM, MklSpGEMM
 from repro.spgemm.outerproduct import OuterProductSpGEMM
-from repro.spgemm.reference import reference_spgemm
 from repro.spgemm.rowproduct import RowProductSpGEMM
+
+from .oracle import assert_identical, assert_scipy_product, scipy_product
 
 ALL_ALGORITHMS = [
     RowProductSpGEMM,
@@ -43,8 +46,10 @@ class TestContext:
         assert ctx.row_work.sum() == ctx.total_work
 
     def test_c_row_nnz_matches_reference(self, ctx, square_csr):
-        ref = reference_spgemm(square_csr)
-        assert np.array_equal(ctx.c_row_nnz, ref.row_nnz())
+        """The symbolic pass counts scipy's stored entries (positive values
+        never cancel, so scipy stores the whole structure)."""
+        want = scipy_product(square_csr, square_csr)
+        assert np.array_equal(ctx.c_row_nnz, want.row_nnz())
 
     def test_b_defaults_to_a(self, square_csr):
         ctx = MultiplyContext.build(square_csr)
@@ -57,18 +62,17 @@ class TestContext:
             MultiplyContext.build(square_csr, small_csr)
 
     def test_single_expansion_for_symbolic_and_numeric(self, square_csr, monkeypatch):
-        """The symbolic pass reads structure only: ``c_row_nnz`` expands
-        nothing, and the lazy ``reference_c`` expands exactly once after it."""
-        import repro.spgemm.reference as reference
-
+        """The symbolic pass reads structure only: ``c_row_nnz`` runs no
+        numeric kernel, and the lazy ``reference_c`` runs it exactly once
+        after it."""
         calls = []
-        real = reference.expand_outer
+        real = kernels.spgemm
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(reference, "expand_outer", counting)
+        monkeypatch.setattr(kernels, "spgemm", counting)
         ctx = MultiplyContext.build(square_csr)
         ctx.c_row_nnz
         ctx.nnz_c
@@ -79,36 +83,32 @@ class TestContext:
 
 
 class TestReference:
-    def test_against_dense(self, square_csr):
-        dense = square_csr.to_dense()
-        assert np.allclose(reference_spgemm(square_csr).to_dense(), dense @ dense)
+    """``MultiplyContext.reference_c``, the product the benchmark's oracle
+    reads: the kernel in pair order, which is scipy's product."""
+
+    def test_against_dense(self, rng):
+        """Dense operands with signed values, whose sums cancel and round."""
+        a = CSRMatrix.from_dense(rng.uniform(-2.0, 2.0, (12, 9)))
+        b = CSRMatrix.from_dense(rng.uniform(-2.0, 2.0, (9, 7)))
+        assert_scipy_product(MultiplyContext.build(a, b).reference_c, a, b)
 
     def test_against_scipy(self, square_csr):
-        scipy_sparse = pytest.importorskip("scipy.sparse")
-        a = scipy_sparse.csr_matrix(
-            (square_csr.data, square_csr.indices, square_csr.indptr), shape=square_csr.shape
-        )
-        expected = (a @ a).sorted_indices()
-        ours = reference_spgemm(square_csr)
-        assert np.array_equal(expected.indptr, ours.indptr)
-        assert np.allclose(expected.data, ours.data)
+        assert_scipy_product(MultiplyContext.build(square_csr).reference_c, square_csr, square_csr)
 
     def test_identity(self, square_csr):
-        from repro.sparse.csr import CSRMatrix
-
         eye = CSRMatrix.identity(square_csr.n_rows)
-        assert reference_spgemm(square_csr, eye).allclose(square_csr)
+        assert_identical(MultiplyContext.build(square_csr, eye).reference_c, square_csr)
 
 
 @pytest.mark.parametrize("algo_cls", ALL_ALGORITHMS, ids=lambda c: c.name)
 class TestEveryAlgorithm:
     def test_numeric_equals_reference(self, algo_cls, ctx, square_csr):
-        c = algo_cls().multiply(ctx)
-        assert c.allclose(reference_spgemm(square_csr))
+        algo = algo_cls()
+        assert_scipy_product(algo.multiply(ctx), square_csr, square_csr, algo)
 
     def test_numeric_on_skewed(self, algo_cls, skewed_ctx, skewed_csr):
-        c = algo_cls().multiply(skewed_ctx)
-        assert c.allclose(reference_spgemm(skewed_csr))
+        algo = algo_cls()
+        assert_scipy_product(algo.multiply(skewed_ctx), skewed_csr, skewed_csr, algo)
 
     def test_simulation_runs(self, algo_cls, ctx):
         sim = GPUSimulator(TITAN_XP)

@@ -5,7 +5,6 @@ generation -> context -> every algorithm's numeric plane (equality against
 SciPy) -> simulation -> the paper's headline orderings.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.runner import get_context
@@ -14,6 +13,8 @@ from repro.gpusim.config import TESLA_V100, TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.rowproduct import RowProductSpGEMM
+
+from .oracle import assert_scipy_product
 
 
 @pytest.fixture(scope="module")
@@ -29,21 +30,14 @@ def poisson_ctx():
 class TestNumericAgainstScipy:
     @pytest.mark.parametrize("dataset", ["poisson3da", "as_caida"])
     def test_reference_matches_scipy(self, dataset):
-        scipy_sparse = pytest.importorskip("scipy.sparse")
+        """The benchmark oracle's product is scipy's, bit for bit."""
         ctx = get_context(dataset)
-        a = scipy_sparse.csr_matrix(
-            (ctx.a_csr.data, ctx.a_csr.indices, ctx.a_csr.indptr), shape=ctx.a_csr.shape
-        )
-        expected = (a @ a).sorted_indices()
-        ours = ctx.reference_c
-        assert np.array_equal(expected.indptr, ours.indptr)
-        assert np.array_equal(expected.indices, ours.indices)
-        assert np.allclose(expected.data, ours.data)
+        assert_scipy_product(ctx.reference_c, ctx.a_csr, ctx.b_csr)
 
     def test_all_algorithms_agree_on_caida(self, caida_ctx):
-        ref = caida_ctx.reference_c
+        a = caida_ctx.a_csr
         for algo in (RowProductSpGEMM(), OuterProductSpGEMM(), BlockReorganizer()):
-            assert algo.multiply(caida_ctx).allclose(ref)
+            assert_scipy_product(algo.multiply(caida_ctx), a, a, algo)
 
 
 class TestHeadlineOrderings:
@@ -84,15 +78,5 @@ class TestHeadlineOrderings:
 class TestCrossDatasetConsistency:
     def test_ab_pair_multiplication(self):
         ctx = get_context("ab15")
-        ref = ctx.reference_c
-        assert BlockReorganizer().multiply(ctx).allclose(ref)
-        scipy_sparse = pytest.importorskip("scipy.sparse")
-        a = scipy_sparse.csr_matrix(
-            (ctx.a_csr.data, ctx.a_csr.indices, ctx.a_csr.indptr), shape=ctx.a_csr.shape
-        )
-        b = scipy_sparse.csr_matrix(
-            (ctx.b_csr.data, ctx.b_csr.indices, ctx.b_csr.indptr), shape=ctx.b_csr.shape
-        )
-        expected = (a @ b).sorted_indices()
-        assert np.array_equal(expected.indptr, ref.indptr)
-        assert np.allclose(expected.data, ref.data)
+        algo = BlockReorganizer()
+        assert_scipy_product(algo.multiply(ctx), ctx.a_csr, ctx.b_csr, algo)

@@ -1,6 +1,6 @@
 """The numeric primitives in :mod:`repro.kernels`.
 
-Checks that the numeric kernel equals the merge of either expansion and
+Checks that the numeric kernel in either order is scipy's product and
 replays bit for bit from its own gathers, that its row blocks join to its
 result, that the row cut is the greedy loop over rows, that the tie rank
 and the expansion order decide the summation order, and the merge's edge
@@ -15,13 +15,12 @@ import pytest
 from repro import kernels
 from repro.errors import ShapeMismatchError
 from repro.plan.estimate import row_flops
-from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import power_law
-from repro.spgemm.merge import merge_triplets
 from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND
 
 from .conftest import random_csr
+from .oracle import assert_scipy_product
 
 
 @pytest.fixture()
@@ -30,14 +29,6 @@ def matrices():
     a = random_csr(rng, 50, 40, 0.12)
     b = random_csr(rng, 40, 35, 0.15)
     return a, b
-
-
-def _identical(x: CSRMatrix, y: CSRMatrix) -> bool:
-    return (
-        x.indptr.tobytes() == y.indptr.tobytes()
-        and x.indices.tobytes() == y.indices.tobytes()
-        and x.data.tobytes() == y.data.tobytes()
-    )
 
 
 def _spgemm(a, b, order, rank=None) -> CSRMatrix:
@@ -56,35 +47,18 @@ class TestRegistry:
 
 
 class TestNumpyBackendParity:
-    """The kernel equals the merge of its own expansions, bit for bit."""
+    """The kernel is scipy's product and replays to its own bits."""
 
     def test_merge_and_sums_match_spgemm(self, matrices, monkeypatch):
-        """In either order the kernel is the merge of that order's walk over
-        A's entries, and its gathers replay to the same bits, also a few
-        products at a time."""
+        """In either order the kernel is scipy's product (both sum each
+        entry in ascending k on sorted rows), and its gathers replay to the
+        same bits, also a few products at a time."""
         a, b = matrices
         shape = (a.n_rows, b.n_cols)
         default_chunk = kernels.REPLAY_PRODUCTS
-        a_csc = csr_to_csc(a)
-        walks = {
-            # CSR order: row by row, each row's entries as stored.
-            kernels.ROW_ORDER: (np.repeat(np.arange(a.n_rows), a.row_nnz()), a.indices, a.data),
-            # CSC order: pair by pair, each column's entries by row.
-            kernels.PAIR_ORDER: (
-                a_csc.indices, np.repeat(np.arange(a.n_cols), a_csc.col_nnz()), a_csc.data
-            ),
-        }
-        for order, (rows, ks, a_vals) in walks.items():
-            counts = b.row_nnz()[ks]
-            b_idx = kernels.expand_entries(b.indptr[ks], counts)
-            want = merge_triplets(
-                np.repeat(rows, counts),
-                b.indices[b_idx],
-                np.repeat(a_vals, counts) * b.data[b_idx],
-                shape,
-            )
+        for order in (kernels.ROW_ORDER, kernels.PAIR_ORDER):
             indptr, indices, data, gathers = kernels.spgemm(a, b, order, gathers=True)
-            assert _identical(CSRMatrix(shape, indptr, indices, data), want)
+            assert_scipy_product(CSRMatrix(shape, indptr, indices, data), a, b)
             a_entries, counts, b_gather, group = gathers
             # A's side is one position and one product count per entry.
             assert len(a_entries) == len(counts) == a.nnz
@@ -208,7 +182,7 @@ class TestCompactReplay:
         assert (counts == 0).sum() == 4
         data = _replay_matches_kernel(a, b, order)
         c = CSRMatrix((3, 3), indptr, indices, data)
-        np.testing.assert_array_equal(c.to_dense(), a.to_dense() @ b.to_dense())
+        assert_scipy_product(c, a, b)
         empty = CSRMatrix.empty((4, 3))
         indptr, indices, data, gathers = kernels.spgemm(a, empty, order, gathers=True)
         assert len(data) == 0 and (gathers[1] == 0).all() and len(gathers[0]) == a.nnz

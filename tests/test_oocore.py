@@ -55,6 +55,8 @@ from repro.sparse.random import power_law
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
+from .oracle import assert_identical, assert_scipy_product
+
 
 def _random_csr(rng, n_rows=80, n_cols=80, density=0.08) -> CSRMatrix:
     dense = (rng.random((n_rows, n_cols)) < density) * rng.random((n_rows, n_cols))
@@ -72,13 +74,6 @@ def _fail_writes_with_enospc(monkeypatch) -> None:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
     monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
-
-
-def _assert_identical(chunked: CSRMatrix, reference: CSRMatrix) -> None:
-    assert chunked.shape == reference.shape
-    assert np.array_equal(chunked.indptr, reference.indptr)
-    assert np.array_equal(chunked.indices, reference.indices)
-    assert np.array_equal(chunked.data, reference.data)
 
 
 def _reorganizer_chunked_and_in_memory(tmp_path) -> tuple[CSRMatrix, CSRMatrix]:
@@ -216,7 +211,7 @@ class TestChunkedMultiply:
             chunked, stats = chunked_multiply(
                 algo, a, mem_budget="4K", spill_dir=str(tmp_path)
             )
-            _assert_identical(chunked, reference)
+            assert_identical(chunked, reference)
             assert stats.n_panels > 1, algo.name
             assert stats.spill_count >= 1, algo.name
             # Each partial spills at most once: assembly never re-spills.
@@ -225,14 +220,15 @@ class TestChunkedMultiply:
         assert list(tmp_path.iterdir()) == []
 
     def test_block_reorganizer_power_law_keeps_structure(self, tmp_path):
-        chunked, reference = _reorganizer_chunked_and_in_memory(tmp_path)
-        assert np.array_equal(chunked.indptr, reference.indptr)
-        assert np.array_equal(chunked.indices, reference.indices)
-        assert np.allclose(chunked.data, reference.data, rtol=1e-12, atol=0.0)
+        """Chunked, the power-law product is scipy's, permuted by the
+        plan's tie rank."""
+        chunked, _ = _reorganizer_chunked_and_in_memory(tmp_path)
+        a = power_law(n=1000, nnz=6000, seed=1).to_csr()
+        assert_scipy_product(chunked, a, a, BlockReorganizer())
 
     def test_block_reorganizer_power_law_bit_identical(self, tmp_path):
         chunked, reference = _reorganizer_chunked_and_in_memory(tmp_path)
-        _assert_identical(chunked, reference)
+        assert_identical(chunked, reference)
 
     def test_lowers_once_outside_the_panels(self, tmp_path):
         """One ``plan.lower[...]`` span per chunked run, none under the
@@ -270,7 +266,7 @@ class TestChunkedMultiply:
         chunked, stats = chunked_multiply(
             algo, a, mem_budget="1G", spill_dir=str(tmp_path)
         )
-        _assert_identical(chunked, reference)
+        assert_identical(chunked, reference)
         assert stats.n_panels == 1
         assert stats.spill_count == 0
         assert stats.bytes_spilled == 0
@@ -302,7 +298,7 @@ class TestChunkedMultiply:
         chunked, stats = chunked_multiply(
             algo, a, b, mem_budget="2K", spill_dir=str(tmp_path)
         )
-        _assert_identical(chunked, reference)
+        assert_identical(chunked, reference)
         assert stats.n_panels > 1
 
     def test_oversized_rows_counted(self, rng, tmp_path):
@@ -315,7 +311,7 @@ class TestChunkedMultiply:
         chunked, stats = chunked_multiply(
             algo, a, mem_budget=BYTES_PER_PRODUCT, spill_dir=str(tmp_path)
         )
-        _assert_identical(chunked, reference)
+        assert_identical(chunked, reference)
         work = row_flops(a, a)
         assert stats.max_products == 1
         assert stats.n_oversized == int((work > 1).sum()) > 0
@@ -466,7 +462,7 @@ class TestRuntimeWiring:
             RuntimeConfig(mem_budget=4 << 10, spill_dir=str(tmp_path))
         ) as rt:
             outcome = rt.multiply("row-product", a, a)
-            _assert_identical(outcome.result, reference)
+            assert_identical(outcome.result, reference)
             assert outcome.replayed is False
             stats = rt.ooc_stats()
             assert stats is not None and stats.spill_count >= 1
@@ -485,7 +481,7 @@ class TestRuntimeWiring:
         chunked, stats = chunked_multiply(
             cache.algorithm, a, a, mem_budget="4K", spill_dir=str(tmp_path)
         )
-        _assert_identical(chunked, reference)
+        assert_identical(chunked, reference)
         assert stats.n_panels > 1
         # The plan cache is bypassed: chunked runs add no cached structures.
         assert (cache.stats.lowers, len(cache)) == (1, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.errors import ShapeMismatchError
 from repro.plan.estimate import multiply_flops, row_flops
 from repro.sparse.csr import CSRMatrix
@@ -28,11 +29,11 @@ class TestExpansionWork:
         assert np.array_equal(work, expected)
 
     def test_total_equals_expansion_size(self, square_csr):
-        """nnz(C-hat) must equal the number of triplets expansion generates."""
-        from repro.spgemm.expansion import expand_outer
-
-        rows, _, _ = expand_outer(square_csr.to_csc(), square_csr)
-        assert multiply_flops(square_csr, square_csr) == len(rows)
+        """nnz(C-hat) must equal the number of products the kernel forms
+        (one gathered entry of B per product)."""
+        for order in (kernels.PAIR_ORDER, kernels.ROW_ORDER):
+            gathers = kernels.spgemm(square_csr, square_csr, order, gathers=True)[3]
+            assert multiply_flops(square_csr, square_csr) == len(gathers[2])
 
     def test_row_work_sums_to_total(self, square_csr):
         total = multiply_flops(square_csr, square_csr)

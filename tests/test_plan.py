@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.bench.runner import paper_algorithms
 from repro.core.reorganizer import (
     BlockReorganizer,
@@ -24,10 +25,12 @@ from repro.plan import passes
 from repro.plan.ir import Coverage, ExecutionPlan, PlanPhase
 from repro.plan.passes import ClassifyPass, GatherPass, LimitPass, SplitPass
 from repro.sparse.csr import CSRMatrix
-from repro.spgemm import base, outerproduct, rowproduct
+from repro.spgemm import outerproduct, rowproduct
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.libraries import MklSpGEMM
 from repro.spgemm.outerproduct import OuterProductSpGEMM
+
+from .oracle import assert_identical, assert_scipy_product, drop_zeros, scipy_product
 
 SCHEMES = [algo.name for algo in paper_algorithms()]
 
@@ -124,8 +127,10 @@ class TestExecutorInvariant:
         plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
         half = np.arange(len(ctx.pair_work)) % 2 == 0
         _two_pair_phases(plan, half, ~half)
-        np.testing.assert_array_equal(plan.tie_rank(len(half)), (~half).astype(np.int64))
-        assert plan.execute(ctx).allclose(ctx.reference_c)
+        rank = plan.tie_rank(len(half))
+        np.testing.assert_array_equal(rank, (~half).astype(np.int64))
+        want = scipy_product(ctx.a_csr, ctx.b_csr, rank)
+        assert_identical(drop_zeros(plan.execute(ctx)), want)
 
     def test_mixed_coverage_axes_raise(self, ctx):
         plan = OuterProductSpGEMM().lower(ctx, TITAN_XP)
@@ -164,7 +169,7 @@ class TestExecutorInvariant:
 
     def test_instrumented_execution_records_all_phases(self, ctx):
         result, records = OuterProductSpGEMM().profile_plan(ctx)
-        assert result.allclose(ctx.reference_c)
+        assert_scipy_product(result, ctx.a_csr, ctx.b_csr)
         assert [r.name for r in records] == ["expansion", "merge"]
         assert records[0].ops == ctx.total_work
         assert all(r.seconds >= 0.0 for r in records)
@@ -189,7 +194,7 @@ class TestHostPlans:
         trace = plan.to_trace()
         assert trace.phases == []
         assert trace.host_seconds > 0
-        assert plan.execute(ctx).allclose(ctx.reference_c)
+        assert_scipy_product(plan.execute(ctx), ctx.a_csr, ctx.b_csr, MklSpGEMM())
 
 
 class TestDeferredBlocks:
@@ -204,7 +209,7 @@ class TestDeferredBlocks:
         self, name, path, skewed_csr, monkeypatch
     ):
         calls = {"symbolic": 0, "to_csc": 0}
-        symbolic, to_csc = base.symbolic_row_nnz, CSRMatrix.to_csc
+        symbolic, to_csc = kernels.row_nnz, CSRMatrix.to_csc
 
         def counting_symbolic(*args, **kwargs):
             calls["symbolic"] += 1
@@ -214,7 +219,7 @@ class TestDeferredBlocks:
             calls["to_csc"] += 1
             return to_csc(self)
 
-        monkeypatch.setattr(base, "symbolic_row_nnz", counting_symbolic)
+        monkeypatch.setattr(kernels, "row_nnz", counting_symbolic)
         monkeypatch.setattr(CSRMatrix, "to_csc", counting_to_csc)
         algo, a = _scheme(name), skewed_csr
         if path == "plan-cache":
@@ -225,7 +230,7 @@ class TestDeferredBlocks:
             c, _ = chunked_multiply(algo, a, a, mem_budget="256K")
         assert calls == {"symbolic": int(name == "bhsparse"), "to_csc": 0}
         monkeypatch.undo()
-        assert c.allclose(MultiplyContext.build(a, a).reference_c)
+        assert_scipy_product(c, a, a, algo)
 
     @pytest.mark.parametrize("name", SCHEMES)
     def test_numeric_runs_build_no_merge_blocks(self, name, skewed_csr, monkeypatch):
@@ -359,4 +364,5 @@ class TestCustomPass:
         plan = algo.lower(skewed_ctx, TITAN_XP)
         plan = TagPass().run(plan, skewed_ctx, TITAN_XP, algo.costs)
         assert plan.meta["tagged"] is True
-        assert plan.execute(skewed_ctx).allclose(skewed_ctx.reference_c)
+        a = skewed_ctx.a_csr
+        assert_scipy_product(plan.execute(skewed_ctx), a, a, algo)

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) on the core invariants.
 
 Strategies generate small random sparse matrices; the invariants cover the
-format layer (round-trips), the numeric engine (all schemes agree with a
-dense reference), the structure-only symbolic pass (exact row counts on
+format layer (round-trips), the numeric engine (every scheme's product is
+scipy's, bit for bit), the structure-only symbolic pass (exact row counts on
 adversarial operands, and the same counts left by a numeric run), the
 paths that reuse or split a cold multiply
 (plan-cache replay, semiring replay and chunked execution are bit-identical
@@ -14,8 +14,11 @@ Reorganizer's transformations (splitting and gathering are
 result-preserving / work-conserving) and the scheduler.
 """
 
+import json
 import os
 import tempfile
+import urllib.error
+import urllib.request
 from unittest import mock
 
 import numpy as np
@@ -33,13 +36,16 @@ from repro.metrics.lbi import load_balancing_index
 from repro.oocore import BYTES_PER_PRODUCT, chunked_multiply
 from repro.plan.cache import PlanCache
 from repro.plan.estimate import row_flops
+from repro.runtime import Runtime, RuntimeConfig
+from repro.serve import ServeConfig, ServerThread, csr_from_wire, csr_to_wire
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import power_law
 from repro.spgemm.base import DEFAULT_LOWERING_CONFIG, MultiplyContext
-from repro.spgemm.merge import symbolic_row_nnz
 from repro.spgemm.outerproduct import OuterProductSpGEMM
 from repro.spgemm.semiring import MAX_TIMES, MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spgemm
+
+from .oracle import assert_identical, assert_scipy_product, drop_zeros, scipy_product, tie_rank
 
 
 @st.composite
@@ -143,8 +149,7 @@ class TestSpGEMMProperties:
         a = coo.to_csr()
         ctx = MultiplyContext.build(a)
         for algo in paper_algorithms():
-            want = _scipy_product(a, a, _tie_rank(algo, a, a))
-            _assert_identical(_drop_zeros(algo.multiply(ctx)), want)
+            assert_scipy_product(algo.multiply(ctx), a, a, algo)
 
     @given(sparse_matrices(), st.integers(1, 64))
     @settings(max_examples=30, deadline=None)
@@ -155,8 +160,7 @@ class TestSpGEMMProperties:
         a = coo.to_csr()
         ctx = MultiplyContext.build(a)
         algo = BlockReorganizer(options=ReorganizerOptions(splitting_factor=factor, alpha=1.0))
-        want = _scipy_product(a, a, _tie_rank(algo, a, a))
-        _assert_identical(_drop_zeros(algo.multiply(ctx)), want)
+        assert_scipy_product(algo.multiply(ctx), a, a, algo)
 
     @given(sparse_matrices())
     @settings(max_examples=30, deadline=None)
@@ -174,21 +178,16 @@ class TestSymbolicPassProperties:
     @settings(max_examples=80, deadline=None)
     def test_counts_match_reference_and_scipy(self, operands, block_products, mask_cells):
         """Default, all-dense and all-sorted counting, over many small
-        blocks and on int32 index arrays, equals the merged product's
-        stored entries and scipy's."""
-        sp = pytest.importorskip("scipy.sparse")
+        blocks and on int32 index arrays, equals the stored entries of
+        scipy's product (on unit values, which never cancel, scipy's stored
+        entries are the structure) and of the merged numeric product."""
         a, b = operands
-        expected = MultiplyContext.build(a, b).reference_c.row_nnz()
-        # Unit values never cancel, so scipy's stored entries are the structure.
-        a32, b32 = (
-            sp.csr_matrix(
-                (np.ones(m.nnz), m.indices.astype(np.int32), m.indptr.astype(np.int32)),
-                shape=m.shape,
-            )
-            for m in (a, b)
-        )
-        assert np.array_equal(np.diff((a32 @ b32).tocsr().indptr), expected)
-        assert np.array_equal(symbolic_row_nnz(a, b), expected)
+        a32, b32 = (_int32(CSRMatrix(m.shape, m.indptr, m.indices, np.ones(m.nnz))) for m in (a, b))
+        expected = np.diff(scipy_product(a32, b32).indptr)
+        assert np.array_equal(kernels.row_nnz(a, b), expected)
+        assert np.array_equal(kernels.row_nnz(a32, b32), expected)
+        indptr = kernels.spgemm(a, b, kernels.PAIR_ORDER)[0]
+        assert np.array_equal(np.diff(indptr), expected)
         for fill in (0.0, float("inf")):
             with mock.patch.multiple(
                 kernels,
@@ -196,8 +195,8 @@ class TestSymbolicPassProperties:
                 BLOCK_PRODUCTS=block_products,
                 BLOCK_CELLS=mask_cells,
             ):
-                assert np.array_equal(symbolic_row_nnz(a, b), expected)
-                assert np.array_equal(symbolic_row_nnz(a32, b32), expected)
+                assert np.array_equal(kernels.row_nnz(a, b), expected)
+                assert np.array_equal(kernels.row_nnz(a32, b32), expected)
 
     @given(
         multiply_operands(),
@@ -218,7 +217,7 @@ class TestSymbolicPassProperties:
             a, b = _shuffle_rows(a, rng), _shuffle_rows(b, rng)
         elif form == "int32":
             a, b = _int32(a), _int32(b)
-        expected = symbolic_row_nnz(a, b)
+        expected = kernels.row_nnz(a, b)
         pair_work = a.to_csc().col_nnz() * b.row_nnz()
         for algo in paper_algorithms():
             ctx = MultiplyContext.build(a, b)
@@ -258,48 +257,6 @@ def _shuffle_rows(m: CSRMatrix, rng: np.random.Generator) -> CSRMatrix:
     return CSRMatrix(m.shape, m.indptr, m.indices[order], m.data[order])
 
 
-def _drop_zeros(m: CSRMatrix) -> CSRMatrix:
-    keep = m.data != 0.0
-    row_of = np.repeat(np.arange(m.n_rows), m.row_nnz())[keep]
-    indptr = np.zeros(m.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=m.n_rows), out=indptr[1:])
-    return CSRMatrix(m.shape, indptr, m.indices[keep], m.data[keep])
-
-
-def _assert_identical(got: CSRMatrix, want: CSRMatrix) -> None:
-    assert got.shape == want.shape
-    assert got.indptr.tobytes() == want.indptr.tobytes()
-    assert got.indices.tobytes() == want.indices.tobytes()
-    assert got.data.tobytes() == want.data.tobytes()
-
-
-def _scipy_product(a: CSRMatrix, b: CSRMatrix, rank: np.ndarray | None = None) -> CSRMatrix:
-    """scipy's ``a @ b`` with sorted indices (it drops exact zeros).
-
-    scipy adds each entry's products in ascending inner index.  Given a
-    per-pair tie ``rank``, this multiplies ``A[:, p]`` (rows sorted) by
-    ``B[p, :]`` instead, ``p`` the stable argsort of the rank: the sum in
-    ascending (tie rank, k).
-    """
-    sp = pytest.importorskip("scipy.sparse")
-    left = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-    right = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
-    if rank is not None:
-        p = np.argsort(rank, kind="stable")
-        left = left[:, p].tocsr()
-        left.sort_indices()
-        right = right[p, :].tocsr()
-    c = (left @ right).tocsr()
-    c.sort_indices()
-    return CSRMatrix(c.shape, c.indptr, c.indices, c.data)
-
-
-def _tie_rank(algo, a: CSRMatrix, b: CSRMatrix) -> np.ndarray | None:
-    """The per-pair tie rank of ``algo``'s plan for ``a @ b`` (None if all 0)."""
-    ctx = MultiplyContext.build(a, b)
-    return algo.lower(ctx, DEFAULT_LOWERING_CONFIG).tie_rank(len(ctx.pair_work))
-
-
 class TestReplayProperties:
     @given(multiply_operands(), st.integers(0, 2**32 - 1), st.sampled_from(["int64", "int32"]))
     @settings(max_examples=25, deadline=None)
@@ -326,12 +283,11 @@ class TestReplayProperties:
                 replayed = cache.multiply(a2, b2)
                 assert cache.stats.hits == 1, algo.name
                 cold = algo.multiply(MultiplyContext.build(a2, b2))
-                _assert_identical(replayed, cold)
-                want = _scipy_product(a2, b2, _tie_rank(algo, a2, b2))
-                _assert_identical(_drop_zeros(cold), want)
+                assert_identical(replayed, cold)
+                assert_scipy_product(cold, a2, b2, algo)
 
                 cache.semiring_multiply(a, b, MIN_PLUS)
-                _assert_identical(cache.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
+                assert_identical(cache.semiring_multiply(a2, b2, MIN_PLUS), semiring_cold)
 
                 # A one-product budget gives every row with work a block of
                 # its own and forces spills.
@@ -341,7 +297,7 @@ class TestReplayProperties:
                 if split:
                     assert stats.n_panels >= 2, algo.name
                 assert stats.spill_count <= stats.n_panels, algo.name
-                _assert_identical(chunked, cold)
+                assert_identical(chunked, cold)
             assert os.listdir(spill_dir) == []
 
     @given(multiply_operands(), st.integers(0, 2**32 - 1))
@@ -355,7 +311,7 @@ class TestReplayProperties:
         a, b = (_shuffle_rows(m, rng) for m in operands)
         a1, b1 = _with_values(a, rng), _with_values(b, rng)
         a2, b2 = _with_values(a, rng), _with_values(b, rng)
-        want = _scipy_product(a2, b2)
+        want = scipy_product(a2, b2)
         with tempfile.TemporaryDirectory() as spill_dir:
             for algo in paper_algorithms():
                 cache = PlanCache(algo)
@@ -363,17 +319,17 @@ class TestReplayProperties:
                 replayed = cache.multiply(a2, b2)
                 assert cache.stats.hits == 1, algo.name
                 cold = algo.multiply(MultiplyContext.build(a2, b2))
-                _assert_identical(replayed, cold)
+                assert_identical(replayed, cold)
                 chunked, _ = chunked_multiply(
                     algo, a2, b2, mem_budget=BYTES_PER_PRODUCT, spill_dir=spill_dir
                 )
-                _assert_identical(chunked, cold)
+                assert_identical(chunked, cold)
                 if algo.name in ("outer-product", "block-reorganizer"):
                     ctx = MultiplyContext.build(a2.sort_indices(), b2.sort_indices())
-                    _assert_identical(cold, algo.multiply(ctx))
+                    assert_identical(cold, algo.multiply(ctx))
                 else:
                     # scipy drops entries that cancel to exactly zero.
-                    _assert_identical(_drop_zeros(cold), want)
+                    assert_identical(drop_zeros(cold), want)
 
 
 class TestSemiringProperties:
@@ -389,15 +345,15 @@ class TestSemiringProperties:
         a1, b1 = _with_values(a, rng, low=-2.0), _with_values(b, rng, low=-2.0)
         a2, b2 = _with_values(a, rng, low=-2.0), _with_values(b, rng, low=-2.0)
         plus_times = semiring_spgemm(a2, b2, PLUS_TIMES)
-        _assert_identical(plus_times, _scipy_product(a2, b2))
+        assert_identical(plus_times, scipy_product(a2, b2))
         numeric = OuterProductSpGEMM().multiply(MultiplyContext.build(a2, b2))
-        _assert_identical(plus_times, _drop_zeros(numeric))
+        assert_identical(plus_times, drop_zeros(numeric))
         for semiring in (PLUS_TIMES, MIN_PLUS, OR_AND, MAX_TIMES):
             cache = PlanCache(OuterProductSpGEMM())
             cache.semiring_multiply(a1, b1, semiring)
             replayed = cache.semiring_multiply(a2, b2, semiring)
             assert cache.stats.hits == 1, semiring.name
-            _assert_identical(replayed, semiring_spgemm(a2, b2, semiring))
+            assert_identical(replayed, semiring_spgemm(a2, b2, semiring))
 
 
 class TestExactOracle:
@@ -410,11 +366,11 @@ class TestExactOracle:
         rng = np.random.default_rng(seed)
         a, b = (_with_values(m, rng, low=-2.0) for m in operands)
         rank = rng.integers(0, 3, a.n_cols)
-        want = _scipy_product(a, b, rank)
+        want = scipy_product(a, b, rank)
         for order in (kernels.PAIR_ORDER, kernels.ROW_ORDER):
             indptr, indices, data, _ = kernels.spgemm(a, b, order, rank)
             got = CSRMatrix((a.n_rows, b.n_cols), indptr, indices, data)
-            _assert_identical(_drop_zeros(got), want)
+            assert_identical(drop_zeros(got), want)
 
     @given(multiply_operands(), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -444,11 +400,61 @@ class TestExactOracle:
         a = power_law(n=1000, nnz=6000, seed=1).to_csr()
         a = _with_values(a, np.random.default_rng(0), low=-2.0)
         algo = BlockReorganizer()
-        rank = _tie_rank(algo, a, a)
+        rank = tie_rank(algo, a, a)
         assert rank is not None and np.any(rank)
-        c = _drop_zeros(algo.multiply(MultiplyContext.build(a, a)))
-        _assert_identical(c, _scipy_product(a, a, rank))
-        assert c.data.tobytes() != _scipy_product(a, a).data.tobytes()
+        c = drop_zeros(algo.multiply(MultiplyContext.build(a, a)))
+        assert_identical(c, scipy_product(a, a, rank))
+        assert c.data.tobytes() != scipy_product(a, a).data.tobytes()
+
+
+def _http(url: str, body: dict | None = None) -> tuple[int, dict]:
+    """GET ``url``, or POST ``body`` to it as JSON: the status and JSON reply."""
+    data = None if body is None else json.dumps(body).encode()
+    request = urllib.request.Request(url, data, {"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=60) as reply:
+            return reply.status, json.loads(reply.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+class TestServedProperties:
+    def test_served_products_are_scipys(self):
+        """Operands posted to ``/v1/multiply`` on an in-process server, with
+        explicit and signed zeros, rows storing columns out of order and
+        rectangular shapes, come back as scipy's product bit for bit,
+        rank-permuted where the plan has a tie rank.  After each request the
+        flop ledger and the queue are empty."""
+        runtime = Runtime(RuntimeConfig(plan_cache_entries=4))
+        thread = ServerThread(runtime, ServeConfig(port=0))
+        host, port = thread.start()
+        base = f"http://{host}:{port}"
+
+        @given(
+            multiply_operands(),
+            st.integers(0, 2**32 - 1),
+            st.booleans(),
+            st.sampled_from(["block-reorganizer", "row-product"]),
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(operands, seed, shuffled, name):
+            rng = np.random.default_rng(seed)
+            a, b = (_with_values(m, rng, low=-2.0) for m in operands)
+            if shuffled:
+                a, b = _shuffle_rows(a, rng), _shuffle_rows(b, rng)
+            body = {"algorithm": name, "a": csr_to_wire(a), "b": csr_to_wire(b)}
+            status, reply = _http(base + "/v1/multiply", body)
+            assert status == 200, reply
+            assert_scipy_product(csr_from_wire(reply["result"]), a, b, runtime.algorithm(name))
+            _, stats = _http(base + "/stats")
+            assert stats["serving"]["inflight_flops"] == 0
+            assert stats["serving"]["queue_depth"] == 0
+
+        try:
+            check()
+        finally:
+            thread.stop()
+        assert runtime.closed
 
 
 class TestReorganizerPlanProperties:

@@ -9,7 +9,8 @@ from repro.gpusim.config import TITAN_XP
 from repro.gpusim.simulator import GPUSimulator
 from repro.spgemm.base import MultiplyContext
 from repro.spgemm.outerproduct import OuterProductSpGEMM
-from repro.spgemm.reference import reference_spgemm
+
+from .oracle import assert_scipy_product
 
 
 @pytest.fixture
@@ -62,12 +63,11 @@ class TestNumericPlane:
     )
     def test_matches_reference_on_skewed(self, opts, skewed_ctx, skewed_csr):
         algo = BlockReorganizer(options=opts)
-        assert algo.multiply(skewed_ctx).allclose(reference_spgemm(skewed_csr))
+        assert_scipy_product(algo.multiply(skewed_ctx), skewed_csr, skewed_csr, algo)
 
     def test_matches_reference_on_regular(self, regular_ctx, regular_csr):
-        assert BlockReorganizer().multiply(regular_ctx).allclose(
-            reference_spgemm(regular_csr)
-        )
+        algo = BlockReorganizer()
+        assert_scipy_product(algo.multiply(regular_ctx), regular_csr, regular_csr, algo)
 
 
 class TestTrace:

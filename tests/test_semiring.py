@@ -15,21 +15,20 @@ from repro.spgemm.semiring import (
     Semiring,
     semiring_spgemm,
 )
+from tests.oracle import assert_identical, scipy_product
 from tests.test_properties import sparse_matrices
 
 
 class TestPlusTimes:
     def test_matches_ordinary_product(self, square_csr):
         c = semiring_spgemm(square_csr, semiring=PLUS_TIMES)
-        dense = square_csr.to_dense()
-        assert np.allclose(c.to_dense(), dense @ dense)
+        assert_identical(c, scipy_product(square_csr, square_csr))
 
     @given(sparse_matrices())
     @settings(max_examples=30, deadline=None)
     def test_property_matches_dense(self, coo):
         a = coo.to_csr()
-        c = semiring_spgemm(a)
-        assert np.allclose(c.to_dense(), a.to_dense() @ a.to_dense(), atol=1e-9)
+        assert_identical(semiring_spgemm(a), scipy_product(a, a))
 
     def test_output_beyond_int64_keys_rejected(self):
         """A 3x1 by 1x2**62 product has 3 * 2**62 flat output keys."""

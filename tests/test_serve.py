@@ -24,6 +24,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import Runtime, RuntimeConfig
 from repro.serve import (
@@ -46,24 +47,105 @@ from repro.spgemm.base import MultiplyContext
 from repro.spgemm.rowproduct import RowProductSpGEMM
 
 from .conftest import random_csr
+from .oracle import assert_identical
 
 
-def identical(x, y):
-    return (
-        x.shape == y.shape
-        and x.indptr.tobytes() == y.indptr.tobytes()
-        and x.indices.tobytes() == y.indices.tobytes()
-        and x.data.tobytes() == y.data.tobytes()
-    )
+@st.composite
+def wire_arrays(draw):
+    """A valid CSR structure whose every array element is sent as a JSON
+    integer, a float, a numeric string, a boolean or null (whole arrays
+    often in a form the decoder accepts, so both outcomes are drawn)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    mask = np.array(cells, dtype=bool).reshape(rows, cols)
+    indices = np.nonzero(mask)[1].tolist()
+    indptr = [0, *np.cumsum(mask.sum(axis=1)).tolist()]
+    values = st.integers(-(2**53), 2**53) | st.floats(allow_nan=False, allow_infinity=False)
+    data = draw(st.lists(values, min_size=len(indices), max_size=len(indices)))
+    forms = st.sampled_from(["number", "float", "string", "boolean", "null"])
+
+    def send(array):
+        if draw(st.booleans()):  # every element in its own form
+            return list(array)
+        sent = []
+        for x in array:
+            form = draw(forms)
+            if form == "float":
+                x = float(x) + draw(st.sampled_from([0.0, 0.5]))
+            elif form == "string":
+                x = repr(x)
+            elif form == "boolean":
+                x = bool(x)
+            elif form == "null":
+                x = None
+            sent.append(x)
+        return sent
+
+    return {
+        "shape": [rows, cols],
+        "indptr": send(indptr),
+        "indices": send(indices),
+        "data": send(data),
+    }
 
 
 class TestProtocol:
+    @given(wire_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_takes_exactly_the_numbers_sent(self, wire):
+        """Through JSON text: refused unless every index is a JSON integer
+        and every value a JSON number; accepted, the matrix holds exactly
+        those numbers."""
+        wire = json.loads(json.dumps(wire))
+
+        def only(array, types):
+            return all(type(x) in types for x in array)
+
+        valid = only(wire["indptr"], (int,)) and only(wire["indices"], (int,))
+        valid = valid and only(wire["data"], (int, float))
+        if not valid:
+            with pytest.raises(BadRequest):
+                csr_from_wire(wire)
+            return
+        m = csr_from_wire(wire)
+        assert m.shape == tuple(wire["shape"])
+        assert m.indptr.tolist() == wire["indptr"]
+        assert m.indices.tolist() == wire["indices"]
+        sent = np.array([float(x) for x in wire["data"]], dtype=np.float64)
+        assert m.data.tobytes() == sent.tobytes()
+        assert all(float(x) == x for x in wire["data"])
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("indices", [0.7, 2.9]),
+            ("indptr", [0, 1.5, 2]),
+            ("data", ["1.5", "2e3"]),
+            ("shape", [True, 3]),
+            ("indices", [0, True]),
+            ("data", [1.5, True]),
+        ],
+    )
+    def test_no_value_is_coerced(self, key, value):
+        """Fractional indices, numeric strings and booleans are refused,
+        not rounded, parsed or counted as 1."""
+        wire = {"shape": [2, 3], "indptr": [0, 1, 2], "indices": [0, 2], "data": [1.5, 2.0]}
+        wire[key] = value
+        with pytest.raises(BadRequest, match=key):
+            csr_from_wire(wire)
+
+    def test_integer_data_and_empty_arrays_accepted(self):
+        m = csr_from_wire({"shape": [1, 2], "indptr": [0, 2], "indices": [0, 1], "data": [3, -4]})
+        assert m.data.dtype == np.float64 and m.data.tolist() == [3.0, -4.0]
+        empty = csr_from_wire({"shape": [2, 0], "indptr": [0, 0, 0], "indices": [], "data": []})
+        assert empty.shape == (2, 0) and empty.nnz == 0
+
     def test_wire_roundtrip_is_bit_identical(self, rng):
         m = random_csr(rng, 17, 23, 0.2)
         # Through actual JSON text, as on the wire.
         wire = json.loads(json.dumps(csr_to_wire(m)))
         back = csr_from_wire(wire)
-        assert identical(m, back)
+        assert_identical(m, back)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(BadRequest, match="missing"):
@@ -247,12 +329,12 @@ class TestServer:
         body = {"algorithm": "row-product", "a": csr_to_wire(a), "b": csr_to_wire(b)}
         status, first = _post(serve_url, "/v1/multiply", body)
         assert status == 200
-        assert identical(csr_from_wire(first["result"]), expected)
+        assert_identical(csr_from_wire(first["result"]), expected)
         assert first["replayed"] is False
         status, second = _post(serve_url, "/v1/multiply", body)
         assert status == 200
         assert second["replayed"] is True
-        assert identical(csr_from_wire(second["result"]), expected)
+        assert_identical(csr_from_wire(second["result"]), expected)
 
     def test_multiply_hashes_the_structure_once(self, serve_url, rng, monkeypatch):
         """The fingerprint the server passes down is the plan cache's: one
@@ -330,7 +412,7 @@ class TestServer:
         assert len(outcomes) == 8
         for status, reply in outcomes:
             assert status == 200
-            assert identical(csr_from_wire(reply["result"]), expected)
+            assert_identical(csr_from_wire(reply["result"]), expected)
         _, stats = _get(serve_url, "/stats")
         # 8 same-structure requests, one symbolic lowering: amortised.
         assert stats["runtime"]["plan_cache"]["lowers"] == 1
@@ -364,7 +446,7 @@ class TestServer:
             {"algorithm": "row-product", "adjacency": csr_to_wire(adj), "k": 2},
         )
         assert status == 200
-        assert identical(csr_from_wire(reply["result"]), want_reach)
+        assert_identical(csr_from_wire(reply["result"]), want_reach)
         status, reply = _post(
             serve_url,
             "/v1/similarity",
@@ -372,7 +454,7 @@ class TestServer:
              "metric": "jaccard"},
         )
         assert status == 200
-        assert identical(csr_from_wire(reply["result"]), want_sim)
+        assert_identical(csr_from_wire(reply["result"]), want_sim)
 
     def test_tenant_header_scopes_sessions(self, serve_url, rng):
         a = random_csr(rng, 20, 20, 0.2)
@@ -425,6 +507,40 @@ class TestServer:
              "damping": "high"},
         )
         assert status == 400 and "damping" in body["error"]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"shape": [3, 3], "indptr": [0, 1, 2, 2], "indices": [0.7, 2.9], "data": [1.5, 2.0]},
+            {"shape": [3, 3], "indptr": [0, 1.5, 2, 2], "indices": [0, 2], "data": [1.5, 2.0]},
+            {"shape": [3, 3], "indptr": [0, 1, 2, 2], "indices": [0, 2], "data": ["1.5", "2e3"]},
+            {"shape": [True, True], "indptr": [0, 1], "indices": [0], "data": [1.5]},
+        ],
+        ids=["fractional-indices", "fractional-indptr", "string-data", "boolean-shape"],
+    )
+    def test_matrix_the_client_did_not_send_is_400(self, serve_url, matrix):
+        """A matrix that decodes only by coercing its values is refused on
+        both routes, and nothing stays charged."""
+        for route, body in (
+            ("/v1/multiply", {"algorithm": "row-product", "a": matrix}),
+            ("/v1/reachability", {"algorithm": "row-product", "adjacency": matrix, "k": 2}),
+        ):
+            status, reply = _post(serve_url, route, body)
+            assert status == 400, (route, reply)
+        _, stats = _get(serve_url, "/stats")
+        assert stats["serving"]["inflight_flops"] == 0
+
+    def test_fractional_iteration_counts_are_400(self, serve_url, rng):
+        """``k: 2.7`` is not two hops; an integral ``2.0`` is."""
+        a = csr_to_wire(random_csr(rng, 10, 10, 0.3))
+        for route, field in (("/v1/reachability", "k"), ("/v1/pagerank", "max_iter")):
+            body = {"algorithm": "row-product", "adjacency": a, field: 2.7}
+            status, reply = _post(serve_url, route, body)
+            assert status == 400 and field in reply["error"], (route, reply)
+        status, reply = _post(
+            serve_url, "/v1/reachability", {"algorithm": "row-product", "adjacency": a, "k": 2.0}
+        )
+        assert (status, reply["k"]) == (200, 2)
 
     def test_iteration_counts_above_the_limit_are_400(self, serve_url, rng):
         """``k`` and ``max_iter`` are bounded: admission charges one
@@ -704,7 +820,7 @@ class TestCostAdmission:
 
         async def scenario():
             await batcher.submit(lambda: None, 60)
-            await asyncio.sleep(0.05)  # let the drain callback land
+            # Drained before the caller has its result, not after.
             assert batcher.inflight_flops == 0
             assert batcher.stats.drained_flops == 60
             assert batcher.stats.completed == 1
@@ -932,7 +1048,7 @@ class TestServingObservability:
             for _ in range(4):
                 status, reply = _post(base, "/v1/multiply", body)
                 assert status == 200
-                assert identical(csr_from_wire(reply["result"]), expected)
+                assert_identical(csr_from_wire(reply["result"]), expected)
             _, stats = _get(base, "/stats")
         finally:
             thread.stop()

@@ -6,7 +6,8 @@ import pytest
 from repro.core.splitting import choose_split_factors, plan_splitting
 from repro.errors import ConfigurationError
 from repro.spgemm.base import MultiplyContext
-from repro.spgemm.reference import reference_spgemm
+
+from .oracle import assert_scipy_product
 
 
 class TestFactors:
@@ -70,4 +71,4 @@ class TestNumericSplitting:
 
         ctx = MultiplyContext.build(skewed_csr)
         algo = BlockReorganizer(options=ReorganizerOptions(alpha=0.5, splitting_factor=4))
-        assert algo.multiply(ctx).allclose(reference_spgemm(skewed_csr))
+        assert_scipy_product(algo.multiply(ctx), skewed_csr, skewed_csr, algo)
