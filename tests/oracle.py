@@ -1,13 +1,14 @@
 """The suite's one numeric oracle: scipy's product, compared bit for bit.
 
 The kernel sums each output entry's products from +0.0 in ascending (tie
-rank, k), and scipy's ``A @ B`` sums them in the order A's row stores its
-columns: ascending k for sorted rows.  So every scheme's product is scipy's
-bit for bit, with the inner index permuted by the plan's tie rank
-(:func:`tie_rank`) and the library's explicit zeros dropped
-(:func:`drop_zeros`), since scipy stores no entry that sums to exactly zero.
-scipy is imported at module top: without the test extra the suite errors
-instead of skipping its numeric checks.
+rank, expansion position): ascending k in pair order; in row order, the
+order in which A's row stores its columns.  scipy's ``A @ B`` sums them in
+A's stored order.  So every scheme's product is scipy's bit for bit, with
+the inner index permuted as the plan sums (:func:`tie_rank`) and the
+library's explicit zeros dropped (:func:`drop_zeros`), since scipy stores
+no entry that sums to exactly zero.  scipy is imported at module top:
+without the test extra the suite errors instead of skipping its numeric
+checks.
 """
 
 from __future__ import annotations
